@@ -21,7 +21,7 @@ from .errors import ExciteIterError
 from .excite import TrialFunction, excited_wavefunction, run
 from .groundstate import (Grid, GroundState, default_x_max, load_groundstate,
                           save_groundstate, solve_groundstate_numeric,
-                          soluble_groundstate)
+                          soluble_groundstate, write_csv)
 from .potential import Quartic
 
 
@@ -48,17 +48,12 @@ class RunConfig:
                 raise ValueError("quartic case takes --g only")
         else:
             raise ValueError(f"unknown case {self.case!r}")
+        if not self.tol > 0:
+            raise ValueError(f"--tol must be positive, got {self.tol}")
 
 
 def _fmt(v: float) -> str:
     return format(v, ".17g")
-
-
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]):
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _obtain_groundstate(config: RunConfig) -> tuple[GroundState, bool]:
@@ -104,6 +99,7 @@ def run_case(config: RunConfig) -> dict:
         "tol": config.tol,
         "gs_cache": config.gs_cache,
         "kernel_backend": kernels.BACKEND,
+        "kernel_backend_reason": kernels.BACKEND_REASON,
         "e_gd": gs.e_gd,
         "eps_sequence": report.eps_sequence,
         "delta_sequence": report.delta_sequence,
@@ -136,21 +132,20 @@ def run_case(config: RunConfig) -> dict:
     header = ["x"] + [f"chi_{s.n}" for s in report.states]
     columns = [x] + [s.chi for s in report.states]
     if config.case == "soluble":
-        chi_ex = np.array([soluble.exact_chi(config.delta, xi) for xi in x])
+        chi_ex = soluble.exact_chi(config.delta, x)
         i0 = gs.grid.index_of(config.anchor_x0)
         chi0 = report.states[0].chi
         chi_ex *= chi0[i0] / chi_ex[i0]
         header.append("chi_exact")
         columns.append(chi_ex)
-    _write_csv(os.path.join(config.out_dir, "chi_curves.csv"),
-               header, columns)
+    write_csv(os.path.join(config.out_dir, "chi_curves.csv"), header, columns)
 
     # ground and excited wave functions
     with np.errstate(under="ignore"):
         psi_gd = np.exp(-gs.s)
     psi_ex = excited_wavefunction(gs, report.states[-1].chi)
-    _write_csv(os.path.join(config.out_dir, "wavefunctions.csv"),
-               ["x", "psi_gd", "psi_ex"], [x, psi_gd, psi_ex])
+    write_csv(os.path.join(config.out_dir, "wavefunctions.csv"),
+              ["x", "psi_gd", "psi_ex"], [x, psi_gd, psi_ex])
 
     if not cached:
         save_groundstate(gs, os.path.join(config.out_dir, "groundstate.csv"))

@@ -3,18 +3,16 @@
 Two providers: the analytic hard-wall solution for the DeltaBox benchmark,
 and a two-sided shooting solver for the quartic double well that integrates
 the log-derivative Riccati equation S'' = S'^2 - 2(V - E) outward from the
-origin and inward from a WKB tail, bisecting on the matching mismatch.
+origin and inward from a WKB tail, root-finding on the matching mismatch.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernels
 from .errors import NoEigenvalueError, OutOfDomainError, WrongParityError
@@ -147,6 +145,66 @@ def _wkb_start(g: float, e: float, x_max: float) -> float:
     return k + v_prime / (2.0 * k * k)
 
 
+_BRENT_ITERATIONS = 100   # as in SciPy's brentq.c
+
+
+def _brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
+    """Root of f in [lo, hi] by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973), given f_lo = f(lo) and
+    f_hi = f(hi) of opposite signs.
+
+    A step-for-step port of SciPy's brentq.c: the same interpolation,
+    extrapolation and bisection tests, so the same iterates and the same
+    root.  Converged when the bracket half-width is below
+    (xtol + rtol*|x|)/2.
+    """
+    x_pre, x_cur, f_pre, f_cur = lo, hi, f_lo, f_hi
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_ITERATIONS):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+
+        delta = (xtol + rtol * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                # interpolate
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                # extrapolate
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try      # good short step
+            else:
+                s_pre = s_cur = s_bis            # bisect
+        else:
+            s_pre = s_cur = s_bis                # bisect
+
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0 else -delta
+        f_cur = f(x_cur)
+    raise NoEigenvalueError(
+        f"root finder did not converge in {_BRENT_ITERATIONS} iterations "
+        f"(last E={x_cur!r})")
+
+
 def solve_groundstate_numeric(potential: Potential, grid: Grid,
                               bracket: tuple[float, float] | None = None,
                               tol: float = 1e-12,
@@ -200,8 +258,8 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid,
         raise NoEigenvalueError(
             f"no shooting-mismatch sign change in bracket {bracket} "
             f"(f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g})")
-    e_star = brentq(mismatch, lo, hi, xtol=tol * max(1.0, e_mid),
-                    rtol=8.9e-16)
+    e_star = _brent(mismatch, lo, hi, f_lo, f_hi,
+                    xtol=tol * max(1.0, e_mid), rtol=8.9e-16)
 
     s_out, sp_out, node_out, s_in, sp_in, node_in = sweeps(e_star)
     if node_out >= 0 or node_in >= 0:
@@ -259,18 +317,21 @@ def log_weight(gs: GroundState, x: float) -> float:
 # ---------------------------------------------------------------------------
 # serialization: CSV profile plus a JSON sidecar
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns under a header line, every value as
+    %.17g, which reads back to the same float64."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(row % values
+                     for values in zip(*(c.tolist() for c in columns)))
 
 
 def save_groundstate(gs: GroundState, csv_path, sidecar_path=None) -> None:
     csv_path = str(csv_path)
     sidecar_path = str(sidecar_path) if sidecar_path else csv_path + ".json"
-    x = gs.grid.nodes()
-    with open(csv_path, "w", newline="\n") as f:
-        f.write("x,S,Sprime\n")
-        for i in range(gs.grid.n_points):
-            f.write(f"{_fmt(x[i])},{_fmt(gs.s[i])},{_fmt(gs.s_prime[i])}\n")
+    write_csv(csv_path, ["x", "S", "Sprime"],
+              [gs.grid.nodes(), gs.s, gs.s_prime])
     meta = {
         "e_gd": gs.e_gd,
         "gauge": gs.gauge,
@@ -289,17 +350,17 @@ def load_groundstate(csv_path, sidecar_path=None) -> GroundState:
     with open(sidecar_path) as f:
         meta = json.load(f)
     grid = Grid(**meta["grid"])
-    s = np.empty(grid.n_points)
-    s_prime = np.empty(grid.n_points)
-    with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
+    with open(csv_path) as f:
+        header = f.readline().rstrip("\n").split(",")
         if header != ["x", "S", "Sprime"]:
             raise ValueError(f"unexpected ground-state CSV header {header}")
-        for i, row in enumerate(reader):
-            s[i] = float(row[1])
-            s_prime[i] = float(row[2])
-    return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=meta["e_gd"],
+        data = np.loadtxt(f, delimiter=",", usecols=(1, 2), ndmin=2)
+    if len(data) != grid.n_points:
+        raise ValueError(
+            f"{csv_path} has {len(data)} rows; its sidecar grid has "
+            f"{grid.n_points} nodes")
+    return GroundState(grid=grid, s=data[:, 0].copy(),
+                       s_prime=data[:, 1].copy(), e_gd=meta["e_gd"],
                        gauge=meta["gauge"],
                        potential=potential_from_dict(meta["potential"]),
                        hard_wall=meta["hard_wall"])

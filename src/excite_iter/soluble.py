@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SolubleCase:
@@ -26,18 +28,21 @@ def exact_epsilon(delta: float) -> float:
     return 0.5 * (math.pi ** 2 - p * p)
 
 
-def exact_chi(delta: float, x: float) -> float:
-    """chi(x) = sin(pi x) / sin(p (1-x)) on [0, 1].
+def exact_chi(delta: float, x):
+    """chi(x) = sin(pi x) / sin(p (1-x)) on [0, 1], for a float or an
+    array of x (a float or an array back).
 
     The wall value is the removable-singularity limit pi/p.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+    x = np.asarray(x, dtype=float)
+    inside = (0.0 <= x) & (x <= 1.0)
+    if not inside.all():
+        raise ValueError(f"x must lie in [0, 1], got {x[~inside].flat[0]}")
     p = SolubleCase(delta).p
-    denom = math.sin(p * (1.0 - x))
-    if denom == 0.0:
-        return math.pi / p
-    return math.sin(math.pi * x) / denom
+    denom = np.sin(p * (1.0 - x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi = np.where(denom == 0.0, math.pi / p, np.sin(math.pi * x) / denom)
+    return chi if chi.ndim else float(chi)
 
 
 def chi1_closed_form(delta: float, x: float) -> float:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from excite_iter import kernels
 from excite_iter.cli import main
 
 
@@ -42,6 +43,7 @@ class TestSolubleRun:
         assert summary["grid"]["n_points"] == 2001
         assert summary["grid"]["x_max"] == 1.0
         assert summary["kernel_backend"] in ("cython", "python")
+        assert summary["kernel_backend_reason"] == kernels.BACKEND_REASON
 
     def test_summary_reports_convergence(self, outdir):
         summary = json.loads(read(outdir / "summary.json"))
@@ -151,3 +153,11 @@ class TestErrors:
                         "--out", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_nonpositive_tol_exits_1(self, tmp_path, capsys, tol):
+        code = run_cli(["soluble", "--delta", "0.1", "--tol", tol,
+                        "--points", "201", "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: --tol must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()

@@ -9,8 +9,10 @@ import sysconfig
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 import excite_iter
+from excite_iter import groundstate, kernels
 from excite_iter.errors import (NoEigenvalueError, OutOfDomainError,
                                 WrongParityError)
 from excite_iter.groundstate import (Grid, default_bracket, default_x_max,
@@ -162,6 +164,97 @@ def test_solver_rejects_delta_box():
         solve_groundstate_numeric(DeltaBox(0.1), Grid(1.0, 2001))
 
 
+# ------------------------------------------------------- root finder
+
+def _scipy_brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
+    """The root finder the solver used before _brent: SciPy's brentq,
+    which evaluates f at both ends itself."""
+    return brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+
+
+@pytest.mark.parametrize("g", [1.0, 3.0, 8.0])
+def test_brent_matches_scipy_on_the_shooting_mismatch(monkeypatch, g):
+    brent = groundstate._brent
+    calls = []
+
+    def both(f, lo, hi, f_lo, f_hi, xtol, rtol):
+        ours = brent(f, lo, hi, f_lo, f_hi, xtol, rtol)
+        calls.append((ours, _scipy_brent(f, lo, hi, f_lo, f_hi, xtol, rtol)))
+        return ours
+
+    monkeypatch.setattr(groundstate, "_brent", both)
+    solve_groundstate_numeric(Quartic(g), Grid(default_x_max(g), 2001))
+    assert len(calls) == 1
+    ours, theirs = calls[0]
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("f,lo,hi", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 1e3, -5.0, 20.0),
+    (lambda x: (x - 1.0) ** 3, 0.0, 1.0),      # root at the bracket end
+])
+def test_brent_matches_scipy_on_analytic_functions(f, lo, hi):
+    xtol, rtol = 2e-12, 4 * np.finfo(float).eps
+    ours = groundstate._brent(f, lo, hi, f(lo), f(hi), xtol, rtol)
+    assert ours == brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+
+
+def test_brent_raises_when_it_does_not_converge():
+    # a step has no zero, and with rtol=0 the tolerance is far below one
+    # ulp of the jump at 0.3, so the bracket can never shrink enough and
+    # the iteration limit is reached
+    def step(x):
+        return -1.0 if x < 0.3 else 1.0
+
+    with pytest.raises(NoEigenvalueError,
+                       match="did not converge in 100 iterations"):
+        groundstate._brent(step, 0.0, 1.0, step(0.0), step(1.0), 1e-300, 0.0)
+
+
+def _count_sweeps(monkeypatch, root_finder):
+    """Riccati sweeps of one quartic g=3 solve with the given root finder,
+    and the ground-state energy it found."""
+    count = [0]
+    sweep = kernels.riccati_sweep
+
+    def counted(*args):
+        count[0] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(kernels, "riccati_sweep", counted)
+    monkeypatch.setattr(groundstate, "_brent", root_finder)
+    e_gd = solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001)).e_gd
+    monkeypatch.undo()
+    return count[0], e_gd
+
+
+def test_known_bracket_ends_save_two_sweep_pairs(monkeypatch):
+    # the solver hands its sign-check values f(lo), f(hi) to the root
+    # finder, so neither end is integrated again
+    before, e_before = _count_sweeps(monkeypatch, _scipy_brent)
+    after, e_after = _count_sweeps(monkeypatch, groundstate._brent)
+    assert after == before - 4
+    assert e_after == e_before
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    code = ("import sys\n"
+            "import excite_iter.cli\n"
+            "code = excite_iter.cli.main(['quartic', '--g', '3', "
+            "'--points', '2001', '--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(excite_iter.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def _can_build_kernel():
     """A C compiler and the Python headers: what building the shipped
     compiled kernel on first import needs."""
@@ -265,6 +358,16 @@ def test_groundstate_roundtrip(tmp_path):
     assert back.grid == gs.grid
     assert np.array_equal(back.s, gs.s)
     assert np.array_equal(back.s_prime, gs.s_prime)
+
+
+def test_load_rejects_row_count_that_differs_from_the_grid(tmp_path):
+    gs = soluble_groundstate(0.1, Grid(1.0, 201))
+    path = tmp_path / "gs.csv"
+    save_groundstate(gs, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match="200 rows.*201 nodes"):
+        load_groundstate(path)
 
 
 def test_soluble_roundtrip_with_wall(tmp_path):

@@ -101,6 +101,27 @@ class TestExactChi:
         # chi carries the node of the odd state at the origin.
         assert exact_chi(0.1, 0.0) == 0.0
 
+    def test_array_matches_math_loop(self):
+        # one call over the grid, wall node included, against the closed
+        # form in math.sin node by node; NumPy's sin may differ from the C
+        # library's by an ulp, so a few ulp are allowed
+        delta = 0.3
+        p = math.pi - delta
+        x = np.linspace(0.0, 1.0, 2001)
+        loop = [math.sin(math.pi * xi) / math.sin(p * (1.0 - xi))
+                for xi in x[:-1]] + [math.pi / p]
+        chi = exact_chi(delta, x)
+        assert chi.shape == x.shape
+        np.testing.assert_allclose(chi, loop, rtol=4 * np.finfo(float).eps,
+                                   atol=0)
+        assert isinstance(exact_chi(delta, 0.5), float)
+
+    def test_array_outside_range_rejected(self):
+        with pytest.raises(ValueError, match="1.5"):
+            exact_chi(0.1, np.array([0.0, 0.5, 1.5]))
+        with pytest.raises(ValueError):
+            exact_chi(0.1, np.array([0.2, np.nan]))
+
 
 class TestClosedFormFirstIterate:
     def test_epsilon1_matches_engine(self):
