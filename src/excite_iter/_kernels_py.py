@@ -1,7 +1,9 @@
 """Pure-Python Riccati sweep, the fallback for the compiled kernel.
 
 Integrates S'' = S'^2 - 2(V - E) for the quartic double well with classic
-RK4 at fixed step.  Semantics must match excite_iter._kernels_c exactly.
+RK4 at fixed step.  The compiled sweep, _rk4.c, must perform the same
+floating-point operations in the same order, so that both give
+bit-identical output.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
     Returns (s, sp, node_index): arrays of length n_steps + 1 and the step
     index at which |S'| exceeded the blow-up limit (the integrated
     log-derivative diverges where the wave function has a node), or -1 if
-    the sweep stayed regular.
+    the sweep stayed regular.  Raises ValueError for n_steps < 0.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     s = np.empty(n_steps + 1)
     sp = np.empty(n_steps + 1)
     s[0] = s_init

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,18 +57,47 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _on_node(grid: Grid, x: float) -> bool:
+    try:
+        grid.index_of(x)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_anchor(grid: Grid, anchor: float) -> None:
+    """Raise ValueError, naming the options to change, unless the anchor
+    lies on a node of the grid."""
+    if _on_node(grid, anchor):
+        return
+    where = (f"--anchor {anchor} is not a node of the grid with --xmax "
+             f"{grid.x_max} and --points {grid.n_points}")
+    if not 0 < anchor <= grid.x_max:
+        raise ValueError(f"{where}: it lies outside [0, {grid.x_max}]")
+    # the anchor is on a node when n_points - 1 is an even multiple of the
+    # numerator of x_max / anchor in lowest terms
+    step = math.lcm(2, Fraction(grid.x_max / anchor)
+                    .limit_denominator(10_000).numerator)
+    n = max(step, round((grid.n_points - 1) / step) * step) + 1
+    if not _on_node(Grid(grid.x_max, n), anchor):
+        raise ValueError(f"{where}; change --xmax or --anchor")
+    raise ValueError(f"{where}; --points {n} puts it on one")
+
+
 def _obtain_groundstate(config: RunConfig) -> tuple[GroundState, bool]:
     """Returns (ground state, loaded_from_cache)."""
     cache = config.gs_cache
     if cache and os.path.exists(cache):
         return load_groundstate(cache), True
     if config.case == "soluble":
-        grid = Grid(x_max=config.x_max if config.x_max else 1.0,
-                    n_points=config.n_points)
-        gs = soluble_groundstate(config.delta, grid)
+        x_max = config.x_max if config.x_max else 1.0
     else:
         x_max = config.x_max if config.x_max else default_x_max(config.g)
-        grid = Grid(x_max=x_max, n_points=config.n_points)
+    grid = Grid(x_max=x_max, n_points=config.n_points)
+    _check_anchor(grid, config.anchor_x0)
+    if config.case == "soluble":
+        gs = soluble_groundstate(config.delta, grid)
+    else:
         gs = solve_groundstate_numeric(Quartic(config.g), grid)
     if cache:
         save_groundstate(gs, cache)

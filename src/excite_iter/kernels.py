@@ -1,37 +1,36 @@
 """Kernel backend selection.
 
 The compiled sweep is preferred; the pure-Python implementation is a
-drop-in replacement with bit-identical output. The choice, in order:
-
-1. an installed extension ``excite_iter._kernels_c`` (built by setup.py);
-2. a build of the shipped Cython output ``_kernels_c.c`` in the user cache,
-   ``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/`` when unset).
-   It is compiled once, on the first import that finds no build for this
-   source, these flags and this interpreter, and loaded from there after;
-3. the Python kernel, when there is no C compiler or no Python headers, the
-   cache directory cannot be written or the build fails.
+drop-in replacement with bit-identical output. The compiled one is the
+plain C file ``_rk4.c``, built into the user cache,
+``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/`` when unset),
+on the first import that finds no build for this source and these flags,
+and loaded from there through ctypes. The Python kernel is used when there
+is no C compiler, the cache directory cannot be written or the build fails.
 
 ``BACKEND`` names the active backend and ``BACKEND_REASON`` says why.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
-import importlib.util
 import os
 import shlex
 import shutil
 import subprocess
-import sys
 import sysconfig
 import tempfile
+from types import SimpleNamespace
+
+import numpy as np
+
+from . import _kernels_py
 
 # -ffp-contract=off keeps the compiler from fusing a*b+c into one rounding,
 # which would break bit-identity with the Python kernel
-_FLAGS = ["-O2", "-ffp-contract=off", "-fwrapv", "-DNDEBUG"]
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       "_kernels_c.c")
-_NAME = __package__ + "._kernels_c"
+_FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
 
 
 def _cache_dir() -> str:
@@ -41,37 +40,24 @@ def _cache_dir() -> str:
     return os.path.join(base, "excite-iter")
 
 
-def _compile_command() -> list[str]:
-    """Compiler and flags, without the source and output paths; raises
-    ImportError when the compiler or the Python headers are missing."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
-    if not cc or not ldshared or shutil.which(cc[0]) is None:
-        raise ImportError(f"no C compiler: {' '.join(cc) or 'CC'!r} "
-                          "not found")
-    include = sysconfig.get_paths()["include"]
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        raise ImportError(f"no Python headers: {include}/Python.h missing")
-    return (ldshared + shlex.split(sysconfig.get_config_var("CCSHARED") or "")
-            + _FLAGS + ["-I", include])
-
-
 def _build() -> str:
     """Path of the compiled kernel in the cache, compiling it first if no
     build of this source with these flags exists. Raises ImportError with
     the cause when it cannot be had."""
-    command = _compile_command()
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        raise ImportError(f"no C compiler: {' '.join(cc) or 'CC'!r} "
+                          "not found")
+    command = cc + _FLAGS
     try:
         with open(_SOURCE, "rb") as f:
             source = f.read()
     except OSError as exc:
         raise ImportError(f"shipped kernel source unreadable: {exc}") from exc
     key = hashlib.sha256(source)
-    key.update("\0".join(command + [suffix]).encode())
+    key.update("\0".join(command).encode())
     directory = _cache_dir()
-    path = os.path.join(directory, f"_kernels_c-{key.hexdigest()[:16]}"
-                                   f"{suffix}")
+    path = os.path.join(directory, f"_rk4-{key.hexdigest()[:16]}.so")
     if os.path.isfile(path):
         return path
     try:
@@ -101,41 +87,50 @@ def _build() -> str:
     return path
 
 
-def _load_cached():
-    """Build (once) and load the shipped kernel as excite_iter._kernels_c."""
+def _load():
+    """Build (once) and load the C sweep; returns it wrapped with the
+    signature of _kernels_py.riccati_sweep, and where it was loaded from."""
     path = _build()
-    spec = importlib.util.spec_from_file_location(_NAME, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_NAME] = module
-    setattr(sys.modules[__package__], "_kernels_c", module)
-    return module, f"built from the shipped source, loaded from {path}"
+    try:
+        c_sweep = ctypes.CDLL(path).riccati_sweep
+    except (OSError, AttributeError) as exc:
+        raise ImportError(f"cannot load {path}: {exc}") from exc
+    c_sweep.restype = ctypes.c_long
+    c_sweep.argtypes = ([ctypes.c_double] * 2 + [ctypes.c_long]
+                        + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 2)
+
+    def riccati_sweep(x_start, h, n_steps, g, e, s_init, sp_init):
+        """See _kernels_py.riccati_sweep."""
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        s = np.empty(n_steps + 1)
+        sp = np.empty(n_steps + 1)
+        node = c_sweep(x_start, h, n_steps, g, e, s_init, sp_init,
+                       s.ctypes.data, sp.ctypes.data)
+        return s, sp, node
+
+    return riccati_sweep, f"built from {_SOURCE}, loaded from {path}"
 
 
 try:
-    from . import _kernels_c as _impl
-    BACKEND, BACKEND_REASON = "cython", "installed extension"
-except ImportError:  # extension not installed
-    try:
-        _impl, BACKEND_REASON = _load_cached()
-        BACKEND = "cython"
-    except ImportError as exc:
-        from . import _kernels_py as _impl
-        BACKEND = "python"
-        BACKEND_REASON = f"no compiled kernel: {exc}"
-
-riccati_sweep = _impl.riccati_sweep
+    riccati_sweep, BACKEND_REASON = _load()
+    BACKEND = "cython"
+except ImportError as exc:
+    riccati_sweep = _kernels_py.riccati_sweep
+    BACKEND = "python"
+    BACKEND_REASON = f"no compiled kernel: {exc}"
+_compiled = SimpleNamespace(riccati_sweep=riccati_sweep)
 
 
 def get_backend(name: str):
-    """Return the kernel module for an explicit backend name
-    ('cython' or 'python'); used by the benchmark. Raises ImportError,
-    naming the cause, for 'cython' when no compiled kernel could be had."""
+    """Return the kernel for an explicit backend name, an object with a
+    ``riccati_sweep`` attribute: 'cython' (the compiled C sweep; the name
+    predates the plain-C kernel) or 'python'. Raises ImportError, naming
+    the cause, for 'cython' when no compiled kernel could be had."""
     if name == "python":
-        from . import _kernels_py
         return _kernels_py
     if name == "cython":
         if BACKEND != "cython":
             raise ImportError(BACKEND_REASON)
-        return _impl
+        return _compiled
     raise ValueError(f"unknown backend {name!r}")

@@ -154,6 +154,22 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_anchor_off_the_grid_exits_1_before_solving(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("ground state solved before the check")
+
+        monkeypatch.setattr("excite_iter.cli.solve_groundstate_numeric",
+                            no_solve)
+        code = run_cli(["quartic", "--g", "3", "--xmax", "1.5",
+                        "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--anchor 1.0" in err and "--xmax 1.5" in err
+        # x_max / anchor = 3/2, so n_points - 1 must be a multiple of 6
+        assert "--points 16001; --points 16003 puts it on one" in err
+        assert not (tmp_path / "summary.json").exists()
+
     @pytest.mark.parametrize("tol", ["-1", "0"])
     def test_nonpositive_tol_exits_1(self, tmp_path, capsys, tol):
         code = run_cli(["soluble", "--delta", "0.1", "--tol", tol,

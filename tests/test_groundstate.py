@@ -256,16 +256,23 @@ def test_cli_run_imports_no_scipy(tmp_path):
 
 
 def _can_build_kernel():
-    """A C compiler and the Python headers: what building the shipped
-    compiled kernel on first import needs."""
+    """A C compiler: all that building the compiled kernel on first import
+    needs."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    include = sysconfig.get_paths()["include"]
-    return (bool(cc) and shutil.which(cc[0]) is not None
-            and os.path.isfile(os.path.join(include, "Python.h")))
+    return bool(cc) and shutil.which(cc[0]) is not None
 
 
-@pytest.mark.skipif(not _can_build_kernel(),
-                    reason="no C compiler or no Python headers")
+# (x_start, h, n_steps, g, e, s_init, sp_init): outward and inward sweeps
+# of the quartic g=3 that stay regular or blow up at a node
+_SWEEPS = [(0.0, 0.002, 1500, 3.0, 2.7, 0.0, 0.0),       # node at 783
+           (0.0, 0.002, 2000, 3.0, 7.5, 0.0, 0.0),       # node at 302
+           (0.0, 0.002, 1000, 3.0, 2.48, 0.0, 0.0),      # regular
+           (4.0, -0.002, 1200, 3.0, 2.7, 0.0, 3.0),      # regular
+           (4.0, -0.00025, 16000, 3.0, 0.3, 0.0, -50.0),  # node at 131
+           (0.0, 0.002, 0, 3.0, 1.0, 1.0, 2.0)]          # no step
+
+
+@pytest.mark.skipif(not _can_build_kernel(), reason="no C compiler")
 def test_backends_agree_exactly():
     grid = Grid(4.0, 2001)
     a = solve_groundstate_numeric(Quartic(3.0), grid, backend="python")
@@ -273,34 +280,92 @@ def test_backends_agree_exactly():
     assert a.e_gd == b.e_gd
     assert np.array_equal(a.s, b.s)
     assert np.array_equal(a.s_prime, b.s_prime)
+    nodes = []
+    for args in _SWEEPS:
+        s_c, sp_c, node_c = kernels.get_backend("cython").riccati_sweep(*args)
+        s_p, sp_p, node_p = kernels.get_backend("python").riccati_sweep(*args)
+        assert node_c == node_p
+        assert np.array_equal(s_c, s_p, equal_nan=True)
+        assert np.array_equal(sp_c, sp_p, equal_nan=True)
+        if node_c >= 0:
+            # a blow-up leaves a NaN tail after the node, and only there
+            assert np.isnan(s_c[node_c + 1:]).all()
+            assert np.isnan(sp_c[node_c + 1:]).all()
+            assert not np.isnan(sp_c[:node_c + 1]).any()
+        nodes.append(node_c)
+    assert nodes == [783, 302, -1, -1, 131, -1]
 
 
-_INSTALLED_KERNEL = os.path.join(
-    os.path.dirname(excite_iter.__file__),
-    "_kernels_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_negative_step_count_is_rejected(backend):
+    try:
+        sweep = kernels.get_backend(backend).riccati_sweep
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    with pytest.raises(ValueError, match="n_steps must be >= 0"):
+        sweep(0.0, 0.01, -1, 3.0, 2.5, 0.0, 0.0)
 
 
-@pytest.mark.skipif(os.path.exists(_INSTALLED_KERNEL),
-                    reason="an installed extension takes precedence")
-@pytest.mark.skipif(not _can_build_kernel(),
-                    reason="no C compiler or no Python headers: the cache "
-                           "is never reached")
-def test_unwritable_cache_falls_back_to_python(tmp_path):
-    blocker = tmp_path / "not-a-directory"
-    blocker.write_text("")
+def _backend_in_subprocess(env):
+    """(BACKEND, BACKEND_REASON, get_backend('cython') error or '') of a
+    fresh import of excite_iter.kernels."""
     code = ("from excite_iter import kernels\n"
             "print(kernels.BACKEND)\n"
+            "print(kernels.BACKEND_REASON)\n"
             "try:\n"
             "    kernels.get_backend('cython')\n"
+            "    print('')\n"
             "except ImportError as exc:\n"
             "    print(exc)\n")
-    env = dict(os.environ, XDG_CACHE_HOME=str(blocker))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    backend, message = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+@pytest.mark.skipif(not _can_build_kernel(),
+                    reason="no C compiler: the cache is never reached")
+def test_unwritable_cache_falls_back_to_python(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    env = dict(os.environ, XDG_CACHE_HOME=str(blocker))
+    backend, _, message = _backend_in_subprocess(env)
     assert backend == "python"
     assert str(blocker / "excite-iter") in message
+
+
+@pytest.mark.skipif(not _can_build_kernel(),
+                    reason="no C compiler: no build is tried")
+def test_failed_build_falls_back_to_python(tmp_path):
+    package = tmp_path / "src" / "excite_iter"
+    shutil.copytree(os.path.dirname(excite_iter.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (package / "_rk4.c").write_text("long riccati_sweep(void) { return }\n")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=str(tmp_path / "src"))
+    backend, reason, message = _backend_in_subprocess(env)
+    assert backend == "python"
+    assert "build of" in reason
+    assert message == reason
+    # the failed build leaves no temporary file behind
+    assert os.listdir(tmp_path / "cache" / "excite-iter") == []
+
+
+def test_built_distribution_ships_the_kernel_source(tmp_path):
+    root = os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(excite_iter.__file__))))
+    if not os.path.isfile(os.path.join(root, "pyproject.toml")):
+        pytest.skip("package not run from its source tree")
+    project = tmp_path / "project"
+    shutil.copytree(os.path.join(root, "src"), project / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(root, "pyproject.toml"), project)
+    done = subprocess.run(
+        [sys.executable, "-c", "from setuptools import setup; setup()",
+         "build_py", "--build-lib", str(tmp_path / "lib")],
+        cwd=project, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "lib" / "excite_iter" / "_rk4.c").is_file()
 
 
 def test_default_domain_rule():
