@@ -3,13 +3,12 @@ Schroedinger problems, with the quartic double well and an analytically
 soluble hard-wall benchmark."""
 
 from .errors import (DegenerateAnchorError, ExciteIterError,
-                     NoEigenvalueError, OutOfDomainError, OverflowGuardError,
-                     WrongParityError)
+                     NoEigenvalueError, OverflowGuardError, WrongParityError)
 from .excite import (ConvergenceReport, IterationState, TrialFunction,
                      excited_wavefunction, iterate_once,
-                     orthogonality_residual, run, tail_integral)
+                     orthogonality_residual, run)
 from .groundstate import (Grid, GroundState, default_bracket, default_x_max,
-                          load_groundstate, log_weight, save_groundstate,
+                          load_groundstate, save_groundstate,
                           solve_groundstate_numeric, soluble_groundstate)
 from .potential import DeltaBox, Potential, Quartic, eval_quartic, \
     soluble_params
@@ -19,11 +18,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceReport", "DegenerateAnchorError", "DeltaBox",
     "ExciteIterError", "Grid", "GroundState", "IterationState",
-    "NoEigenvalueError", "OutOfDomainError", "OverflowGuardError",
+    "NoEigenvalueError", "OverflowGuardError",
     "Potential", "Quartic", "TrialFunction", "WrongParityError",
     "default_bracket", "default_x_max", "eval_quartic",
     "excited_wavefunction", "iterate_once", "load_groundstate",
-    "log_weight", "orthogonality_residual", "run", "save_groundstate",
+    "orthogonality_residual", "run", "save_groundstate",
     "soluble_groundstate", "soluble_params", "solve_groundstate_numeric",
-    "tail_integral",
 ]

@@ -51,6 +51,12 @@ class RunConfig:
             raise ValueError(f"unknown case {self.case!r}")
         if not self.tol > 0:
             raise ValueError(f"--tol must be positive, got {self.tol}")
+        if not self.n_points >= 5:
+            raise ValueError(
+                f"--points must be at least 5, got {self.n_points}")
+        if not self.max_iters >= 1:
+            raise ValueError(
+                f"--iters must be at least 1, got {self.max_iters}")
 
 
 def _fmt(v: float) -> str:

@@ -13,10 +13,6 @@ class WrongParityError(ExciteIterError):
     """The shooting solution develops a node inside the domain."""
 
 
-class OutOfDomainError(ExciteIterError):
-    """Coordinate lies outside the ground-state support."""
-
-
 class DegenerateAnchorError(ExciteIterError):
     """The unnormalized iterate vanishes at the anchor point."""
 

@@ -41,7 +41,7 @@ class TrialFunction:
         if self.kind not in TRIAL_KINDS:
             raise ValueError(f"unknown trial kind {self.kind!r}")
         if self.kind == "tabulated":
-            if self.values is None:
+            if self.values is None or len(self.values) == 0:
                 raise ValueError("tabulated trial needs samples")
             if self.values[0] != 0.0:
                 raise ValueError("odd trial must vanish at x = 0")
@@ -75,17 +75,11 @@ class TrialFunction:
 
 @dataclass(frozen=True)
 class IterationState:
-    """chi_n on x >= 0 plus the extracted eps_n.
-
-    d_field holds the tail integral I(x) = D_n(x)/(-eps_n), kept as a
-    diagnostic (it is the electrostatic displacement field up to the -eps_n
-    factor and makes sign errors visible).
-    """
+    """chi_n on x >= 0 plus the extracted eps_n."""
 
     n: int
     chi: np.ndarray
     eps: float | None = None
-    d_field: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -114,59 +108,37 @@ def _scaled_inner(gs: GroundState, chi_prev: np.ndarray):
     first-order Watson estimate chi/(2S') * weight (exactly zero for
     hard-wall support).
     """
-    u = gs.weight_log_nodes()
-    finite = np.isfinite(u)
-    u_ref = float(u[finite].max())
-    w = np.where(finite, np.exp(np.where(finite, u, 0.0) - u_ref), 0.0)
-    w = w * chi_prev
-    i_scaled = reverse_cumulative_simpson(w, gs.grid.h)
+    w, u_ref, w_end = gs.scaled_weight
+    i_scaled = reverse_cumulative_simpson(w * chi_prev, gs.grid.h)
     if not gs.hard_wall:
-        i_scaled = i_scaled + (np.exp(u[-1] - u_ref) * chi_prev[-1]
-                               / (2.0 * gs.s_prime[-1]))
+        i_scaled += w_end * chi_prev[-1] / (2.0 * gs.s_prime[-1])
     return i_scaled, u_ref
 
 
-def tail_integral(gs: GroundState, chi_prev: np.ndarray, x: float) -> float:
-    """I(x) = int_x^inf e^{-2S(z)} chi_prev(z) dz at a grid node."""
-    i = gs.grid.index_of(x)
-    i_scaled, u_ref = _scaled_inner(gs, np.asarray(chi_prev, dtype=float))
-    with np.errstate(over="ignore"):
-        return float(i_scaled[i] * np.exp(u_ref))
-
-
 def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray):
-    """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy via log-domain products.
-
-    Returns (chihat, d_field) with d_field = I at the nodes.
-    """
+    """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy via log-domain products."""
     i_scaled, u_ref = _scaled_inner(gs, chi_prev)
-    sign = np.sign(i_scaled)
-    with np.errstate(divide="ignore"):
-        log_inner = np.where(sign != 0.0, np.log(np.abs(
-            np.where(sign != 0.0, i_scaled, 1.0))) + u_ref, -np.inf)
-    outer = weighted_outer_profile(gs.s, log_inner, sign)
+    with np.errstate(divide="ignore"):     # log 0 = -inf at zero nodes
+        log_inner = np.log(np.abs(i_scaled)) + u_ref
+    outer = weighted_outer_profile(gs.s, log_inner, np.sign(i_scaled))
     if gs.hard_wall:
         # e^{2S} is not evaluable on the wall; take the one-sided limit
         outer[-1] = cubic_extrapolate_edge(outer)
-    chihat = 2.0 * cumulative_simpson(outer, gs.grid.h)
-    with np.errstate(over="ignore", under="ignore"):
-        d_field = i_scaled * np.exp(u_ref)
-    return chihat, d_field
+    return 2.0 * cumulative_simpson(outer, gs.grid.h)
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
                  chi0_at_anchor: float) -> IterationState:
     """One application of the iteration map plus the fixed-point split."""
     i0 = gs.grid.index_of(anchor_x0)
-    chihat, d_field = _unnormalized_profile(gs, prev.chi)
+    chihat = _unnormalized_profile(gs, prev.chi)
     if chihat[i0] == 0.0:
         raise DegenerateAnchorError(
             f"unnormalized iterate vanishes at the anchor x0={anchor_x0}")
     eps = chi0_at_anchor / chihat[i0]
     chi = eps * chihat
     chi[i0] = chi0_at_anchor       # eq. fixed-point rule, exact by definition
-    return IterationState(n=prev.n + 1, chi=chi, eps=float(eps),
-                          d_field=d_field)
+    return IterationState(n=prev.n + 1, chi=chi, eps=float(eps))
 
 
 def orthogonality_residual(gs: GroundState, chi: np.ndarray,
@@ -179,10 +151,7 @@ def orthogonality_residual(gs: GroundState, chi: np.ndarray,
     zero by construction here).
     """
     chi = np.asarray(chi, dtype=float)
-    u = gs.weight_log_nodes()
-    finite = np.isfinite(u)
-    u_ref = float(u[finite].max())
-    w = np.where(finite, np.exp(np.where(finite, u, 0.0) - u_ref), 0.0)
+    w = gs.scaled_weight[0]
     h = gs.grid.h
     half = simpson_integral(w * chi, h)
     mirror = half if parity == "even" else -half

@@ -8,6 +8,7 @@ origin and inward from a WKB tail, root-finding on the matching mismatch.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import NoEigenvalueError, OutOfDomainError, WrongParityError
+from .errors import NoEigenvalueError, WrongParityError
 from .potential import DeltaBox, Potential, Quartic, potential_from_dict
 
 #: mismatch value reported when a sweep blows up (wave-function node)
@@ -62,6 +63,9 @@ class GroundState:
     gauge records S(0); the iteration is invariant under S -> S + c, so the
     value is bookkeeping only.  hard_wall marks compact support with the
     last node on the wall (S = +inf there, weight exactly zero).
+
+    Work that depends only on the ground state (scaled_weight) is cached
+    on the instance; dataclasses.replace gives a copy with a fresh cache.
     """
 
     grid: Grid
@@ -72,12 +76,22 @@ class GroundState:
     potential: Potential
     hard_wall: bool = False
 
-    def log_weight(self, x: float) -> float:
-        return log_weight(self, x)
-
     def weight_log_nodes(self) -> np.ndarray:
         """-2 S at the nodes (log of the dielectric kappa = e^{-2S})."""
         return -2.0 * self.s
+
+    @functools.cached_property
+    def scaled_weight(self) -> tuple[np.ndarray, float, float]:
+        """(w, u_ref, w_end): the weight e^{-2S - u_ref} at the nodes,
+        with u_ref = max(-2S) over the finite samples so every sample is
+        representable, zero where -2S is not finite, and read-only; w_end
+        is e^{-2S - u_ref} at the last node before that masking."""
+        u = self.weight_log_nodes()
+        finite = np.isfinite(u)
+        u_ref = float(u[finite].max())
+        w = np.where(finite, np.exp(np.where(finite, u, 0.0) - u_ref), 0.0)
+        w.flags.writeable = False
+        return w, u_ref, np.exp(u[-1] - u_ref)
 
 
 def soluble_groundstate(delta: float, grid: Grid) -> GroundState:
@@ -277,41 +291,6 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid,
     s_prime[i_match + 1:] = sp_in_rev[1:]
     return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=float(e_star),
                        gauge=0.0, potential=potential, hard_wall=False)
-
-
-def log_weight(gs: GroundState, x: float) -> float:
-    """-2 S(x) by cubic interpolation between nodes; exact at nodes.
-
-    The hard-wall edge returns -inf (zero weight); coordinates beyond the
-    support raise OutOfDomainError.
-    """
-    grid = gs.grid
-    h = grid.h
-    eps = 1e-12 * grid.x_max
-    if x < -eps or x > grid.x_max + eps:
-        raise OutOfDomainError(
-            f"x={x} outside the support [0, {grid.x_max}]")
-    x = min(max(x, 0.0), grid.x_max)
-    n = grid.n_points
-    i_node = int(round(x / h))
-    if abs(x - i_node * h) <= 1e-14 * max(1.0, x):
-        if gs.hard_wall and i_node == n - 1:
-            return -math.inf
-        return float(-2.0 * gs.s[i_node])
-    # 4-point Lagrange stencil, shifted off the non-finite wall node
-    i0 = min(max(int(math.floor(x / h)) - 1, 0), n - 4)
-    if gs.hard_wall and i0 + 3 == n - 1:
-        i0 = n - 5
-    xs = (np.arange(i0, i0 + 4)) * h
-    ys = -2.0 * gs.s[i0:i0 + 4]
-    total = 0.0
-    for j in range(4):
-        term = ys[j]
-        for m in range(4):
-            if m != j:
-                term *= (x - xs[m]) / (xs[j] - xs[m])
-        total += term
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

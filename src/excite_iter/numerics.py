@@ -13,35 +13,12 @@ correction on top of the preceding even offset.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OverflowGuardError
 
 # exp() overflows just above 709; leave headroom for the final product
 OVERFLOW_EXPONENT = 700.0
-LOG_FLOOR = -math.inf
-
-
-@dataclass(frozen=True)
-class LogScaledValue:
-    """A real number stored as sign * exp(log_magnitude)."""
-
-    log_magnitude: float
-    sign: int
-
-    @classmethod
-    def from_value(cls, v: float) -> "LogScaledValue":
-        if v == 0.0:
-            return cls(LOG_FLOOR, 0)
-        return cls(math.log(abs(v)), 1 if v > 0 else -1)
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
 
 
 def simpson_integral(values, h: float, a_index: int = 0,
@@ -87,39 +64,29 @@ def reverse_cumulative_simpson(values, h: float) -> np.ndarray:
     return cumulative_simpson(y[::-1], h)[::-1]
 
 
-def weighted_outer_integrand(gs, inner: LogScaledValue, y: float) -> float:
-    """e^{2S(y)} * I(y) with the product formed in the log domain.
-
-    Raises OverflowGuardError if the combined exponent would overflow; for
-    the supported potentials that indicates a logic bug upstream.
-    """
-    if inner.sign == 0:
-        return 0.0
-    two_s = -gs.log_weight(y)
-    exponent = two_s + inner.log_magnitude
-    if exponent > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(
-            f"outer integrand exponent {exponent:.3g} exceeds "
-            f"{OVERFLOW_EXPONENT}; 2S(y)={two_s:.3g}, "
-            f"log|I|={inner.log_magnitude:.3g}")
-    return inner.sign * math.exp(exponent)
-
-
 def weighted_outer_profile(s: np.ndarray, log_inner: np.ndarray,
                            sign_inner: np.ndarray) -> np.ndarray:
-    """Vectorized weighted_outer_integrand over a whole grid."""
+    """sign_inner * e^{2S + log_inner} over a whole grid, the product
+    e^{2S(y)} I(y) formed in the log domain.
+
+    Nodes whose exponent is not finite (zero weight on a hard wall, or a
+    zero inner integral with log_inner = -inf) contribute exactly zero.
+    Raises OverflowGuardError, naming the first maximal node, if an
+    exponent exceeds OVERFLOW_EXPONENT; for the supported potentials that
+    indicates a logic bug upstream.
+    """
     with np.errstate(invalid="ignore"):   # inf - inf at zero-weight nodes
-        exponent = np.where(sign_inner != 0, 2.0 * s + log_inner, -np.inf)
-    bad = exponent[np.isfinite(exponent)]
-    if bad.size and bad.max() > OVERFLOW_EXPONENT:
-        i = int(np.nanargmax(np.where(np.isfinite(exponent), exponent,
-                                      -np.inf)))
+        exponent = 2.0 * s + log_inner
+    exponent[~np.isfinite(exponent)] = -np.inf
+    i = int(exponent.argmax())
+    if exponent[i] > OVERFLOW_EXPONENT:
         raise OverflowGuardError(
             f"outer integrand exponent {exponent[i]:.3g} at node {i} "
             f"exceeds {OVERFLOW_EXPONENT}")
     with np.errstate(over="raise"):
-        return sign_inner * np.exp(np.where(np.isfinite(exponent),
-                                            exponent, -np.inf))
+        np.exp(exponent, out=exponent)
+    exponent *= sign_inner
+    return exponent
 
 
 def cubic_extrapolate_edge(values: np.ndarray) -> float:
@@ -129,18 +96,3 @@ def cubic_extrapolate_edge(values: np.ndarray) -> float:
         raise ValueError("need at least five nodes to extrapolate")
     v = values
     return float(4.0 * v[-2] - 6.0 * v[-3] + 4.0 * v[-4] - v[-5])
-
-
-def tail_closure(gs, chi_prev) -> float:
-    """First-order Watson estimate of the integral beyond the grid edge:
-    e^{-2S(x_max)} * chi(x_max) / (2 S'(x_max)).
-
-    Hard-wall ground states have compact support, so the tail is exactly 0.
-    """
-    if gs.hard_wall:
-        return 0.0
-    sp_end = gs.s_prime[-1]
-    if not sp_end > 0.0:
-        raise ValueError(
-            f"tail closure needs a decaying tail, got S'(x_max)={sp_end}")
-    return math.exp(-2.0 * gs.s[-1]) * chi_prev[-1] / (2.0 * sp_end)

@@ -47,7 +47,7 @@ class DeltaBox:
 
     @property
     def spike_strength(self) -> float:
-        return soluble_params(self.delta)[1]
+        return self.p / math.tan(self.delta)
 
     def to_dict(self):
         return {"variant": "delta_box", "delta": self.delta}
@@ -66,11 +66,8 @@ def soluble_params(delta: float) -> tuple[float, float]:
 
     Both are strictly positive for delta in (0, pi/2).
     """
-    if not 0.0 < delta < math.pi / 2:
-        raise ValueError(f"delta must lie in (0, pi/2), got {delta}")
-    p = math.pi - delta
-    lam = p / math.tan(delta)
-    return p, lam
+    box = DeltaBox(delta)
+    return box.p, box.spike_strength
 
 
 def potential_from_dict(d: dict) -> Potential:

@@ -4,27 +4,15 @@ hand-derived first-iterate formulas used to validate the numeric engine."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class SolubleCase:
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < math.pi / 2:
-            raise ValueError(f"delta must lie in (0, pi/2), got {self.delta}")
-
-    @property
-    def p(self) -> float:
-        return math.pi - self.delta
+from .potential import DeltaBox
 
 
 def exact_epsilon(delta: float) -> float:
     """Exact excitation energy (pi^2 - p^2)/2 = pi*delta - delta^2/2."""
-    p = SolubleCase(delta).p
+    p = DeltaBox(delta).p
     return 0.5 * (math.pi ** 2 - p * p)
 
 
@@ -38,7 +26,7 @@ def exact_chi(delta: float, x):
     inside = (0.0 <= x) & (x <= 1.0)
     if not inside.all():
         raise ValueError(f"x must lie in [0, 1], got {x[~inside].flat[0]}")
-    p = SolubleCase(delta).p
+    p = DeltaBox(delta).p
     denom = np.sin(p * (1.0 - x))
     with np.errstate(divide="ignore", invalid="ignore"):
         chi = np.where(denom == 0.0, math.pi / p, np.sin(math.pi * x) / denom)
@@ -53,7 +41,7 @@ def chi1_closed_form(delta: float, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    p = SolubleCase(delta).p
+    p = DeltaBox(delta).p
     sp = math.sin(p)
     return (math.sin(p * x)
             - sp * ((x / p) * math.sin(p * (1.0 - x))
@@ -62,7 +50,7 @@ def chi1_closed_form(delta: float, x: float) -> float:
 
 def epsilon1_closed_form(delta: float) -> float:
     """First-iterate energy 2 p^2 / (1 - p cot p) at anchor x0 = 1."""
-    p = SolubleCase(delta).p
+    p = DeltaBox(delta).p
     return 2.0 * p * p / (1.0 - p / math.tan(p))
 
 
@@ -72,7 +60,7 @@ def epsilon_series(delta: float, order_n: int) -> float:
     Coefficients are fixed rational/pi expressions; this is a regression
     oracle, not a symbolic derivation.
     """
-    d = SolubleCase(delta).delta
+    d = DeltaBox(delta).delta
     pi = math.pi
     if order_n == 1:
         return (2.0 * pi * d - 4.0 * d ** 2

@@ -177,3 +177,22 @@ class TestErrors:
         assert code == 1
         assert "error: --tol must be positive" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("case", [
+        ["soluble", "--delta", "0.1"],
+        ["quartic", "--g", "3", "--anchor", "4"]])
+    def test_too_few_points_exits_1(self, tmp_path, capsys, case):
+        code = run_cli(case + ["--points", "3", "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: --points must be at least 5, got 3" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("iters", ["0", "-2"])
+    def test_nonpositive_iters_exits_1(self, tmp_path, capsys, iters):
+        code = run_cli(["soluble", "--delta", "0.1", "--iters", iters,
+                        "--points", "201", "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: --iters must be at least 1, got {iters}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()

@@ -10,13 +10,14 @@ from excite_iter.errors import DegenerateAnchorError
 from excite_iter.excite import (
     IterationState,
     TrialFunction,
+    _scaled_inner,
     excited_wavefunction,
     iterate_once,
     orthogonality_residual,
     run,
-    tail_integral,
 )
-from excite_iter.groundstate import Grid, soluble_groundstate, solve_groundstate_numeric
+from excite_iter.groundstate import (Grid, default_x_max, soluble_groundstate,
+                                     solve_groundstate_numeric)
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
 
@@ -26,6 +27,25 @@ TAIL_ORACLE_D01_X0 = 0.2497306668710968321
 TAIL_ORACLE_D01_X05 = 0.15644138847098579194
 
 DELTA = 0.1
+
+# eps_sequence, as float.hex, of the 2001-node runs below; recorded from
+# the code before the ground-state weight was cached, so any change that
+# moves a bit of the iteration fails here
+PINNED_EPS_SOLUBLE_D01 = (
+    "0x1.2e859e63e4f5cp-1", "0x1.41014b903a162p-2", "0x1.3caa9ebe957bfp-2",
+    "0x1.3c94b35efddbcp-2", "0x1.3c94414e75396p-2", "0x1.3c943ef9de351p-2",
+    "0x1.3c943eedaad6dp-2", "0x1.3c943eed6af2fp-2")
+PINNED_EPS_QUARTIC_G3 = (
+    "0x1.acb708437fd8bp-2", "0x1.a88c99b9a7d50p-2", "0x1.a874916a67ef3p-2",
+    "0x1.a8748188c3b1fp-2", "0x1.a8748c31a98b6p-2", "0x1.a8748d3a9044ep-2",
+    "0x1.a8748d4e3429bp-2", "0x1.a8748d4f8a220p-2")
+
+
+def tail_integral(gs, chi_prev, x):
+    """I(x) = int_x^inf e^{-2S(z)} chi_prev(z) dz at a grid node, read
+    from the iteration's own scaled inner integral."""
+    i_scaled, u_ref = _scaled_inner(gs, chi_prev)
+    return float(i_scaled[gs.grid.index_of(x)] * np.exp(u_ref))
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +79,10 @@ class TestTrialFunction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             TrialFunction("quadratic")
+
+    def test_empty_tabulated_rejected(self):
+        with pytest.raises(ValueError, match="needs samples"):
+            TrialFunction.tabulated([])
 
 
 class TestTailIntegral:
@@ -151,6 +175,21 @@ class TestRun:
     def test_invalid_arguments(self, gs_soluble):
         with pytest.raises(ValueError):
             run(gs_soluble, TrialFunction.linear(), max_iters=0)
+
+    def test_soluble_eps_sequence_is_pinned_bit_for_bit(self):
+        gs = soluble_groundstate(DELTA, Grid(1.0, 2001))
+        report = run(gs, TrialFunction.linear(), anchor_x0=1.0)
+        assert report.status == "converged"
+        assert tuple(e.hex() for e in report.eps_sequence) \
+            == PINNED_EPS_SOLUBLE_D01
+
+    def test_quartic_eps_sequence_is_pinned_bit_for_bit(self):
+        gs = solve_groundstate_numeric(Quartic(3.0),
+                                       Grid(default_x_max(3.0), 2001))
+        report = run(gs, TrialFunction.saturating(), anchor_x0=1.0)
+        assert report.status == "converged"
+        assert tuple(e.hex() for e in report.eps_sequence) \
+            == PINNED_EPS_QUARTIC_G3
 
 
 class TestOrthogonality:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import shlex
@@ -13,11 +14,9 @@ from scipy.optimize import brentq
 
 import excite_iter
 from excite_iter import groundstate, kernels
-from excite_iter.errors import (NoEigenvalueError, OutOfDomainError,
-                                WrongParityError)
+from excite_iter.errors import NoEigenvalueError, WrongParityError
 from excite_iter.groundstate import (Grid, default_bracket, default_x_max,
-                                     load_groundstate, log_weight,
-                                     save_groundstate,
+                                     load_groundstate, save_groundstate,
                                      solve_groundstate_numeric,
                                      soluble_groundstate)
 from excite_iter.potential import DeltaBox, Quartic
@@ -381,33 +380,30 @@ def test_default_domain_rule():
     assert lo < 2.4826969 < hi
 
 
-# ------------------------------------------------------------ log_weight
+# --------------------------------------------------------- scaled_weight
 
-def test_log_weight_exact_at_nodes():
+def test_scaled_weight_is_built_once_and_read_only():
     gs = soluble_groundstate(0.1, Grid(1.0, 2001))
-    for i in (0, 1, 700, 1999):
-        x = i * gs.grid.h
-        assert log_weight(gs, x) == -2.0 * gs.s[i]
+    w, u_ref, w_end = gs.scaled_weight
+    assert gs.scaled_weight is gs.scaled_weight
+    assert gs.scaled_weight[0] is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    # the wall node carries exactly zero weight; the largest weight is 1
+    assert w[-1] == 0.0 and w_end == 0.0
+    assert w.max() == 1.0 and u_ref == -2.0 * gs.s[np.argmax(w)]
 
 
-def test_log_weight_midpoint_accuracy():
-    delta = 0.1
-    p = math.pi - delta
-    gs = soluble_groundstate(delta, Grid(1.0, 2001))  # h = 5e-4
-    h = gs.grid.h
-    for i in (10, 500, 1500):
-        x = (i + 0.5) * h
-        exact = 2.0 * math.log(math.sin(p * (1 - x)))
-        assert log_weight(gs, x) == pytest.approx(exact, abs=1e-8)
-
-
-def test_log_weight_wall_and_domain():
-    gs = soluble_groundstate(0.1, Grid(1.0, 2001))
-    assert log_weight(gs, 1.0) == -math.inf
-    with pytest.raises(OutOfDomainError):
-        log_weight(gs, 1.01)
-    with pytest.raises(OutOfDomainError):
-        log_weight(gs, -0.5)
+def test_scaled_weight_is_not_shared_by_a_replaced_ground_state():
+    gs = solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001))
+    w = gs.scaled_weight[0]
+    shifted = dataclasses.replace(gs, s=gs.s + 5)
+    assert shifted.scaled_weight is not gs.scaled_weight
+    assert shifted.scaled_weight[0] is not w
+    assert shifted.scaled_weight[1] == pytest.approx(
+        gs.scaled_weight[1] - 10.0, abs=1e-12)
+    assert gs.scaled_weight[0] is w
 
 
 # ---------------------------------------------------------- serialization

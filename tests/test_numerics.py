@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from excite_iter.errors import OverflowGuardError
+from excite_iter.excite import _scaled_inner
 from excite_iter.groundstate import Grid, soluble_groundstate
-from excite_iter.numerics import (LogScaledValue, cubic_extrapolate_edge,
-                                  cumulative_simpson, simpson_integral,
-                                  reverse_cumulative_simpson, tail_closure,
-                                  weighted_outer_integrand,
-                                  weighted_outer_profile)
+from excite_iter.numerics import (cubic_extrapolate_edge, cumulative_simpson,
+                                  reverse_cumulative_simpson,
+                                  simpson_integral, weighted_outer_profile)
 
 # independent 30-digit quadrature of int_0^1 z sin^2(p(1-z)) dz, delta=0.1
 INNER_ORACLE_D01 = 0.2497306668710968321
@@ -91,27 +90,17 @@ def test_reverse_cumulative_mirrors_forward():
     assert rev[-1] == 0.0
 
 
-def test_log_scaled_value_roundtrip():
-    for v in (0.5, -3.25, 0.0, 1e-300, -1e250):
-        assert LogScaledValue.from_value(v).value() == pytest.approx(
-            v, rel=1e-15)
-    assert LogScaledValue.from_value(0.0).sign == 0
-
-
-class _FlatGroundState:
-    """S identically s0 on [0, 1]; log_weight is exact."""
-
-    def __init__(self, s0):
-        self.s0 = s0
-
-    def log_weight(self, y):
-        return -2.0 * self.s0
+def _outer(s, inner):
+    """weighted_outer_profile at one node with inner integral value inner,
+    split into log magnitude and sign as the iteration does."""
+    with np.errstate(divide="ignore"):
+        log_inner = np.log(np.abs([inner]))
+    return float(weighted_outer_profile(np.array([s]), log_inner,
+                                        np.sign([inner]))[0])
 
 
 def test_weighted_outer_integrand_unit_weight():
-    gs = _FlatGroundState(0.0)
-    inner = LogScaledValue.from_value(0.5)
-    assert weighted_outer_integrand(gs, inner, 0.3) == pytest.approx(0.5)
+    assert _outer(0.0, 0.5) == pytest.approx(0.5)
 
 
 def test_weighted_outer_integrand_matches_naive_product():
@@ -122,30 +111,43 @@ def test_weighted_outer_integrand_matches_naive_product():
     for _ in range(200):
         s = rng.uniform(-150, 150)
         i_val = rng.uniform(-1, 1) * math.exp(rng.uniform(-140, 140))
-        gs = _FlatGroundState(s)
-        got = weighted_outer_integrand(gs, LogScaledValue.from_value(i_val),
-                                       0.0)
+        got = _outer(s, i_val)
         naive = math.exp(2 * s) * i_val
         bound = max(1e-14, 4.0 * abs(math.log(abs(naive))) * 2.3e-16)
         assert got == pytest.approx(naive, rel=bound)
 
 
 def test_weighted_outer_integrand_zero_inner():
-    gs = _FlatGroundState(400.0)
-    assert weighted_outer_integrand(
-        gs, LogScaledValue.from_value(0.0), 0.0) == 0.0
+    assert _outer(400.0, 0.0) == 0.0
 
 
 def test_weighted_outer_integrand_overflow_guard():
-    gs = _FlatGroundState(400.0)
     with pytest.raises(OverflowGuardError):
-        weighted_outer_integrand(gs, LogScaledValue.from_value(1.0), 0.0)
+        _outer(400.0, 1.0)
 
 
 def test_weighted_outer_profile_overflow_guard():
     s = np.array([0.0, 500.0, 0.0])
     with pytest.raises(OverflowGuardError):
         weighted_outer_profile(s, np.zeros(3), np.ones(3))
+    # the message names the first maximal node; an infinite exponent is
+    # a zero-weight node, not an overflow
+    s = np.array([0.0, 360.0, 400.0, 5.0, 400.0, np.inf])
+    with pytest.raises(OverflowGuardError, match="exponent 800 at node 2 "):
+        weighted_outer_profile(s, np.zeros(6), np.ones(6))
+
+
+def test_weighted_outer_profile_zero_and_nonfinite_nodes_are_zero():
+    # node 1: zero sign; node 2: zero inner integral (log -inf); node 3:
+    # the hard-wall node, S = +inf against log|I| = -inf (a NaN exponent);
+    # node 4: an infinite exponent; node 5: a NaN inner integral's log
+    s = np.array([0.0, 1.0, 300.0, np.inf, np.inf, 0.0])
+    log_inner = np.array([0.0, 2.0, -np.inf, -np.inf, 0.0, np.nan])
+    sign = np.array([1.0, 0.0, 0.0, 0.0, 1.0, -1.0])
+    out = weighted_outer_profile(s, log_inner, sign)
+    assert out[0] == 1.0
+    assert out[1:].tolist() == [0.0] * 5
+    assert not np.signbit(out[1:5]).any()
 
 
 def test_cubic_extrapolation_exact_for_cubic():
@@ -159,15 +161,8 @@ def test_cubic_extrapolation_exact_for_cubic():
 
 
 def test_tail_closure_hard_wall_is_exactly_zero():
+    # compact support: no Watson closure is added, so the inner integral
+    # from the wall node is exactly zero
     gs = soluble_groundstate(0.1, Grid(1.0, 101))
-    assert tail_closure(gs, np.ones(101)) == 0.0
-
-
-def test_tail_closure_rejects_growing_tail():
-    class FakeGS:
-        hard_wall = False
-        s = np.array([0.0, 1.0])
-        s_prime = np.array([0.0, -1.0])
-
-    with pytest.raises(ValueError):
-        tail_closure(FakeGS(), np.ones(2))
+    i_scaled, _ = _scaled_inner(gs, np.ones(101))
+    assert i_scaled[-1] == 0.0

@@ -13,9 +13,8 @@ from excite_iter.excite import (
     run,
 )
 from excite_iter.groundstate import Grid, soluble_groundstate
-from excite_iter.potential import soluble_params
+from excite_iter.potential import DeltaBox, soluble_params
 from excite_iter.soluble import (
-    SolubleCase,
     chi1_closed_form,
     epsilon1_closed_form,
     epsilon_series,
@@ -141,7 +140,7 @@ class TestClosedFormFirstIterate:
         p, _ = soluble_params(delta)
         gs = soluble_groundstate(delta, Grid(1.0, 16001))
         x = gs.grid.nodes()
-        chihat, _ = _unnormalized_profile(gs, x.copy())
+        chihat = _unnormalized_profile(gs, x.copy())
         with np.errstate(under="ignore"):
             lhs = np.exp(-gs.s) * chihat
         rhs = np.array([chi1_closed_form(delta, xi) for xi in x])
@@ -157,15 +156,22 @@ class TestClosedFormFirstIterate:
 
 class TestSolubleCase:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolubleCase(0.0)
-        with pytest.raises(ValueError):
-            SolubleCase(math.pi)
+        # DeltaBox owns the range check; every closed form goes through it
+        closed_forms = (exact_epsilon, epsilon1_closed_form,
+                        lambda d: exact_chi(d, 0.5),
+                        lambda d: chi1_closed_form(d, 0.5),
+                        lambda d: epsilon_series(d, 1))
+        for delta in (0.0, math.pi / 2, math.pi, -0.1):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                DeltaBox(delta)
+            for closed_form in closed_forms:
+                with pytest.raises(ValueError, match="delta must lie in"):
+                    closed_form(delta)
 
     def test_full_run_converges_to_exact(self):
         delta = 0.1
-        case = SolubleCase(delta)
-        gs = soluble_groundstate(case.delta, Grid(1.0, 16001))
+        box = DeltaBox(delta)
+        gs = soluble_groundstate(box.delta, Grid(1.0, 16001))
         report = run(gs, TrialFunction.linear(), max_iters=8, tol=1e-9)
         assert report.eps == pytest.approx(exact_epsilon(delta), rel=1e-7)
         assert report.status in ("converged", "max_iters")
