@@ -13,11 +13,12 @@ factor analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateAnchorError
-from .groundstate import GroundState
+from .groundstate import Grid, GroundState
 from .numerics import (cubic_extrapolate_edge, cumulative_simpson,
                        reverse_cumulative_simpson, simpson_integral,
                        weighted_outer_profile)
@@ -100,49 +101,85 @@ class ConvergenceReport:
         return self.eps_sequence[-1]
 
 
-def _scaled_inner(gs: GroundState, chi_prev: np.ndarray):
+class Workspace(NamedTuple):
+    """Scratch arrays for one grid size, shared by the steps of a run: two
+    float arrays and one bool mask.  No result keeps a view of them."""
+
+    a: np.ndarray
+    b: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def for_grid(cls, grid: Grid) -> Workspace:
+        n = grid.n_points
+        return cls(np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+
+
+def _scaled_inner(gs: GroundState, chi_prev: np.ndarray,
+                  work: Workspace | None = None):
     """Reverse cumulative integral of e^{-2S} chi_prev, scaled by
     e^{-u_ref} with u_ref = max(-2S) so every sample is representable.
 
-    Returns (i_scaled, u_ref).  The tail beyond x_max is closed with the
-    first-order Watson estimate chi/(2S') * weight (exactly zero for
-    hard-wall support).
+    Returns (i_scaled, u_ref); i_scaled is work.b.  The tail beyond x_max
+    is closed with the first-order Watson estimate chi/(2S') * weight
+    (exactly zero for hard-wall support).
     """
+    if work is None:
+        work = Workspace.for_grid(gs.grid)
     w, u_ref, w_end = gs.scaled_weight
-    i_scaled = reverse_cumulative_simpson(w * chi_prev, gs.grid.h)
+    integrand = np.multiply(w, chi_prev, out=work.a)
+    i_scaled = reverse_cumulative_simpson(integrand, gs.grid.h, out=work.b)
     if not gs.hard_wall:
         i_scaled += w_end * chi_prev[-1] / (2.0 * gs.s_prime[-1])
     return i_scaled, u_ref
 
 
-def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray):
-    """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy via log-domain products."""
-    i_scaled, u_ref = _scaled_inner(gs, chi_prev)
+def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
+                          work: Workspace | None = None) -> np.ndarray:
+    """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy via log-domain products.
+
+    Apart from a workspace made when none is given, chihat is the only
+    grid array allocated; before it is filled it holds log|I|.
+    """
+    if work is None:
+        work = Workspace.for_grid(gs.grid)
+    i_scaled, u_ref = _scaled_inner(gs, chi_prev, work)
+    chihat = np.abs(i_scaled)
     with np.errstate(divide="ignore"):     # log 0 = -inf at zero nodes
-        log_inner = np.log(np.abs(i_scaled)) + u_ref
-    outer = weighted_outer_profile(gs.s, log_inner, np.sign(i_scaled))
+        log_inner = np.log(chihat, out=chihat)
+    log_inner += u_ref
+    sign_inner = np.sign(i_scaled, out=i_scaled)
+    outer = weighted_outer_profile(gs.s, log_inner, sign_inner, out=work.a,
+                                   mask=work.mask)
     if gs.hard_wall:
         # e^{2S} is not evaluable on the wall; take the one-sided limit
         outer[-1] = cubic_extrapolate_edge(outer)
-    return 2.0 * cumulative_simpson(outer, gs.grid.h)
+    cumulative_simpson(outer, gs.grid.h, out=chihat)
+    chihat *= 2.0
+    return chihat
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
-                 chi0_at_anchor: float) -> IterationState:
-    """One application of the iteration map plus the fixed-point split."""
+                 chi0_at_anchor: float,
+                 work: Workspace | None = None) -> IterationState:
+    """One application of the iteration map plus the fixed-point split.
+
+    Allocates only the returned chi when given a workspace.
+    """
     i0 = gs.grid.index_of(anchor_x0)
-    chihat = _unnormalized_profile(gs, prev.chi)
-    if chihat[i0] == 0.0:
+    chi = _unnormalized_profile(gs, prev.chi, work)
+    if chi[i0] == 0.0:
         raise DegenerateAnchorError(
             f"unnormalized iterate vanishes at the anchor x0={anchor_x0}")
-    eps = chi0_at_anchor / chihat[i0]
-    chi = eps * chihat
+    eps = chi0_at_anchor / chi[i0]
+    chi *= eps
     chi[i0] = chi0_at_anchor       # eq. fixed-point rule, exact by definition
     return IterationState(n=prev.n + 1, chi=chi, eps=float(eps))
 
 
 def orthogonality_residual(gs: GroundState, chi: np.ndarray,
-                           parity: str = "odd") -> float:
+                           parity: str = "odd",
+                           work: Workspace | None = None) -> float:
     """Full-line int e^{-2S} chi, normalized by int e^{-2S} |chi|.
 
     The stored half-line samples are extended by the given parity; for the
@@ -153,9 +190,12 @@ def orthogonality_residual(gs: GroundState, chi: np.ndarray,
     chi = np.asarray(chi, dtype=float)
     w = gs.scaled_weight[0]
     h = gs.grid.h
-    half = simpson_integral(w * chi, h)
+    buf = work.a if work is not None else None
+    half = simpson_integral(np.multiply(w, chi, out=buf), h)
     mirror = half if parity == "even" else -half
-    norm = 2.0 * simpson_integral(w * np.abs(chi), h)
+    weighted_abs = np.abs(chi, out=buf)
+    weighted_abs *= w
+    norm = 2.0 * simpson_integral(weighted_abs, h)
     if norm == 0.0:
         return 0.0
     return (half + mirror) / norm
@@ -186,6 +226,7 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
             "fixed-point normalization is undefined")
     chi0_at_anchor = float(chi0[i0])
 
+    work = Workspace.for_grid(gs.grid)
     states = [IterationState(n=0, chi=chi0)]
     eps_seq: list[float] = []
     deltas: list[float] = []
@@ -193,10 +234,11 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
     status = "max_iters"
     stall_count = 0
     for _ in range(max_iters):
-        state = iterate_once(gs, states[-1], anchor_x0, chi0_at_anchor)
+        state = iterate_once(gs, states[-1], anchor_x0, chi0_at_anchor,
+                             work=work)
         states.append(state)
         eps_seq.append(state.eps)
-        residuals.append(orthogonality_residual(gs, state.chi))
+        residuals.append(orthogonality_residual(gs, state.chi, work=work))
         if len(eps_seq) >= 2:
             delta = abs(eps_seq[-1] - eps_seq[-2])
             deltas.append(delta)

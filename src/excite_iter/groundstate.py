@@ -267,6 +267,11 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid,
         return sp_out[i_match] - sp_in[-1]
 
     f_lo, f_hi = mismatch(lo), mismatch(hi)
+    if f_lo == _BLOWN and f_hi == _BLOWN:
+        raise NoEigenvalueError(
+            f"both bracket ends blew up: the shooting sweeps at E={lo:.6g} "
+            f"and E={hi:.6g} develop a node on {n} nodes (h={h:.3g}), so "
+            "the grid is too coarse to resolve the well; raise --points")
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)) \
             or np.sign(f_lo) == np.sign(f_hi):
         raise NoEigenvalueError(

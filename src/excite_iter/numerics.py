@@ -9,6 +9,15 @@ Cumulative quadrature scheme (fixed; regression targets depend on it):
 composite Simpson accumulated over panel pairs gives the running integral at
 even offsets from the start; odd offsets add a single-panel trapezoid
 correction on top of the preceding even offset.
+
+In-place contract: the grid-sized routines take an optional ``out=`` (and
+weighted_outer_profile a ``mask=``) and then allocate nothing of grid size,
+so a caller that keeps its buffers across calls pays no fresh pages per call.
+cumulative_simpson forms the panel-pair sums in out[2::2] and accumulates
+them there with np.cumsum(out=...); it then forms the odd offsets in
+out[1::2] from the finished even ones.  These are the operations of the
+allocating form in the same order, so both give the same bits; ``out`` must
+not share memory with the input.  Without ``out`` the routines allocate it.
 """
 
 from __future__ import annotations
@@ -40,34 +49,56 @@ def simpson_integral(values, h: float, a_index: int = 0,
                             + 2.0 * y[2:-2:2].sum()))
 
 
-def cumulative_simpson(values, h: float) -> np.ndarray:
-    """Running integral from index 0 to each node.
+def cumulative_simpson(values, h: float, out=None) -> np.ndarray:
+    """Running integral from index 0 to each node, written into out (a new
+    array when out is None) and returned.
 
     Even offsets: accumulated Simpson panel pairs.  Odd offsets: preceding
-    even value plus a trapezoid over the last panel.
+    even value plus a trapezoid over the last panel.  out may have any
+    stride but must not share memory with values.
     """
     y = np.asarray(values, dtype=float)
     n = len(y)
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd number of nodes, at least 3")
-    out = np.empty(n)
+    if out is None:
+        out = np.empty(n)
+    elif out.shape != y.shape or out.dtype != y.dtype:
+        raise ValueError(f"out must be a float array of shape {y.shape}")
+    elif np.shares_memory(out, y):
+        raise ValueError("out must not share memory with values")
     out[0] = 0.0
-    pairs = h / 3.0 * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    out[2::2] = np.cumsum(pairs)
-    out[1::2] = out[0:-1:2] + 0.5 * h * (y[0:-1:2] + y[1::2])
+    even = out[2::2]     # h/3 (y0 + 4 y1 + y2) per panel pair, summed
+    np.multiply(y[1:-1:2], 4.0, out=even)
+    even += y[0:-2:2]
+    even += y[2::2]
+    even *= h / 3.0
+    np.cumsum(even, out=even)
+    odd = out[1::2]      # preceding even value + trapezoid over one panel
+    np.add(y[0:-1:2], y[1::2], out=odd)
+    odd *= 0.5 * h
+    odd += out[0:-1:2]
     return out
 
 
-def reverse_cumulative_simpson(values, h: float) -> np.ndarray:
-    """Running integral from each node to the last node."""
+def reverse_cumulative_simpson(values, h: float, out=None) -> np.ndarray:
+    """Running integral from each node to the last node, written into out
+    (a new array when out is None) and returned."""
     y = np.asarray(values, dtype=float)
-    return cumulative_simpson(y[::-1], h)[::-1]
+    if out is None:
+        out = np.empty(len(y))
+    cumulative_simpson(y[::-1], h, out=out[::-1])
+    return out
 
 
 def weighted_outer_profile(s: np.ndarray, log_inner: np.ndarray,
-                           sign_inner: np.ndarray) -> np.ndarray:
+                           sign_inner: np.ndarray, out=None,
+                           mask=None) -> np.ndarray:
     """sign_inner * e^{2S + log_inner} over a whole grid, the product
-    e^{2S(y)} I(y) formed in the log domain.
+    e^{2S(y)} I(y) formed in the log domain, written into out (a new array
+    when out is None) and returned; mask is a bool scratch array of the
+    same length (also new when None).  out must not share memory with the
+    inputs.
 
     Nodes whose exponent is not finite (zero weight on a hard wall, or a
     zero inner integral with log_inner = -inf) contribute exactly zero.
@@ -75,9 +106,12 @@ def weighted_outer_profile(s: np.ndarray, log_inner: np.ndarray,
     exponent exceeds OVERFLOW_EXPONENT; for the supported potentials that
     indicates a logic bug upstream.
     """
+    exponent = np.multiply(s, 2.0, out=out)
     with np.errstate(invalid="ignore"):   # inf - inf at zero-weight nodes
-        exponent = 2.0 * s + log_inner
-    exponent[~np.isfinite(exponent)] = -np.inf
+        exponent += log_inner
+    not_finite = np.isfinite(exponent, out=mask)
+    np.logical_not(not_finite, out=not_finite)
+    np.copyto(exponent, -np.inf, where=not_finite)
     i = int(exponent.argmax())
     if exponent[i] > OVERFLOW_EXPONENT:
         raise OverflowGuardError(

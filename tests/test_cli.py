@@ -170,6 +170,15 @@ class TestErrors:
         assert "--points 16001; --points 16003 puts it on one" in err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_grid_too_coarse_for_the_well_exits_1(self, tmp_path, capsys):
+        code = run_cli(["quartic", "--g", "3", "--points", "7",
+                        "--anchor", "2", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "both bracket ends blew up" in err
+        assert "on 7 nodes (h=0.667)" in err
+        assert "raise --points" in err
+
     @pytest.mark.parametrize("tol", ["-1", "0"])
     def test_nonpositive_tol_exits_1(self, tmp_path, capsys, tol):
         code = run_cli(["soluble", "--delta", "0.1", "--tol", tol,

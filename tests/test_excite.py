@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from excite_iter.errors import DegenerateAnchorError
 from excite_iter.excite import (
     IterationState,
     TrialFunction,
+    Workspace,
     _scaled_inner,
     excited_wavefunction,
     iterate_once,
@@ -190,6 +192,49 @@ class TestRun:
         assert report.status == "converged"
         assert tuple(e.hex() for e in report.eps_sequence) \
             == PINNED_EPS_QUARTIC_G3
+
+
+def test_workspace_changes_no_bit(gs_quartic, gs_soluble):
+    for gs in (gs_quartic, gs_soluble):
+        work = Workspace.for_grid(gs.grid)
+        prev = IterationState(n=0, chi=TrialFunction.linear().sample(gs.grid))
+        for _ in range(2):      # the second step reuses a dirty workspace
+            fresh = iterate_once(gs, prev, 1.0, 1.0)
+            reused = iterate_once(gs, prev, 1.0, 1.0, work=work)
+            assert fresh.eps == reused.eps
+            assert np.array_equal(fresh.chi.view(np.int64),
+                                  reused.chi.view(np.int64))
+            for parity in ("odd", "even"):
+                assert orthogonality_residual(gs, fresh.chi, parity) \
+                    == orthogonality_residual(gs, fresh.chi, parity,
+                                              work=work)
+            prev = fresh
+
+
+def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble):
+    # with a workspace, one step's only grid-sized allocation is the chi
+    # it returns (8 B a node); 2 KB covers the small Python objects
+    for gs in (gs_quartic, gs_soluble):
+        n = gs.grid.n_points
+        work = Workspace.for_grid(gs.grid)
+        prev = IterationState(n=0, chi=TrialFunction.saturating().sample(
+            gs.grid))
+        iterate_once(gs, prev, 1.0, 1.0, work=work)   # caches the weight
+        tracemalloc.start()
+        try:
+            state = iterate_once(gs, prev, 1.0, 1.0, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 2048
+        assert not any(np.shares_memory(state.chi, buf) for buf in work)
+    # no iterate kept by the report is a view of another or of scratch
+    report = run(gs_quartic, TrialFunction.saturating(), tol=0.0)
+    chis = [s.chi for s in report.states]
+    assert len(chis) == 9
+    for i, a in enumerate(chis):
+        for b in chis[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 class TestOrthogonality:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from excite_iter.errors import OverflowGuardError
 from excite_iter.excite import _scaled_inner
@@ -88,6 +89,85 @@ def test_reverse_cumulative_mirrors_forward():
     fwd = cumulative_simpson(y[::-1], x[1])
     assert np.allclose(rev, fwd[::-1], rtol=0, atol=0)
     assert rev[-1] == 0.0
+
+
+def _reference_cumulative(y, h):
+    """The allocating formula the in-place scheme must reproduce."""
+    out = np.empty(len(y))
+    out[0] = 0.0
+    out[2::2] = np.cumsum(h / 3.0 * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
+    out[1::2] = out[0:-1:2] + 0.5 * h * (y[0:-1:2] + y[1::2])
+    return out
+
+
+odd_length_samples = st.integers(1, 60).flatmap(
+    lambda k: arrays(np.float64, 2 * k + 1,
+                     elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@given(odd_length_samples, st.floats(1e-4, 10.0), st.booleans(),
+       st.booleans(), st.booleans())
+def test_cumulative_out_is_bit_identical(y, h, reverse, reversed_in,
+                                         reversed_out):
+    values = y[::-1] if reversed_in else y
+    if reverse:
+        fn = reverse_cumulative_simpson
+        reference = _reference_cumulative(values[::-1], h)[::-1]
+    else:
+        fn = cumulative_simpson
+        reference = _reference_cumulative(values, h)
+    buf = np.full(len(y), np.nan)
+    out = buf[::-1] if reversed_out else buf
+    allocated = fn(values, h)
+    assert fn(values, h, out=out) is out
+    assert np.array_equal(_bits(out), _bits(allocated))
+    assert np.array_equal(_bits(allocated), _bits(reference))
+
+
+@given(odd_length_samples, st.integers(-2, 2))
+def test_cumulative_rejects_aliased_out(y, shift):
+    # out overlapping values in any way: the same memory, reversed, or
+    # shifted by less than the length (n >= 3)
+    n = len(y)
+    buf = np.zeros(2 * n + 6)
+    values = buf[3:3 + n]
+    values[:] = y
+    for out in (values, values[::-1], buf[3 + shift:3 + shift + n]):
+        with pytest.raises(ValueError, match="share memory"):
+            cumulative_simpson(values, 0.1, out=out)
+        with pytest.raises(ValueError, match="share memory"):
+            reverse_cumulative_simpson(values, 0.1, out=out)
+
+
+def test_cumulative_out_checks():
+    # interleaved views of one buffer do not share memory and are accepted
+    buf = np.arange(22.0)
+    out = buf[1::2]
+    cumulative_simpson(buf[0::2], 0.1, out=out)
+    assert np.array_equal(out, cumulative_simpson(np.arange(0.0, 22.0, 2.0),
+                                                  0.1))
+    with pytest.raises(ValueError, match="shape"):
+        cumulative_simpson(np.ones(11), 0.1, out=np.empty(13))
+    with pytest.raises(ValueError, match="float"):
+        cumulative_simpson(np.ones(11), 0.1, out=np.empty(11, np.float32))
+
+
+def test_weighted_outer_profile_out_is_bit_identical():
+    rng = np.random.default_rng(3)
+    s = rng.uniform(-100, 250, 101)     # exponents stay below 700
+    s[[5, 50]] = np.inf
+    log_inner = rng.uniform(-300, 100, 101)
+    log_inner[[7, 50]] = -np.inf
+    sign = np.sign(rng.uniform(-1, 1, 101))
+    out, mask = np.empty(101), np.empty(101, dtype=bool)
+    got = weighted_outer_profile(s, log_inner, sign, out=out, mask=mask)
+    assert got is out
+    assert np.array_equal(_bits(out),
+                          _bits(weighted_outer_profile(s, log_inner, sign)))
 
 
 def _outer(s, inner):
