@@ -3,7 +3,7 @@ Schroedinger problems, with the quartic double well and an analytically
 soluble hard-wall benchmark."""
 
 from .errors import (DegenerateAnchorError, ExciteIterError,
-                     NoEigenvalueError, OverflowGuardError, WrongParityError)
+                     NoEigenvalueError, WrongParityError)
 from .excite import (ConvergenceReport, IterationState, TrialFunction,
                      excited_wavefunction, iterate_once,
                      orthogonality_residual, run)
@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceReport", "DegenerateAnchorError", "DeltaBox",
     "ExciteIterError", "Grid", "GroundState", "IterationState",
-    "NoEigenvalueError", "OverflowGuardError",
-    "Potential", "Quartic", "TrialFunction", "WrongParityError",
+    "NoEigenvalueError", "Potential", "Quartic", "TrialFunction",
+    "WrongParityError",
     "default_bracket", "default_x_max", "eval_quartic",
     "excited_wavefunction", "iterate_once", "load_groundstate",
     "orthogonality_residual", "run", "save_groundstate",

@@ -16,10 +16,3 @@ class WrongParityError(ExciteIterError):
 class DegenerateAnchorError(ExciteIterError):
     """The unnormalized iterate vanishes at the anchor point."""
 
-
-class OverflowGuardError(ExciteIterError):
-    """A log-domain exponent exceeded the overflow threshold.
-
-    For the supported potentials this indicates a logic bug, not a data
-    condition.
-    """

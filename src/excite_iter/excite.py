@@ -18,12 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateAnchorError
-from .groundstate import Grid, GroundState
+from .groundstate import GroundState
 from .numerics import (cubic_extrapolate_edge, cumulative_simpson,
-                       reverse_cumulative_simpson, simpson_integral,
-                       weighted_outer_profile)
+                       reverse_cumulative_simpson, simpson_integral)
 
 TRIAL_KINDS = ("linear", "saturating", "tabulated")
+
+# exp() overflows just above 709; leave headroom for the product with I
+OVERFLOW_EXPONENT = 700.0
 
 
 @dataclass(frozen=True)
@@ -102,17 +104,27 @@ class ConvergenceReport:
 
 
 class Workspace(NamedTuple):
-    """Scratch arrays for one grid size, shared by the steps of a run: two
-    float arrays and one bool mask.  No result keeps a view of them."""
+    """Arrays for one ground state, shared by the steps of a run: two
+    scratch float arrays and winv = e^{2S + u_ref} = e^{2(S - S_min)},
+    the outer weight.  No result keeps a view of them.
+
+    winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
+    OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
+    the matching e^{-2S} decay, and chihat at the anchor does not read
+    them.  On the default grids 2(S - S_min) stays below 200.
+    """
 
     a: np.ndarray
     b: np.ndarray
-    mask: np.ndarray
+    winv: np.ndarray
 
     @classmethod
-    def for_grid(cls, grid: Grid) -> Workspace:
-        n = grid.n_points
-        return cls(np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    def for_groundstate(cls, gs: GroundState) -> Workspace:
+        n = gs.grid.n_points
+        exponent = 2.0 * gs.s + gs.scaled_weight[1]
+        winv = np.zeros(n)
+        np.exp(exponent, out=winv, where=exponent <= OVERFLOW_EXPONENT)
+        return cls(np.empty(n), np.empty(n), winv)
 
 
 def _scaled_inner(gs: GroundState, chi_prev: np.ndarray,
@@ -125,7 +137,7 @@ def _scaled_inner(gs: GroundState, chi_prev: np.ndarray,
     (exactly zero for hard-wall support).
     """
     if work is None:
-        work = Workspace.for_grid(gs.grid)
+        work = Workspace.for_groundstate(gs)
     w, u_ref, w_end = gs.scaled_weight
     integrand = np.multiply(w, chi_prev, out=work.a)
     i_scaled = reverse_cumulative_simpson(integrand, gs.grid.h, out=work.b)
@@ -136,25 +148,20 @@ def _scaled_inner(gs: GroundState, chi_prev: np.ndarray,
 
 def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
                           work: Workspace | None = None) -> np.ndarray:
-    """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy via log-domain products.
+    """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
+    winv * (e^{-u_ref} I).
 
     Apart from a workspace made when none is given, chihat is the only
-    grid array allocated; before it is filled it holds log|I|.
+    grid array allocated.
     """
     if work is None:
-        work = Workspace.for_grid(gs.grid)
-    i_scaled, u_ref = _scaled_inner(gs, chi_prev, work)
-    chihat = np.abs(i_scaled)
-    with np.errstate(divide="ignore"):     # log 0 = -inf at zero nodes
-        log_inner = np.log(chihat, out=chihat)
-    log_inner += u_ref
-    sign_inner = np.sign(i_scaled, out=i_scaled)
-    outer = weighted_outer_profile(gs.s, log_inner, sign_inner, out=work.a,
-                                   mask=work.mask)
+        work = Workspace.for_groundstate(gs)
+    i_scaled, _ = _scaled_inner(gs, chi_prev, work)
+    outer = np.multiply(work.winv, i_scaled, out=work.a)
     if gs.hard_wall:
         # e^{2S} is not evaluable on the wall; take the one-sided limit
         outer[-1] = cubic_extrapolate_edge(outer)
-    cumulative_simpson(outer, gs.grid.h, out=chihat)
+    chihat = cumulative_simpson(outer, gs.grid.h)
     chihat *= 2.0
     return chihat
 
@@ -226,7 +233,7 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
             "fixed-point normalization is undefined")
     chi0_at_anchor = float(chi0[i0])
 
-    work = Workspace.for_grid(gs.grid)
+    work = Workspace.for_groundstate(gs)
     states = [IterationState(n=0, chi=chi0)]
     eps_seq: list[float] = []
     deltas: list[float] = []

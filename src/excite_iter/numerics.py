@@ -1,18 +1,19 @@
-"""Quadrature and log-domain primitives.
+"""Quadrature on uniform grids with an odd node count, plus the one-sided
+edge extrapolation used at a hard wall.
 
-The excitation iteration multiplies e^{2S(y)} (huge in the tail) by a tail
-integral carrying at least e^{-2S(y)} decay.  Everything here keeps the two
-factors in the log domain until a single final exponentiation, so the
-product stays finite whenever the true value is.
+These routines see plain finite samples.  The iteration's integrands span
+hundreds of e-folds, and excite scales them before they arrive here: the
+inner integrand by e^{-u_ref}, the outer by e^{2(S - S_min)}, which stays
+below e^{OVERFLOW_EXPONENT} wherever it is not cut to zero.
 
 Cumulative quadrature scheme (fixed; regression targets depend on it):
 composite Simpson accumulated over panel pairs gives the running integral at
 even offsets from the start; odd offsets add a single-panel trapezoid
 correction on top of the preceding even offset.
 
-In-place contract: the grid-sized routines take an optional ``out=`` (and
-weighted_outer_profile a ``mask=``) and then allocate nothing of grid size,
-so a caller that keeps its buffers across calls pays no fresh pages per call.
+In-place contract: the grid-sized routines take an optional ``out=`` and
+then allocate nothing of grid size, so a caller that keeps its buffers
+across calls pays no fresh pages per call.
 cumulative_simpson forms the panel-pair sums in out[2::2] and accumulates
 them there with np.cumsum(out=...); it then forms the odd offsets in
 out[1::2] from the finished even ones.  These are the operations of the
@@ -23,11 +24,6 @@ not share memory with the input.  Without ``out`` the routines allocate it.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import OverflowGuardError
-
-# exp() overflows just above 709; leave headroom for the final product
-OVERFLOW_EXPONENT = 700.0
 
 
 def simpson_integral(values, h: float, a_index: int = 0,
@@ -89,38 +85,6 @@ def reverse_cumulative_simpson(values, h: float, out=None) -> np.ndarray:
         out = np.empty(len(y))
     cumulative_simpson(y[::-1], h, out=out[::-1])
     return out
-
-
-def weighted_outer_profile(s: np.ndarray, log_inner: np.ndarray,
-                           sign_inner: np.ndarray, out=None,
-                           mask=None) -> np.ndarray:
-    """sign_inner * e^{2S + log_inner} over a whole grid, the product
-    e^{2S(y)} I(y) formed in the log domain, written into out (a new array
-    when out is None) and returned; mask is a bool scratch array of the
-    same length (also new when None).  out must not share memory with the
-    inputs.
-
-    Nodes whose exponent is not finite (zero weight on a hard wall, or a
-    zero inner integral with log_inner = -inf) contribute exactly zero.
-    Raises OverflowGuardError, naming the first maximal node, if an
-    exponent exceeds OVERFLOW_EXPONENT; for the supported potentials that
-    indicates a logic bug upstream.
-    """
-    exponent = np.multiply(s, 2.0, out=out)
-    with np.errstate(invalid="ignore"):   # inf - inf at zero-weight nodes
-        exponent += log_inner
-    not_finite = np.isfinite(exponent, out=mask)
-    np.logical_not(not_finite, out=not_finite)
-    np.copyto(exponent, -np.inf, where=not_finite)
-    i = int(exponent.argmax())
-    if exponent[i] > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(
-            f"outer integrand exponent {exponent[i]:.3g} at node {i} "
-            f"exceeds {OVERFLOW_EXPONENT}")
-    with np.errstate(over="raise"):
-        np.exp(exponent, out=exponent)
-    exponent *= sign_inner
-    return exponent
 
 
 def cubic_extrapolate_edge(values: np.ndarray) -> float:

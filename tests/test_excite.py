@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from excite_iter.errors import DegenerateAnchorError
 from excite_iter.excite import (
+    OVERFLOW_EXPONENT,
     IterationState,
     TrialFunction,
     Workspace,
@@ -18,7 +20,8 @@ from excite_iter.excite import (
     orthogonality_residual,
     run,
 )
-from excite_iter.groundstate import (Grid, default_x_max, soluble_groundstate,
+from excite_iter.groundstate import (Grid, GroundState, default_x_max,
+                                     soluble_groundstate,
                                      solve_groundstate_numeric)
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
@@ -30,14 +33,24 @@ TAIL_ORACLE_D01_X05 = 0.15644138847098579194
 
 DELTA = 0.1
 
-# eps_sequence, as float.hex, of the 2001-node runs below; recorded from
-# the code before the ground-state weight was cached, so any change that
-# moves a bit of the iteration fails here
+# eps_sequence, as float.hex, of the 2001-node runs below, so any change
+# that moves a bit of the iteration fails here.  The outer integrand is
+# winv * (e^{-u_ref} I) with winv = e^{2(S - S_min)} built once per run.
 PINNED_EPS_SOLUBLE_D01 = (
+    "0x1.2e859e63e4f5cp-1", "0x1.41014b903a162p-2", "0x1.3caa9ebe957bfp-2",
+    "0x1.3c94b35efddbbp-2", "0x1.3c94414e75396p-2", "0x1.3c943ef9de351p-2",
+    "0x1.3c943eedaad6cp-2", "0x1.3c943eed6af2fp-2")
+PINNED_EPS_QUARTIC_G3 = (
+    "0x1.acb708437fd8bp-2", "0x1.a88c99b9a7d50p-2", "0x1.a874916a67ef3p-2",
+    "0x1.a8748188c3b1fp-2", "0x1.a8748c31a98b6p-2", "0x1.a8748d3a90451p-2",
+    "0x1.a8748d4e3429bp-2", "0x1.a8748d4f8a220p-2")
+# the same runs with the outer integrand formed per step in the log domain,
+# as sign(I) * e^{2S + log|I|}; the change to one product moved last bits
+PINNED_EPS_SOLUBLE_D01_LOGDOMAIN = (
     "0x1.2e859e63e4f5cp-1", "0x1.41014b903a162p-2", "0x1.3caa9ebe957bfp-2",
     "0x1.3c94b35efddbcp-2", "0x1.3c94414e75396p-2", "0x1.3c943ef9de351p-2",
     "0x1.3c943eedaad6dp-2", "0x1.3c943eed6af2fp-2")
-PINNED_EPS_QUARTIC_G3 = (
+PINNED_EPS_QUARTIC_G3_LOGDOMAIN = (
     "0x1.acb708437fd8bp-2", "0x1.a88c99b9a7d50p-2", "0x1.a874916a67ef3p-2",
     "0x1.a8748188c3b1fp-2", "0x1.a8748c31a98b6p-2", "0x1.a8748d3a9044ep-2",
     "0x1.a8748d4e3429bp-2", "0x1.a8748d4f8a220p-2")
@@ -193,10 +206,49 @@ class TestRun:
         assert tuple(e.hex() for e in report.eps_sequence) \
             == PINNED_EPS_QUARTIC_G3
 
+    @pytest.mark.parametrize("pinned, logdomain", [
+        (PINNED_EPS_SOLUBLE_D01, PINNED_EPS_SOLUBLE_D01_LOGDOMAIN),
+        (PINNED_EPS_QUARTIC_G3, PINNED_EPS_QUARTIC_G3_LOGDOMAIN)])
+    def test_pins_are_within_1e14_of_the_log_domain_pins(self, pinned,
+                                                          logdomain):
+        for new, old in zip(pinned, logdomain, strict=True):
+            old = float.fromhex(old)
+            assert abs(float.fromhex(new) - old) <= 1e-14 * abs(old)
+
+    def test_tail_cutoff_does_no_harm(self):
+        # at x_max = 8, 2(S - S_min) reaches ~983; winv is cut to 0 beyond
+        # OVERFLOW_EXPONENT, on a tail of ~3300 nodes that chihat at the
+        # anchor never reads
+        gs = solve_groundstate_numeric(Quartic(3.0), Grid(8.0, 32001))
+        exponent = 2.0 * gs.s + gs.scaled_weight[1]
+        beyond = exponent > OVERFLOW_EXPONENT
+        n_beyond = int(beyond.sum())
+        assert n_beyond > 3000 and beyond[-n_beyond:].all()
+        work = Workspace.for_groundstate(gs)
+        assert np.array_equal(work.winv == 0.0, beyond)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run(gs, TrialFunction.saturating())
+        assert all(np.isfinite(s.chi).all() for s in report.states)
+        assert report.eps == pytest.approx(0.41450711114503, abs=2e-11)
+
+    def test_harmonic_soft_wall_is_exact(self):
+        # S = x^2/2 is the harmonic oscillator: eps = 1 and chi = x exactly.
+        # It takes the Watson tail closure and winv without the Riccati
+        # kernel; the iteration never reads the potential.
+        grid = Grid(4.0, 16001)
+        x = grid.nodes()
+        gs = GroundState(grid=grid, s=0.5 * x * x, s_prime=x.copy(),
+                         e_gd=0.5, gauge=0.0, potential=None)
+        report = run(gs, TrialFunction.linear(), max_iters=3, tol=0.0)
+        assert len(report.eps_sequence) == 3
+        for eps in report.eps_sequence:
+            assert abs(eps - 1.0) <= 1e-11
+
 
 def test_workspace_changes_no_bit(gs_quartic, gs_soluble):
     for gs in (gs_quartic, gs_soluble):
-        work = Workspace.for_grid(gs.grid)
+        work = Workspace.for_groundstate(gs)
         prev = IterationState(n=0, chi=TrialFunction.linear().sample(gs.grid))
         for _ in range(2):      # the second step reuses a dirty workspace
             fresh = iterate_once(gs, prev, 1.0, 1.0)
@@ -216,7 +268,7 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble):
     # it returns (8 B a node); 2 KB covers the small Python objects
     for gs in (gs_quartic, gs_soluble):
         n = gs.grid.n_points
-        work = Workspace.for_grid(gs.grid)
+        work = Workspace.for_groundstate(gs)
         prev = IterationState(n=0, chi=TrialFunction.saturating().sample(
             gs.grid))
         iterate_once(gs, prev, 1.0, 1.0, work=work)   # caches the weight

@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from excite_iter.errors import OverflowGuardError
 from excite_iter.excite import _scaled_inner
 from excite_iter.groundstate import Grid, soluble_groundstate
 from excite_iter.numerics import (cubic_extrapolate_edge, cumulative_simpson,
                                   reverse_cumulative_simpson,
-                                  simpson_integral, weighted_outer_profile)
+                                  simpson_integral)
 
 # independent 30-digit quadrature of int_0^1 z sin^2(p(1-z)) dz, delta=0.1
 INNER_ORACLE_D01 = 0.2497306668710968321
@@ -154,80 +153,6 @@ def test_cumulative_out_checks():
         cumulative_simpson(np.ones(11), 0.1, out=np.empty(13))
     with pytest.raises(ValueError, match="float"):
         cumulative_simpson(np.ones(11), 0.1, out=np.empty(11, np.float32))
-
-
-def test_weighted_outer_profile_out_is_bit_identical():
-    rng = np.random.default_rng(3)
-    s = rng.uniform(-100, 250, 101)     # exponents stay below 700
-    s[[5, 50]] = np.inf
-    log_inner = rng.uniform(-300, 100, 101)
-    log_inner[[7, 50]] = -np.inf
-    sign = np.sign(rng.uniform(-1, 1, 101))
-    out, mask = np.empty(101), np.empty(101, dtype=bool)
-    got = weighted_outer_profile(s, log_inner, sign, out=out, mask=mask)
-    assert got is out
-    assert np.array_equal(_bits(out),
-                          _bits(weighted_outer_profile(s, log_inner, sign)))
-
-
-def _outer(s, inner):
-    """weighted_outer_profile at one node with inner integral value inner,
-    split into log magnitude and sign as the iteration does."""
-    with np.errstate(divide="ignore"):
-        log_inner = np.log(np.abs([inner]))
-    return float(weighted_outer_profile(np.array([s]), log_inner,
-                                        np.sign([inner]))[0])
-
-
-def test_weighted_outer_integrand_unit_weight():
-    assert _outer(0.0, 0.5) == pytest.approx(0.5)
-
-
-def test_weighted_outer_integrand_matches_naive_product():
-    # wherever the naive product is representable (|2S| <= 300) the
-    # log-domain value agrees to ulp scale; exp's condition number is the
-    # exponent itself, so the attainable bound is |2S + log I| * eps
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        s = rng.uniform(-150, 150)
-        i_val = rng.uniform(-1, 1) * math.exp(rng.uniform(-140, 140))
-        got = _outer(s, i_val)
-        naive = math.exp(2 * s) * i_val
-        bound = max(1e-14, 4.0 * abs(math.log(abs(naive))) * 2.3e-16)
-        assert got == pytest.approx(naive, rel=bound)
-
-
-def test_weighted_outer_integrand_zero_inner():
-    assert _outer(400.0, 0.0) == 0.0
-
-
-def test_weighted_outer_integrand_overflow_guard():
-    with pytest.raises(OverflowGuardError):
-        _outer(400.0, 1.0)
-
-
-def test_weighted_outer_profile_overflow_guard():
-    s = np.array([0.0, 500.0, 0.0])
-    with pytest.raises(OverflowGuardError):
-        weighted_outer_profile(s, np.zeros(3), np.ones(3))
-    # the message names the first maximal node; an infinite exponent is
-    # a zero-weight node, not an overflow
-    s = np.array([0.0, 360.0, 400.0, 5.0, 400.0, np.inf])
-    with pytest.raises(OverflowGuardError, match="exponent 800 at node 2 "):
-        weighted_outer_profile(s, np.zeros(6), np.ones(6))
-
-
-def test_weighted_outer_profile_zero_and_nonfinite_nodes_are_zero():
-    # node 1: zero sign; node 2: zero inner integral (log -inf); node 3:
-    # the hard-wall node, S = +inf against log|I| = -inf (a NaN exponent);
-    # node 4: an infinite exponent; node 5: a NaN inner integral's log
-    s = np.array([0.0, 1.0, 300.0, np.inf, np.inf, 0.0])
-    log_inner = np.array([0.0, 2.0, -np.inf, -np.inf, 0.0, np.nan])
-    sign = np.array([1.0, 0.0, 0.0, 0.0, 1.0, -1.0])
-    out = weighted_outer_profile(s, log_inner, sign)
-    assert out[0] == 1.0
-    assert out[1:].tolist() == [0.0] * 5
-    assert not np.signbit(out[1:5]).any()
 
 
 def test_cubic_extrapolation_exact_for_cubic():
