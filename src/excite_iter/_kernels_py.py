@@ -1,14 +1,18 @@
-"""Pure-Python Riccati sweep, the fallback for the compiled kernel.
+"""Pure-Python kernels, the fallback for the compiled ones in _kernels.c.
 
-Integrates S'' = S'^2 - 2(V - E) for the quartic double well with classic
-RK4 at fixed step.  The compiled sweep, _rk4.c, must perform the same
-floating-point operations in the same order, so that both give
-bit-identical output.
+riccati_sweep integrates S'' = S'^2 - 2(V - E) for the quartic double well
+with classic RK4 at fixed step.  excite_profile composes one iteration
+step's profile from the NumPy quadrature in numerics.  The compiled
+kernels must perform the same floating-point operations in the same
+order, so that both give bit-identical output.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .numerics import (cubic_extrapolate_edge, cumulative_simpson,
+                       reverse_cumulative_simpson)
 
 BLOWUP_LIMIT = 1e12
 
@@ -65,3 +69,26 @@ def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
             sp[i + 2:] = np.nan
             return s, sp, i + 1
     return s, sp, -1
+
+
+def excite_profile(h: float, w, winv, chi_prev, tail: float,
+                   hard_wall: bool, inner: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
+    I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
+
+    Writes I + tail into inner; with hard_wall, tail is not added and the
+    outer integrand's last value is extrapolated from the four before it
+    (e^{2S} is not evaluable on the wall).  scratch receives the two
+    integrands.  Returns chihat, the only array allocated.
+    """
+    integrand = np.multiply(w, chi_prev, out=scratch)
+    reverse_cumulative_simpson(integrand, h, out=inner)
+    if not hard_wall:
+        inner += tail
+    outer = np.multiply(winv, inner, out=scratch)
+    if hard_wall:
+        outer[-1] = cubic_extrapolate_edge(outer)
+    chihat = cumulative_simpson(outer, h)
+    chihat *= 2.0
+    return chihat

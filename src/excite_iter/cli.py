@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -80,6 +79,8 @@ def _check_anchor(grid: Grid, anchor: float) -> None:
              f"{grid.x_max} and --points {grid.n_points}")
     if not 0 < anchor <= grid.x_max:
         raise ValueError(f"{where}: it lies outside [0, {grid.x_max}]")
+    from fractions import Fraction  # only this error message needs it
+
     # the anchor is on a node when n_points - 1 is an even multiple of the
     # numerator of x_max / anchor in lowest terms
     step = math.lcm(2, Fraction(grid.x_max / anchor)

@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import DegenerateAnchorError
 from .groundstate import GroundState
-from .numerics import (cubic_extrapolate_edge, cumulative_simpson,
-                       reverse_cumulative_simpson, simpson_integral)
+from .numerics import simpson_integral
 
 TRIAL_KINDS = ("linear", "saturating", "tabulated")
 
@@ -105,8 +105,9 @@ class ConvergenceReport:
 
 class Workspace(NamedTuple):
     """Arrays for one ground state, shared by the steps of a run: two
-    scratch float arrays and winv = e^{2S + u_ref} = e^{2(S - S_min)},
-    the outer weight.  No result keeps a view of them.
+    scratch float arrays, of which a step leaves b holding its scaled
+    inner integral, and winv = e^{2S + u_ref} = e^{2(S - S_min)}, the
+    outer weight.  No result keeps a view of them.
 
     winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
     OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
@@ -127,43 +128,24 @@ class Workspace(NamedTuple):
         return cls(np.empty(n), np.empty(n), winv)
 
 
-def _scaled_inner(gs: GroundState, chi_prev: np.ndarray,
-                  work: Workspace | None = None):
-    """Reverse cumulative integral of e^{-2S} chi_prev, scaled by
-    e^{-u_ref} with u_ref = max(-2S) so every sample is representable.
-
-    Returns (i_scaled, u_ref); i_scaled is work.b.  The tail beyond x_max
-    is closed with the first-order Watson estimate chi/(2S') * weight
-    (exactly zero for hard-wall support).
-    """
-    if work is None:
-        work = Workspace.for_groundstate(gs)
-    w, u_ref, w_end = gs.scaled_weight
-    integrand = np.multiply(w, chi_prev, out=work.a)
-    i_scaled = reverse_cumulative_simpson(integrand, gs.grid.h, out=work.b)
-    if not gs.hard_wall:
-        i_scaled += w_end * chi_prev[-1] / (2.0 * gs.s_prime[-1])
-    return i_scaled, u_ref
-
-
 def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
                           work: Workspace | None = None) -> np.ndarray:
     """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
-    winv * (e^{-u_ref} I).
+    winv * (e^{-u_ref} I), by the active kernel backend.
 
+    e^{-u_ref} I, the reverse cumulative integral of w * chi_prev, is left
+    in work.b.  The tail beyond x_max is closed with the first-order
+    Watson estimate chi/(2S') * weight (none for hard-wall support).
     Apart from a workspace made when none is given, chihat is the only
     grid array allocated.
     """
     if work is None:
         work = Workspace.for_groundstate(gs)
-    i_scaled, _ = _scaled_inner(gs, chi_prev, work)
-    outer = np.multiply(work.winv, i_scaled, out=work.a)
-    if gs.hard_wall:
-        # e^{2S} is not evaluable on the wall; take the one-sided limit
-        outer[-1] = cubic_extrapolate_edge(outer)
-    chihat = cumulative_simpson(outer, gs.grid.h)
-    chihat *= 2.0
-    return chihat
+    w, _, w_end = gs.scaled_weight
+    tail = (0.0 if gs.hard_wall
+            else w_end * chi_prev[-1] / (2.0 * gs.s_prime[-1]))
+    return kernels.excite_profile(gs.grid.h, w, work.winv, chi_prev, tail,
+                                  gs.hard_wall, work.b, work.a)
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,

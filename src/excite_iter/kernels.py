@@ -1,12 +1,15 @@
 """Kernel backend selection.
 
-The compiled sweep is preferred; the pure-Python implementation is a
-drop-in replacement with bit-identical output. The compiled one is the
-plain C file ``_rk4.c``, built into the user cache,
+Two kernels have a compiled and a pure-Python implementation with
+bit-identical output: the Riccati sweep of the ground-state solve and the
+profile of one iteration step, whose two running integrals mirror
+numerics.cumulative_simpson's operation order.  The compiled ones are the
+plain C file ``_kernels.c``, built into the user cache,
 ``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/`` when unset),
 on the first import that finds no build for this source and these flags,
-and loaded from there through ctypes. The Python kernel is used when there
-is no C compiler, the cache directory cannot be written or the build fails.
+and loaded from there through ctypes.  The Python kernels are used when
+there is no build and no C compiler, the cache directory cannot be
+written or the build fails; both kernels fall back together.
 
 ``BACKEND`` names the active backend and ``BACKEND_REASON`` says why.
 """
@@ -18,7 +21,6 @@ import hashlib
 import os
 import shlex
 import shutil
-import subprocess
 import sysconfig
 import tempfile
 from types import SimpleNamespace
@@ -28,9 +30,10 @@ import numpy as np
 from . import _kernels_py
 
 # -ffp-contract=off keeps the compiler from fusing a*b+c into one rounding,
-# which would break bit-identity with the Python kernel
+# which would break bit-identity with the Python kernels
 _FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "_kernels.c")
 
 
 def _cache_dir() -> str:
@@ -41,13 +44,10 @@ def _cache_dir() -> str:
 
 
 def _build() -> str:
-    """Path of the compiled kernel in the cache, compiling it first if no
-    build of this source with these flags exists. Raises ImportError with
-    the cause when it cannot be had."""
+    """Path of the compiled kernels in the cache, compiling them first if
+    no build of this source with these flags exists. Raises ImportError
+    with the cause when they cannot be had."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc or shutil.which(cc[0]) is None:
-        raise ImportError(f"no C compiler: {' '.join(cc) or 'CC'!r} "
-                          "not found")
     command = cc + _FLAGS
     try:
         with open(_SOURCE, "rb") as f:
@@ -57,9 +57,13 @@ def _build() -> str:
     key = hashlib.sha256(source)
     key.update("\0".join(command).encode())
     directory = _cache_dir()
-    path = os.path.join(directory, f"_rk4-{key.hexdigest()[:16]}.so")
+    path = os.path.join(directory, f"_kernels-{key.hexdigest()[:16]}.so")
     if os.path.isfile(path):
         return path
+    if not cc or shutil.which(cc[0]) is None:
+        raise ImportError(f"no C compiler: {' '.join(cc) or 'CC'!r} "
+                          "not found")
+    import subprocess   # only a build needs it
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
@@ -88,16 +92,23 @@ def _build() -> str:
 
 
 def _load():
-    """Build (once) and load the C sweep; returns it wrapped with the
-    signature of _kernels_py.riccati_sweep, and where it was loaded from."""
+    """Build (once) and load the C kernels; returns them wrapped with the
+    signatures of their _kernels_py counterparts, and where they were
+    loaded from."""
     path = _build()
     try:
-        c_sweep = ctypes.CDLL(path).riccati_sweep
+        lib = ctypes.CDLL(path)
+        c_sweep, c_profile = lib.riccati_sweep, lib.excite_profile
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot load {path}: {exc}") from exc
     c_sweep.restype = ctypes.c_long
     c_sweep.argtypes = ([ctypes.c_double] * 2 + [ctypes.c_long]
                         + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 2)
+    c_profile.restype = None
+    c_profile.argtypes = ([ctypes.c_long, ctypes.c_double]
+                          + [ctypes.c_void_p] * 3
+                          + [ctypes.c_double, ctypes.c_int]
+                          + [ctypes.c_void_p] * 2)
 
     def riccati_sweep(x_start, h, n_steps, g, e, s_init, sp_init):
         """See _kernels_py.riccati_sweep."""
@@ -109,28 +120,54 @@ def _load():
                        s.ctypes.data, sp.ctypes.data)
         return s, sp, node
 
-    return riccati_sweep, f"built from {_SOURCE}, loaded from {path}"
+    def excite_profile(h, w, winv, chi_prev, tail, hard_wall, inner,
+                       scratch):
+        """See _kernels_py.excite_profile; the integrands stay in
+        registers, so scratch is not touched."""
+        n = len(chi_prev)
+        if n < 3 or n % 2 == 0:
+            raise ValueError("need an odd number of nodes, at least 3")
+        if hard_wall and n < 5:
+            raise ValueError("need at least five nodes to extrapolate")
+        w, winv, chi_prev = (np.ascontiguousarray(a, dtype=float)
+                             for a in (w, winv, chi_prev))
+        if not (w.shape == winv.shape == chi_prev.shape == inner.shape
+                == (n,) and inner.dtype == float
+                and inner.flags.c_contiguous and inner.flags.writeable):
+            raise ValueError(f"profile arrays must have shape ({n},), "
+                             "inner contiguous, writable and float")
+        chihat = np.empty(n)
+        c_profile(n, h, w.ctypes.data, winv.ctypes.data,
+                  chi_prev.ctypes.data, tail, bool(hard_wall),
+                  inner.ctypes.data, chihat.ctypes.data)
+        return chihat
+
+    kernels = SimpleNamespace(riccati_sweep=riccati_sweep,
+                              excite_profile=excite_profile)
+    return kernels, f"built from {_SOURCE}, loaded from {path}"
 
 
 try:
-    riccati_sweep, BACKEND_REASON = _load()
+    _compiled, BACKEND_REASON = _load()
     BACKEND = "cython"
 except ImportError as exc:
-    riccati_sweep = _kernels_py.riccati_sweep
+    _compiled = None
     BACKEND = "python"
     BACKEND_REASON = f"no compiled kernel: {exc}"
-_compiled = SimpleNamespace(riccati_sweep=riccati_sweep)
+riccati_sweep = (_compiled or _kernels_py).riccati_sweep
+excite_profile = (_compiled or _kernels_py).excite_profile
 
 
 def get_backend(name: str):
-    """Return the kernel for an explicit backend name, an object with a
-    ``riccati_sweep`` attribute: 'cython' (the compiled C sweep; the name
-    predates the plain-C kernel) or 'python'. Raises ImportError, naming
-    the cause, for 'cython' when no compiled kernel could be had."""
+    """Return the kernels for an explicit backend name, an object with
+    ``riccati_sweep`` and ``excite_profile`` attributes: 'cython' (the
+    compiled C kernels; the name predates them) or 'python'. Raises
+    ImportError, naming the cause, for 'cython' when no compiled kernels
+    could be had."""
     if name == "python":
         return _kernels_py
     if name == "cython":
-        if BACKEND != "cython":
+        if _compiled is None:
             raise ImportError(BACKEND_REASON)
         return _compiled
     raise ValueError(f"unknown backend {name!r}")

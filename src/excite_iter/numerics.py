@@ -19,6 +19,13 @@ them there with np.cumsum(out=...); it then forms the odd offsets in
 out[1::2] from the finished even ones.  These are the operations of the
 allocating form in the same order, so both give the same bits; ``out`` must
 not share memory with the input.  Without ``out`` the routines allocate it.
+
+The compiled profile kernel (excite_profile in _kernels.c) computes both of
+an iteration step's running integrals in single loops that mirror this
+operation order: (4 y1 + y0 + y2) * (h/3) per panel pair, a sequential sum
+that starts from the first pair as np.cumsum does, and odd offsets
+(y0 + y1) * (0.5 h) + the even offset before them.  A change to the order
+here must be made there too; the backend tests compare the two bit for bit.
 """
 
 from __future__ import annotations

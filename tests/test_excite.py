@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
+from excite_iter import kernels
 from excite_iter.errors import DegenerateAnchorError
 from excite_iter.excite import (
     OVERFLOW_EXPONENT,
     IterationState,
     TrialFunction,
     Workspace,
-    _scaled_inner,
+    _unnormalized_profile,
     excited_wavefunction,
     iterate_once,
     orthogonality_residual,
@@ -58,9 +59,11 @@ PINNED_EPS_QUARTIC_G3_LOGDOMAIN = (
 
 def tail_integral(gs, chi_prev, x):
     """I(x) = int_x^inf e^{-2S(z)} chi_prev(z) dz at a grid node, read
-    from the iteration's own scaled inner integral."""
-    i_scaled, u_ref = _scaled_inner(gs, chi_prev)
-    return float(i_scaled[gs.grid.index_of(x)] * np.exp(u_ref))
+    from the scaled inner integral a step leaves in its workspace."""
+    work = Workspace.for_groundstate(gs)
+    _unnormalized_profile(gs, chi_prev, work)
+    u_ref = gs.scaled_weight[1]
+    return float(work.b[gs.grid.index_of(x)] * np.exp(u_ref))
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +249,78 @@ class TestRun:
             assert abs(eps - 1.0) <= 1e-11
 
 
-def test_workspace_changes_no_bit(gs_quartic, gs_soluble):
+@pytest.fixture(params=["python", "cython"])
+def profile_backend(request, monkeypatch):
+    """Makes the iteration use the named backend's profile kernel."""
+    try:
+        profile = kernels.get_backend(request.param).excite_profile
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    monkeypatch.setattr(kernels, "excite_profile", profile)
+    return request.param
+
+
+def _harmonic(x_max, n_points):
+    """GroundState of S = x^2/2: a soft wall with a nonzero Watson tail."""
+    grid = Grid(x_max, n_points)
+    x = grid.nodes()
+    return GroundState(grid=grid, s=0.5 * x * x, s_prime=x.copy(),
+                       e_gd=0.5, gauge=0.0, potential=None)
+
+
+# x_max 40 puts 2S above OVERFLOW_EXPONENT beyond x = 26.5: winv is 0 there
+PROFILE_CASES = {
+    "soluble-hard-wall": lambda: soluble_groundstate(DELTA, Grid(1.0, 2001)),
+    "quartic-g3": lambda: solve_groundstate_numeric(
+        Quartic(3.0), Grid(default_x_max(3.0), 2001)),
+    "harmonic": lambda: _harmonic(4.0, 2001),
+    "harmonic-winv-0-in-tail": lambda: _harmonic(40.0, 2001),
+    "soluble-5-nodes": lambda: soluble_groundstate(DELTA, Grid(1.0, 5)),
+    "harmonic-5-nodes": lambda: _harmonic(4.0, 5),
+}
+
+
+@pytest.mark.parametrize("case", PROFILE_CASES)
+def test_profile_backends_agree_bit_for_bit(case):
+    try:
+        compiled = kernels.get_backend("cython")
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    gs = PROFILE_CASES[case]()
+    n = gs.grid.n_points
+    rng = np.random.default_rng(7)
+    # -0.0 everywhere: np.cumsum starts from the first pair, not 0.0 + it
+    for chi in (TrialFunction.saturating().sample(gs.grid),
+                rng.standard_normal(n), np.full(n, -0.0)):
+        results = []
+        for backend in (kernels.get_backend("python"), compiled):
+            work = Workspace.for_groundstate(gs)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "excite_profile", backend.excite_profile)
+                chihat = _unnormalized_profile(gs, chi, work)
+            results.append((chihat.tobytes(), work.b.tobytes()))
+            assert np.isfinite(chihat).all()
+        assert results[0] == results[1]
+    if case == "harmonic-winv-0-in-tail":
+        assert (work.winv == 0.0).sum() > n // 4
+    elif not gs.hard_wall:
+        assert gs.scaled_weight[2] != 0.0      # a nonzero Watson tail
+
+
+def test_profile_rejects_arrays_it_cannot_use(profile_backend):
+    def profile(n, hard_wall=False, n_inner=None, n_w=None):
+        return kernels.excite_profile(
+            0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5, hard_wall,
+            np.empty(n_inner or n), np.empty(n))
+
+    assert profile(5).shape == profile(5, hard_wall=True).shape == (5,)
+    for bad in (dict(n=4), dict(n=3, hard_wall=True), dict(n=5, n_inner=3),
+                dict(n=5, n_w=7)):
+        with pytest.raises(ValueError):
+            profile(**bad)
+
+
+def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
     for gs in (gs_quartic, gs_soluble):
         work = Workspace.for_groundstate(gs)
         prev = IterationState(n=0, chi=TrialFunction.linear().sample(gs.grid))
@@ -263,7 +337,8 @@ def test_workspace_changes_no_bit(gs_quartic, gs_soluble):
             prev = fresh
 
 
-def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble):
+def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
+                                         profile_backend):
     # with a workspace, one step's only grid-sized allocation is the chi
     # it returns (8 B a node); 2 KB covers the small Python objects
     for gs in (gs_quartic, gs_soluble):

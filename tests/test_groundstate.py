@@ -306,16 +306,20 @@ def test_negative_step_count_is_rejected(backend):
 
 
 def _backend_in_subprocess(env):
-    """(BACKEND, BACKEND_REASON, get_backend('cython') error or '') of a
-    fresh import of excite_iter.kernels."""
-    code = ("from excite_iter import kernels\n"
+    """(BACKEND, BACKEND_REASON, get_backend('cython') error or '', and
+    whether kernels.riccati_sweep and kernels.excite_profile are the
+    Python kernels, as 'True True' etc.) of a fresh import of
+    excite_iter.kernels."""
+    code = ("from excite_iter import _kernels_py, kernels\n"
             "print(kernels.BACKEND)\n"
             "print(kernels.BACKEND_REASON)\n"
             "try:\n"
             "    kernels.get_backend('cython')\n"
             "    print('')\n"
             "except ImportError as exc:\n"
-            "    print(exc)\n")
+            "    print(exc)\n"
+            "print(kernels.riccati_sweep is _kernels_py.riccati_sweep,\n"
+            "      kernels.excite_profile is _kernels_py.excite_profile)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -328,7 +332,7 @@ def test_unwritable_cache_falls_back_to_python(tmp_path):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     env = dict(os.environ, XDG_CACHE_HOME=str(blocker))
-    backend, _, message = _backend_in_subprocess(env)
+    backend, _, message, _ = _backend_in_subprocess(env)
     assert backend == "python"
     assert str(blocker / "excite-iter") in message
 
@@ -339,15 +343,49 @@ def test_failed_build_falls_back_to_python(tmp_path):
     package = tmp_path / "src" / "excite_iter"
     shutil.copytree(os.path.dirname(excite_iter.__file__), package,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    (package / "_rk4.c").write_text("long riccati_sweep(void) { return }\n")
+    (package / "_kernels.c").write_text(
+        "long riccati_sweep(void) { return }\n")
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
                PYTHONPATH=str(tmp_path / "src"))
-    backend, reason, message = _backend_in_subprocess(env)
+    backend, reason, message, python_kernels = _backend_in_subprocess(env)
     assert backend == "python"
     assert "build of" in reason
     assert message == reason
+    # the sweep and the profile fall back together
+    assert python_kernels == "True True"
     # the failed build leaves no temporary file behind
     assert os.listdir(tmp_path / "cache" / "excite-iter") == []
+
+
+@pytest.mark.skipif(not _can_build_kernel(),
+                    reason="no C compiler: no build to cache")
+def test_cached_kernel_is_loaded_without_a_compiler(tmp_path):
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    assert _backend_in_subprocess(env)[0] == "cython"     # primes the cache
+    env["PATH"] = str(tmp_path / "no-such-directory")
+    backend, reason, message, python_kernels = _backend_in_subprocess(env)
+    assert backend == "cython"
+    assert f"loaded from {tmp_path}" in reason
+    assert message == ""
+    assert python_kernels == "False False"
+
+
+@pytest.mark.skipif(not _can_build_kernel(),
+                    reason="no C compiler: no build to cache")
+def test_cached_kernel_import_loads_no_build_or_error_modules(tmp_path):
+    # subprocess is needed only to build the kernels and fractions only to
+    # word an off-grid anchor error
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    assert _backend_in_subprocess(env)[0] == "cython"     # primes the cache
+    code = ("import sys\n"
+            "import excite_iter.cli\n"
+            "print(excite_iter.cli.kernels.BACKEND,\n"
+            "      [m for m in ('fractions', 'subprocess')\n"
+            "       if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "cython []"
 
 
 def test_built_distribution_ships_the_kernel_source(tmp_path):
@@ -364,7 +402,7 @@ def test_built_distribution_ships_the_kernel_source(tmp_path):
          "build_py", "--build-lib", str(tmp_path / "lib")],
         cwd=project, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "lib" / "excite_iter" / "_rk4.c").is_file()
+    assert (tmp_path / "lib" / "excite_iter" / "_kernels.c").is_file()
 
 
 def test_default_domain_rule():

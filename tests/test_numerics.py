@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from excite_iter.excite import _scaled_inner
+from excite_iter.excite import Workspace, _unnormalized_profile
 from excite_iter.groundstate import Grid, soluble_groundstate
 from excite_iter.numerics import (cubic_extrapolate_edge, cumulative_simpson,
                                   reverse_cumulative_simpson,
@@ -169,5 +169,6 @@ def test_tail_closure_hard_wall_is_exactly_zero():
     # compact support: no Watson closure is added, so the inner integral
     # from the wall node is exactly zero
     gs = soluble_groundstate(0.1, Grid(1.0, 101))
-    i_scaled, _ = _scaled_inner(gs, np.ones(101))
-    assert i_scaled[-1] == 0.0
+    work = Workspace.for_groundstate(gs)
+    _unnormalized_profile(gs, np.ones(101), work)
+    assert work.b[-1] == 0.0
