@@ -71,17 +71,37 @@ def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
     return s, sp, -1
 
 
+def check_profile_out(out, n: int, *others) -> None:
+    """The contract of excite_profile's out on both backends: a float,
+    C-contiguous, writable array of shape (n,) that shares no memory with
+    the call's other arrays.  Raises ValueError otherwise."""
+    if not (isinstance(out, np.ndarray) and out.shape == (n,)
+            and out.dtype == float and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ValueError(f"out must be a C-contiguous, writable float "
+                         f"array of shape ({n},)")
+    for other in others:
+        if np.shares_memory(out, other):
+            raise ValueError("out must not share memory with the "
+                             "profile's other arrays")
+
+
 def excite_profile(h: float, w, winv, chi_prev, tail: float,
                    hard_wall: bool, inner: np.ndarray,
-                   scratch: np.ndarray) -> np.ndarray:
+                   scratch: np.ndarray, out=None) -> np.ndarray:
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
     I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
 
     Writes I + tail into inner; with hard_wall, tail is not added and the
     outer integrand's last value is extrapolated from the four before it
     (e^{2S} is not evaluable on the wall).  scratch receives the two
-    integrands.  Returns chihat, the only array allocated.
+    integrands.  Writes chihat into out (see check_profile_out) and
+    returns it; with out None, chihat is a new array, the only one
+    allocated.
     """
+    if out is not None:
+        check_profile_out(out, len(chi_prev), w, winv, chi_prev, inner,
+                          scratch)
     integrand = np.multiply(w, chi_prev, out=scratch)
     reverse_cumulative_simpson(integrand, h, out=inner)
     if not hard_wall:
@@ -89,6 +109,6 @@ def excite_profile(h: float, w, winv, chi_prev, tail: float,
     outer = np.multiply(winv, inner, out=scratch)
     if hard_wall:
         outer[-1] = cubic_extrapolate_edge(outer)
-    chihat = cumulative_simpson(outer, h)
+    chihat = cumulative_simpson(outer, h, out=out)
     chihat *= 2.0
     return chihat

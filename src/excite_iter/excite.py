@@ -27,6 +27,10 @@ TRIAL_KINDS = ("linear", "saturating", "tabulated")
 # exp() overflows just above 709; leave headroom for the product with I
 OVERFLOW_EXPONENT = 700.0
 
+# rows per block of iterates in run: max_iters + 1 at the default
+# max_iters, so a default run allocates its iterates at once
+BLOCK_ROWS = 9
+
 
 @dataclass(frozen=True)
 class TrialFunction:
@@ -63,22 +67,32 @@ class TrialFunction:
     def tabulated(cls, values):
         return cls("tabulated", np.asarray(values, dtype=float))
 
-    def sample(self, grid) -> np.ndarray:
-        x = grid.nodes()
-        if self.kind == "linear":
-            return x.copy()
-        if self.kind == "saturating":
-            return np.where(x < 1.0, x * (2.0 - x), 1.0)
-        if len(self.values) != grid.n_points:
-            raise ValueError(
-                f"tabulated trial has {len(self.values)} samples for a "
-                f"{grid.n_points}-point grid")
-        return self.values.copy()
+    def sample(self, grid, out: np.ndarray | None = None) -> np.ndarray:
+        """chi_0 at the grid nodes, written into out (a new array when out
+        is None) and returned."""
+        if self.kind == "tabulated":
+            if len(self.values) != grid.n_points:
+                raise ValueError(
+                    f"tabulated trial has {len(self.values)} samples for a "
+                    f"{grid.n_points}-point grid")
+            chi = self.values
+        else:
+            x = grid.nodes()
+            chi = (x if self.kind == "linear"
+                   else np.where(x < 1.0, x * (2.0 - x), 1.0))
+        if out is None:
+            return chi.copy() if self.kind == "tabulated" else chi
+        out[...] = chi
+        return out
 
 
 @dataclass(frozen=True)
 class IterationState:
-    """chi_n on x >= 0 plus the extracted eps_n."""
+    """chi_n on x >= 0 plus the extracted eps_n.
+
+    In the states of a run, chi is a row of a block that holds the run's
+    other iterates too, so keeping one chi keeps that block alive.
+    """
 
     n: int
     chi: np.ndarray
@@ -129,15 +143,18 @@ class Workspace(NamedTuple):
 
 
 def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
-                          work: Workspace | None = None) -> np.ndarray:
+                          work: Workspace | None = None,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
     winv * (e^{-u_ref} I), by the active kernel backend.
 
     e^{-u_ref} I, the reverse cumulative integral of w * chi_prev, is left
     in work.b.  The tail beyond x_max is closed with the first-order
     Watson estimate chi/(2S') * weight (none for hard-wall support).
-    Apart from a workspace made when none is given, chihat is the only
-    grid array allocated.
+    chihat goes into out when given, under the contract of
+    _kernels_py.check_profile_out, else into a new array; that array and
+    a workspace made when none is given are the only grid arrays
+    allocated.
     """
     if work is None:
         work = Workspace.for_groundstate(gs)
@@ -145,18 +162,21 @@ def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
     tail = (0.0 if gs.hard_wall
             else w_end * chi_prev[-1] / (2.0 * gs.s_prime[-1]))
     return kernels.excite_profile(gs.grid.h, w, work.winv, chi_prev, tail,
-                                  gs.hard_wall, work.b, work.a)
+                                  gs.hard_wall, work.b, work.a, out=out)
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
                  chi0_at_anchor: float,
-                 work: Workspace | None = None) -> IterationState:
+                 work: Workspace | None = None,
+                 out: np.ndarray | None = None) -> IterationState:
     """One application of the iteration map plus the fixed-point split.
 
-    Allocates only the returned chi when given a workspace.
+    The returned chi is out when given (see _unnormalized_profile), else
+    a new array.  Given a workspace and out, a step allocates nothing of
+    grid size; given only a workspace, it allocates only chi.
     """
     i0 = gs.grid.index_of(anchor_x0)
-    chi = _unnormalized_profile(gs, prev.chi, work)
+    chi = _unnormalized_profile(gs, prev.chi, work, out)
     if chi[i0] == 0.0:
         raise DegenerateAnchorError(
             f"unnormalized iterate vanishes at the anchor x0={anchor_x0}")
@@ -197,17 +217,30 @@ def excited_wavefunction(gs: GroundState, chi: np.ndarray) -> np.ndarray:
     return weight * np.asarray(chi, dtype=float)
 
 
+def _rows(n_points: int, count: int):
+    """Yields count rows of n_points floats, in order, from blocks of at
+    most BLOCK_ROWS rows; each block is allocated when the one before it
+    is used up."""
+    while count > 0:
+        block = np.empty((min(count, BLOCK_ROWS), n_points))
+        count -= len(block)
+        yield from block
+
+
 def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
         max_iters: int = 8, tol: float = 1e-9) -> ConvergenceReport:
     """Drive iterate_once to convergence of the eps sequence.
 
     Stops when |eps_n - eps_{n-1}| <= tol * |eps_n|, when the delta
     sequence stops decreasing for three consecutive steps (stalled), or at
-    max_iters.
+    max_iters.  The iterates are written into the rows of blocks of
+    min(max_iters + 1, BLOCK_ROWS) rows, one block for a default run: a
+    further block is allocated only when the iteration goes past one.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    chi0 = trial.sample(gs.grid)
+    rows = _rows(gs.grid.n_points, max_iters + 1)
+    chi0 = trial.sample(gs.grid, out=next(rows))
     i0 = gs.grid.index_of(anchor_x0)
     if chi0[i0] == 0.0:
         raise DegenerateAnchorError(
@@ -224,7 +257,7 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
     stall_count = 0
     for _ in range(max_iters):
         state = iterate_once(gs, states[-1], anchor_x0, chi0_at_anchor,
-                             work=work)
+                             work=work, out=next(rows))
         states.append(state)
         eps_seq.append(state.eps)
         residuals.append(orthogonality_residual(gs, state.chi, work=work))

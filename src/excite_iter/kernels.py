@@ -20,9 +20,7 @@ import ctypes
 import hashlib
 import os
 import shlex
-import shutil
 import sysconfig
-import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,10 +58,12 @@ def _build() -> str:
     path = os.path.join(directory, f"_kernels-{key.hexdigest()[:16]}.so")
     if os.path.isfile(path):
         return path
+    import shutil       # only a build needs these
+    import subprocess
+    import tempfile
     if not cc or shutil.which(cc[0]) is None:
         raise ImportError(f"no C compiler: {' '.join(cc) or 'CC'!r} "
                           "not found")
-    import subprocess   # only a build needs it
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
@@ -121,14 +121,18 @@ def _load():
         return s, sp, node
 
     def excite_profile(h, w, winv, chi_prev, tail, hard_wall, inner,
-                       scratch):
+                       scratch, out=None):
         """See _kernels_py.excite_profile; the integrands stay in
-        registers, so scratch is not touched."""
+        registers, so scratch is not touched.  out, when given, is the
+        C kernel's chihat."""
         n = len(chi_prev)
         if n < 3 or n % 2 == 0:
             raise ValueError("need an odd number of nodes, at least 3")
         if hard_wall and n < 5:
             raise ValueError("need at least five nodes to extrapolate")
+        if out is not None:
+            _kernels_py.check_profile_out(out, n, w, winv, chi_prev, inner,
+                                          scratch)
         w, winv, chi_prev = (np.ascontiguousarray(a, dtype=float)
                              for a in (w, winv, chi_prev))
         if not (w.shape == winv.shape == chi_prev.shape == inner.shape
@@ -136,11 +140,12 @@ def _load():
                 and inner.flags.c_contiguous and inner.flags.writeable):
             raise ValueError(f"profile arrays must have shape ({n},), "
                              "inner contiguous, writable and float")
-        chihat = np.empty(n)
+        if out is None:
+            out = np.empty(n)
         c_profile(n, h, w.ctypes.data, winv.ctypes.data,
                   chi_prev.ctypes.data, tail, bool(hard_wall),
-                  inner.ctypes.data, chihat.ctypes.data)
-        return chihat
+                  inner.ctypes.data, out.ctypes.data)
+        return out
 
     kernels = SimpleNamespace(riccati_sweep=riccati_sweep,
                               excite_profile=excite_profile)

@@ -11,6 +11,7 @@ import pytest
 from excite_iter import kernels
 from excite_iter.errors import DegenerateAnchorError
 from excite_iter.excite import (
+    BLOCK_ROWS,
     OVERFLOW_EXPONENT,
     IterationState,
     TrialFunction,
@@ -298,7 +299,13 @@ def test_profile_backends_agree_bit_for_bit(case):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "excite_profile", backend.excite_profile)
                 chihat = _unnormalized_profile(gs, chi, work)
-            results.append((chihat.tobytes(), work.b.tobytes()))
+                inner = work.b.tobytes()
+                # a row of a block, filled with NaN, as run passes it
+                out = np.full((3, n), np.nan)[1]
+                assert _unnormalized_profile(gs, chi, work, out=out) is out
+            assert out.tobytes() == chihat.tobytes()
+            assert work.b.tobytes() == inner
+            results.append((chihat.tobytes(), inner))
             assert np.isfinite(chihat).all()
         assert results[0] == results[1]
     if case == "harmonic-winv-0-in-tail":
@@ -319,6 +326,35 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
         with pytest.raises(ValueError):
             profile(**bad)
 
+    # out: float, C-contiguous, writable, shape (n,), sharing no memory
+    # with the other arrays of the call
+    n = 5
+    w, winv, chi, inner, scratch = (np.ones(n) for _ in range(5))
+    block = np.ones((2, n))
+
+    def profile_into(out, chi_prev=chi, inner=inner):
+        return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, False,
+                                      inner, scratch, out=out)
+
+    out = np.empty(n)
+    assert profile_into(out) is out
+    row = block[1]
+    assert profile_into(row, chi_prev=block[0]) is row
+    assert out.tobytes() == profile(n).tobytes() == row.tobytes()
+    read_only = np.empty(n)
+    read_only.flags.writeable = False
+    long_inner = np.empty(n + 2)
+    for bad in (np.empty(n - 2), np.empty(n + 2), np.empty((1, n)),
+                np.empty(n, dtype=np.float32), np.empty(n, dtype=np.int64),
+                np.empty(2 * n)[::2], np.empty(n).tolist(), read_only,
+                w, winv, chi, inner, scratch):
+        with pytest.raises(ValueError):
+            profile_into(bad)
+    with pytest.raises(ValueError):     # overlaps chi_prev by one element
+        profile_into(block.ravel()[n - 1:2 * n - 1], chi_prev=block[0])
+    with pytest.raises(ValueError):     # overlaps inner by three elements
+        profile_into(long_inner[2:], inner=long_inner[:n])
+
 
 def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
     for gs in (gs_quartic, gs_soluble):
@@ -337,31 +373,89 @@ def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
             prev = fresh
 
 
+def _peak_bytes(step):
+    """Peak of the memory traced while step() runs."""
+    tracemalloc.start()
+    try:
+        result = step()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
                                          profile_backend):
     # with a workspace, one step's only grid-sized allocation is the chi
-    # it returns (8 B a node); 2 KB covers the small Python objects
+    # it returns (8 B a node), and given out too, nothing of grid size;
+    # 2 KB covers the small Python objects
     for gs in (gs_quartic, gs_soluble):
         n = gs.grid.n_points
         work = Workspace.for_groundstate(gs)
         prev = IterationState(n=0, chi=TrialFunction.saturating().sample(
             gs.grid))
         iterate_once(gs, prev, 1.0, 1.0, work=work)   # caches the weight
-        tracemalloc.start()
-        try:
-            state = iterate_once(gs, prev, 1.0, 1.0, work=work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        state, peak = _peak_bytes(
+            lambda: iterate_once(gs, prev, 1.0, 1.0, work=work))
         assert peak <= 8 * n + 2048
         assert not any(np.shares_memory(state.chi, buf) for buf in work)
-    # no iterate kept by the report is a view of another or of scratch
+        out = np.empty(n)
+        into, peak = _peak_bytes(
+            lambda: iterate_once(gs, prev, 1.0, 1.0, work=work, out=out))
+        assert peak <= 2048
+        assert into.chi is out
+        assert into.chi.tobytes() == state.chi.tobytes()
+        assert into.eps == state.eps
+
+
+def test_run_writes_its_iterates_into_one_block(gs_quartic):
     report = run(gs_quartic, TrialFunction.saturating(), tol=0.0)
     chis = [s.chi for s in report.states]
-    assert len(chis) == 9
+    assert len(chis) == BLOCK_ROWS == 9
+    assert chis[0].base is not None
+    assert all(chi.base is chis[0].base for chi in chis)
+    # no iterate kept by the report is a view of another or of scratch
     for i, a in enumerate(chis):
         for b in chis[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def _allocating_eps(gs, trial, steps):
+    """eps_1 .. eps_steps at anchor 1 from steps that allocate their chi."""
+    chi0 = trial.sample(gs.grid)
+    at_anchor = float(chi0[gs.grid.index_of(1.0)])
+    state = IterationState(n=0, chi=chi0)
+    eps = []
+    for _ in range(steps):
+        state = iterate_once(gs, state, 1.0, at_anchor)
+        eps.append(state.eps)
+    return eps
+
+
+def test_run_past_one_block_changes_no_bit(profile_backend):
+    # delta = 1.5 on 201 nodes neither converges nor stalls in 20 steps
+    gs = soluble_groundstate(1.5, Grid(1.0, 201))
+    trial = TrialFunction.saturating()
+    report = run(gs, trial, max_iters=20, tol=0.0)
+    assert report.status == "max_iters"
+    blocks = {id(s.chi.base): s.chi.base for s in report.states}
+    assert [len(b) for b in blocks.values()] == [BLOCK_ROWS, BLOCK_ROWS, 3]
+    assert [e.hex() for e in report.eps_sequence] \
+        == [e.hex() for e in _allocating_eps(gs, trial, 20)]
+
+
+def test_run_reserves_rows_as_it_goes():
+    # a huge max_iters reserves at most BLOCK_ROWS - 1 rows beyond those
+    # used, and stops where a run with room to spare stops
+    gs = soluble_groundstate(1.5, Grid(1.0, 2001))
+    trial = TrialFunction.saturating()
+    report = run(gs, trial, max_iters=10**12)
+    reference = run(gs, trial, max_iters=100)
+    assert report.status == reference.status != "max_iters"
+    assert report.eps_sequence == reference.eps_sequence
+    assert report.delta_sequence == reference.delta_sequence
+    blocks = {id(s.chi.base): s.chi.base for s in report.states}
+    reserved = sum(len(b) for b in blocks.values())
+    assert len(report.states) <= reserved < len(report.states) + BLOCK_ROWS
 
 
 class TestOrthogonality:
