@@ -22,7 +22,7 @@ from .excite import TrialFunction, excited_wavefunction, run
 from .groundstate import (Grid, GroundState, default_x_max, load_groundstate,
                           save_groundstate, solve_groundstate_numeric,
                           soluble_groundstate, write_csv)
-from .potential import Quartic
+from .potential import DeltaBox, Potential, Quartic
 
 
 @dataclass(frozen=True)
@@ -91,32 +91,104 @@ def _check_anchor(grid: Grid, anchor: float) -> None:
     raise ValueError(f"{where}; --points {n} puts it on one")
 
 
+def _check_cache(cache: str, gs: GroundState, potential: Potential,
+                 grid: Grid) -> None:
+    """Raise ValueError, naming the cache, the field and both values,
+    unless the cached ground state is for this potential and grid."""
+    have = {**gs.potential.to_dict(), **gs.grid.to_dict()}
+    want = {**potential.to_dict(), **grid.to_dict()}
+    for field, value in want.items():
+        if have.get(field) != value:
+            raise ValueError(
+                f"--gs-cache {cache} holds a ground state with {field} "
+                f"{have.get(field)!r}, but this run has {field} {value!r}")
+
+
 def _obtain_groundstate(config: RunConfig) -> tuple[GroundState, bool]:
-    """Returns (ground state, loaded_from_cache)."""
-    cache = config.gs_cache
-    if cache and os.path.exists(cache):
-        return load_groundstate(cache), True
+    """Returns (ground state, loaded_from_cache).  A cache is used only if
+    it holds the configured potential and grid."""
     if config.case == "soluble":
         x_max = config.x_max if config.x_max else 1.0
     else:
         x_max = config.x_max if config.x_max else default_x_max(config.g)
     grid = Grid(x_max=x_max, n_points=config.n_points)
     _check_anchor(grid, config.anchor_x0)
+    potential = (DeltaBox(config.delta) if config.case == "soluble"
+                 else Quartic(config.g))
+    cache = config.gs_cache
+    if cache and os.path.exists(cache):
+        gs = load_groundstate(cache)
+        _check_cache(cache, gs, potential, grid)
+        return gs, True
     if config.case == "soluble":
-        gs = soluble_groundstate(config.delta, grid)
-    else:
-        gs = solve_groundstate_numeric(Quartic(config.g), grid)
-    if cache:
-        save_groundstate(gs, cache)
-    return gs, False
+        return soluble_groundstate(config.delta, grid), False
+    return solve_groundstate_numeric(potential, grid), False
+
+
+def _start_in_child(task):
+    """Run task() in a child made by os.fork, and return a function that
+    reaps the child and raises OSError with the text of the child's
+    exception if task raised.  Where os.fork does not exist, task runs
+    here and now, and the returned function does nothing."""
+    if not hasattr(os, "fork"):
+        task()
+        return lambda: None
+    # what is buffered before the fork must not be written twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    import warnings  # loaded at interpreter start, so this costs nothing
+
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # NumPy's OpenBLAS keeps a second thread, and Python >= 3.12 warns
+        # on a fork from a threaded process.  The child runs no BLAS and
+        # takes no lock, so the deadlock the warning is about cannot occur.
+        warnings.filterwarnings(
+            "ignore", message=r".*use of fork\(\) may lead to deadlocks",
+            category=DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+    if pid == 0:
+        # the child never returns into the caller, so no test runner,
+        # atexit hook or enclosing script runs a second time in it
+        code = 1
+        try:
+            os.close(r)
+            task()
+            code = 0
+        except BaseException as exc:
+            os.write(w, (str(exc) or repr(exc)).encode(errors="replace"))
+        finally:
+            os._exit(code)
+    os.close(w)
+
+    def join():
+        try:
+            with open(r, "rb") as f:
+                text = f.read().decode(errors="replace")
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if text or status:
+            raise OSError(text or "artifact writer exited with status "
+                          f"{os.waitstatus_to_exitcode(status)}")
+    return join
 
 
 def run_case(config: RunConfig) -> dict:
     """Execute one configured run and write all artifacts to out_dir.
 
+    Every result is computed before the first file is written, so a run
+    that fails leaves no artifact.  A child process then writes the wave
+    functions and, unless the ground state came from the cache, the
+    ground state (to out_dir and to the cache), while this process writes
+    summary.json and the chi iterates.
+
     Returns the summary dict (also written as summary.json).
     """
-    os.makedirs(config.out_dir, exist_ok=True)
     gs, cached = _obtain_groundstate(config)
 
     trial_kind = config.trial or (
@@ -135,6 +207,7 @@ def run_case(config: RunConfig) -> dict:
         "max_iters": config.max_iters,
         "tol": config.tol,
         "gs_cache": config.gs_cache,
+        "gs_source": "cache" if cached else "solved",
         "kernel_backend": kernels.BACKEND,
         "kernel_backend_reason": kernels.BACKEND_REASON,
         "e_gd": gs.e_gd,
@@ -159,10 +232,6 @@ def run_case(config: RunConfig) -> dict:
         summary["e_asymp"] = references.E_ASYMP_G8
         summary["eps_asymp"] = references.EPS_ASYMP_G8
 
-    with open(os.path.join(config.out_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-
     x = gs.grid.nodes()
 
     # chi iterates (the curves behind the convergence figures)
@@ -175,17 +244,31 @@ def run_case(config: RunConfig) -> dict:
         chi_ex *= chi0[i0] / chi_ex[i0]
         header.append("chi_exact")
         columns.append(chi_ex)
-    write_csv(os.path.join(config.out_dir, "chi_curves.csv"), header, columns)
 
     # ground and excited wave functions
     with np.errstate(under="ignore"):
         psi_gd = np.exp(-gs.s)
     psi_ex = excited_wavefunction(gs, report.states[-1].chi)
-    write_csv(os.path.join(config.out_dir, "wavefunctions.csv"),
-              ["x", "psi_gd", "psi_ex"], [x, psi_gd, psi_ex])
 
-    if not cached:
-        save_groundstate(gs, os.path.join(config.out_dir, "groundstate.csv"))
+    out_dir = config.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+
+    def write_profiles():
+        write_csv(os.path.join(out_dir, "wavefunctions.csv"),
+                  ["x", "psi_gd", "psi_ex"], [x, psi_gd, psi_ex])
+        if not cached:
+            save_groundstate(gs, os.path.join(out_dir, "groundstate.csv"))
+            if config.gs_cache:
+                save_groundstate(gs, config.gs_cache)
+
+    join = _start_in_child(write_profiles)
+    try:
+        with open(os.path.join(out_dir, "summary.json"), "w") as f:
+            json.dump(summary, f, indent=2, sort_keys=True)
+            f.write("\n")
+        write_csv(os.path.join(out_dir, "chi_curves.csv"), header, columns)
+    finally:
+        join()
     return summary
 
 
@@ -222,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--gs-cache", default=None,
                        help="ground-state CSV cache path (loaded if "
-                            "present, written otherwise)")
+                            "present, written otherwise); a cache for "
+                            "another case, coupling or grid is an error")
 
     c = sub.add_parser("compare",
                        help="gate a summary against a reference table")

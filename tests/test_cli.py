@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from excite_iter import kernels
+import excite_iter
+from excite_iter import cli, groundstate, kernels
 from excite_iter.cli import main
 
 
@@ -205,3 +208,190 @@ class TestErrors:
         assert f"error: --iters must be at least 1, got {iters}" \
             in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+
+QUARTIC = ["quartic", "--g", "3", "--points", "2001", "--xmax", "4.0"]
+SOLUBLE = ["soluble", "--delta", "0.1", "--points", "2001"]
+
+
+def files_in(path):
+    return sorted(p.name for p in path.iterdir()) if path.exists() else []
+
+
+class TestGroundStateCache:
+    @pytest.mark.parametrize("cached, args, field, have, want", [
+        (QUARTIC,
+         ["quartic", "--g", "8", "--points", "2001", "--xmax", "4.0"],
+         "g", "3.0", "8.0"),
+        (SOLUBLE, ["soluble", "--delta", "0.2", "--points", "2001"],
+         "delta", "0.1", "0.2"),
+        # the soluble run exits before exact_chi could fail on x > 1
+        (QUARTIC, ["soluble", "--delta", "0.1"],
+         "variant", "'quartic'", "'delta_box'"),
+        (QUARTIC,
+         ["quartic", "--g", "3", "--points", "4001", "--xmax", "4.0"],
+         "n_points", "2001", "4001"),
+        (QUARTIC,
+         ["quartic", "--g", "3", "--points", "2001", "--xmax", "5.0"],
+         "x_max", "4.0", "5.0"),
+    ], ids=["g", "delta", "case", "points", "xmax"])
+    def test_mismatch_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                cached, args, field, have,
+                                                want):
+        cache = tmp_path / "gs.csv"
+        assert run_cli(cached + ["--out", str(tmp_path / "first"),
+                                 "--gs-cache", str(cache)]) == 0
+        before = read(cache)
+        out = tmp_path / "out"
+        code = run_cli(args + ["--out", str(out), "--gs-cache", str(cache)])
+        assert code == 1
+        assert (f"error: --gs-cache {cache} holds a ground state with "
+                f"{field} {have}, but this run has {field} {want}"
+                in capsys.readouterr().err)
+        assert files_in(out) == []
+        assert read(cache) == before
+
+    def test_default_xmax_is_resolved_before_the_comparison(self, tmp_path):
+        cache = tmp_path / "gs.csv"
+        args = ["quartic", "--g", "3", "--points", "2001"]
+        assert run_cli(args + ["--out", str(tmp_path / "a"),
+                               "--gs-cache", str(cache)]) == 0
+        # default_x_max(3) is 4.0
+        assert run_cli(args + ["--xmax", "4.0", "--out", str(tmp_path / "b"),
+                               "--gs-cache", str(cache)]) == 0
+        summary = json.loads(read(tmp_path / "b" / "summary.json"))
+        assert summary["gs_source"] == "cache"
+
+    def test_anchor_is_checked_on_a_hit(self, tmp_path, capsys):
+        cache = tmp_path / "gs.csv"
+        assert run_cli(QUARTIC + ["--out", str(tmp_path / "first"),
+                                  "--gs-cache", str(cache)]) == 0
+        out = tmp_path / "out"
+        code = run_cli(QUARTIC + ["--anchor", "1.0001", "--out", str(out),
+                                  "--gs-cache", str(cache)])
+        assert code == 1
+        assert "error: --anchor 1.0001 is not a node" in \
+            capsys.readouterr().err
+        assert files_in(out) == []
+
+    @pytest.mark.parametrize("args", [QUARTIC, SOLUBLE],
+                             ids=["quartic", "soluble"])
+    def test_matching_cache_gives_the_fresh_sequence(self, tmp_path, args):
+        cache = tmp_path / "gs.csv"
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        for out in (cold, warm):
+            assert run_cli(args + ["--out", str(out),
+                                   "--gs-cache", str(cache)]) == 0
+        a = json.loads(read(cold / "summary.json"))
+        b = json.loads(read(warm / "summary.json"))
+        assert (a["gs_source"], b["gs_source"]) == ("solved", "cache")
+        assert b["eps_sequence"] == a["eps_sequence"]
+        assert b["e_gd"] == a["e_gd"]
+
+
+def test_failure_after_the_iteration_leaves_no_file(tmp_path, monkeypatch):
+    def fail(*args):
+        raise ValueError("exact_chi failed")
+
+    monkeypatch.setattr("excite_iter.cli.soluble.exact_chi", fail)
+    cache = tmp_path / "gs.csv"
+    out = tmp_path / "out"
+    code = run_cli(SOLUBLE + ["--out", str(out), "--gs-cache", str(cache)])
+    assert code == 1
+    assert files_in(out) == []
+    assert not cache.exists()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoProcessWriter:
+    def test_files_are_split_between_two_processes(self, tmp_path,
+                                                   monkeypatch):
+        log = tmp_path / "writers.log"
+        write_csv = groundstate.write_csv
+
+        def logged(path, *args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {os.path.basename(path)}\n")
+            return write_csv(path, *args)
+
+        # save_groundstate calls the module's own write_csv
+        for module in (cli, groundstate):
+            monkeypatch.setattr(module, "write_csv", logged)
+        out = tmp_path / "out"
+        assert run_cli(SOLUBLE + ["--out", str(out)]) == 0
+        writer = dict(reversed(line.split()) for line in
+                      log.read_text().splitlines())
+        assert writer["chi_curves.csv"] == str(os.getpid())
+        assert writer["wavefunctions.csv"] != str(os.getpid())
+        assert writer["groundstate.csv"] == writer["wavefunctions.csv"]
+
+    def test_child_failure_exits_1_naming_the_file(self, tmp_path, capsys):
+        (tmp_path / "wavefunctions.csv").mkdir()
+        code = run_cli(SOLUBLE + ["--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(tmp_path / "wavefunctions.csv") in err
+        assert_no_child_left()
+
+    def test_parent_failure_exits_1_and_reaps_the_child(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "chi_curves.csv").mkdir()
+        code = run_cli(QUARTIC + ["--out", str(tmp_path)])
+        assert code == 1
+        assert str(tmp_path / "chi_curves.csv") in capsys.readouterr().err
+        assert_no_child_left()
+        # the child finished its files before it was reaped
+        assert (tmp_path / "groundstate.csv.json").exists()
+
+    def test_successful_run_prints_nothing_on_stderr(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(excite_iter.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "excite_iter.cli", *QUARTIC,
+             "--out", str(tmp_path)], env=env, capture_output=True,
+            timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout.startswith(b"e_gd = ")
+
+    @pytest.mark.parametrize("args", [QUARTIC, SOLUBLE],
+                             ids=["quartic", "soluble"])
+    def test_bytes_equal_the_serial_writer(self, tmp_path, monkeypatch,
+                                           args):
+        """Each file equals, byte for byte, what write_csv and
+        save_groundstate give when called in this process, for a solved
+        and for a cached ground state."""
+        cache = tmp_path / "gs.csv"
+
+        def both_ways(name):
+            forked, serial = (tmp_path / name / "forked",
+                              tmp_path / name / "serial")
+            assert run_cli(args + ["--out", str(forked),
+                                   "--gs-cache", str(cache)]) == 0
+            cached = {p: read(p) for p in (cache, tmp_path / "gs.csv.json")}
+            if name == "solved":
+                for p in cached:
+                    p.unlink()
+            with monkeypatch.context() as m:
+                m.delattr(os, "fork")
+                assert run_cli(args + ["--out", str(serial),
+                                       "--gs-cache", str(cache)]) == 0
+            for p, content in cached.items():
+                assert read(p) == content
+            return forked, serial
+
+        for name in ("solved", "cache"):
+            forked, serial = both_ways(name)
+            assert files_in(forked) == files_in(serial)
+            for f in files_in(forked):
+                assert read(forked / f) == read(serial / f), (name, f)
+        assert files_in(tmp_path / "solved" / "forked") == [
+            "chi_curves.csv", "groundstate.csv", "groundstate.csv.json",
+            "summary.json", "wavefunctions.csv"]
+        assert files_in(tmp_path / "cache" / "forked") == [
+            "chi_curves.csv", "summary.json", "wavefunctions.csv"]
