@@ -1,7 +1,8 @@
 /* Compiled kernels, loaded by excite_iter.kernels through ctypes: the
  * Riccati sweep of the quartic double well and the profile of one
- * iteration step.  Each has the same contract and performs the same
- * floating-point operations, in the same order, as its counterpart in
+ * iteration step, which knows nothing of the potential or of a wall.
+ * Each has the same contract and performs the same floating-point
+ * operations, in the same order, as its counterpart in
  * excite_iter._kernels_py; build with -ffp-contract=off so no a*b+c is
  * fused and the output stays bit-identical. */
 #include <math.h>
@@ -49,49 +50,40 @@ long riccati_sweep(double x0, double h, long n, double g, double e,
     return -1;
 }
 
-/* Every array holds n doubles, n odd and >= 3 (>= 5 with hard_wall).
- * A reverse pass writes I + tail into inner, I being the running
- * integral of w * chi from each node to the last (tail is not added with
- * hard_wall); a forward pass writes twice the running integral of
- * winv * inner from node 0 into chihat, the outer integrand's last value
- * replaced by the cubic extrapolation from the four before it with
- * hard_wall.  Both running integrals are cumulative_simpson's: panel
- * pairs (4 y1 + y0 + y2) * h/3 summed in order from the first pair, as
- * np.cumsum sums, and odd offsets (y0 + y1) * h/2 plus the even offset
- * before them. */
+/* Every array holds n doubles, n odd and >= 3.  A reverse pass writes
+ * I + tail into inner, I being the running integral of w * chi from each
+ * node to the last; a forward pass writes twice the running integral of
+ * winv * inner from node 0 into chihat.  Both running integrals are
+ * cumulative_simpson's: panel pairs (4 y1 + y0 + y2) * h/3 summed in
+ * order from the first pair, as np.cumsum sums, and odd offsets
+ * ((5 y0 + 8 y1) - y2) * h/12 plus the even offset before them. */
 void excite_profile(long n, double h, const double *w, const double *winv,
-                    const double *chi, double tail, int hard_wall,
-                    double *inner, double *chihat)
+                    const double *chi, double tail, double *inner,
+                    double *chihat)
 {
-    const double h3 = h / 3.0, hh = 0.5 * h;
+    const double h3 = h / 3.0, h12 = h / 12.0;
     double y0, y1, y2, even = 0.0;
 
     y0 = w[n - 1] * chi[n - 1];
-    inner[n - 1] = hard_wall ? 0.0 : 0.0 + tail;
+    inner[n - 1] = 0.0 + tail;
     for (long i = n - 1; i > 0; i -= 2) {
         y1 = w[i - 1] * chi[i - 1];
         y2 = w[i - 2] * chi[i - 2];
-        double odd = (y0 + y1) * hh + even;
+        double odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even;
         double pair = (4.0 * y1 + y0 + y2) * h3;
         even = i == n - 1 ? pair : even + pair;
-        inner[i - 1] = hard_wall ? odd : odd + tail;
-        inner[i - 2] = hard_wall ? even : even + tail;
+        inner[i - 1] = odd + tail;
+        inner[i - 2] = even + tail;
         y0 = y2;
     }
 
-    double last = winv[n - 1] * inner[n - 1];
-    if (hard_wall)
-        last = 4.0 * (winv[n - 2] * inner[n - 2])
-               - 6.0 * (winv[n - 3] * inner[n - 3])
-               + 4.0 * (winv[n - 4] * inner[n - 4])
-               - winv[n - 5] * inner[n - 5];
     even = 0.0;
     y0 = winv[0] * inner[0];
     chihat[0] = 0.0;
     for (long i = 0; i < n - 1; i += 2) {
         y1 = winv[i + 1] * inner[i + 1];
-        y2 = i + 2 < n - 1 ? winv[i + 2] * inner[i + 2] : last;
-        double odd = (y0 + y1) * hh + even;
+        y2 = winv[i + 2] * inner[i + 2];
+        double odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even;
         double pair = (4.0 * y1 + y0 + y2) * h3;
         even = i == 0 ? pair : even + pair;
         chihat[i + 1] = odd * 2.0;

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (cubic_extrapolate_edge, cumulative_simpson,
-                       reverse_cumulative_simpson)
+from .numerics import cumulative_simpson, reverse_cumulative_simpson
 
 BLOWUP_LIMIT = 1e12
 
@@ -87,28 +86,24 @@ def check_profile_out(out, n: int, *others) -> None:
 
 
 def excite_profile(h: float, w, winv, chi_prev, tail: float,
-                   hard_wall: bool, inner: np.ndarray,
-                   scratch: np.ndarray, out=None) -> np.ndarray:
+                   inner: np.ndarray, scratch: np.ndarray,
+                   out=None) -> np.ndarray:
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
     I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
 
-    Writes I + tail into inner; with hard_wall, tail is not added and the
-    outer integrand's last value is extrapolated from the four before it
-    (e^{2S} is not evaluable on the wall).  scratch receives the two
-    integrands.  Writes chihat into out (see check_profile_out) and
-    returns it; with out None, chihat is a new array, the only one
-    allocated.
+    Writes I + tail into inner; scratch receives the two integrands.  At a
+    hard wall the caller passes tail 0 and winv 0 on the wall node, where
+    the outer integrand vanishes.  Writes chihat into out (see
+    check_profile_out) and returns it; with out None, chihat is a new
+    array, the only one allocated.
     """
     if out is not None:
         check_profile_out(out, len(chi_prev), w, winv, chi_prev, inner,
                           scratch)
     integrand = np.multiply(w, chi_prev, out=scratch)
     reverse_cumulative_simpson(integrand, h, out=inner)
-    if not hard_wall:
-        inner += tail
+    inner += tail
     outer = np.multiply(winv, inner, out=scratch)
-    if hard_wall:
-        outer[-1] = cubic_extrapolate_edge(outer)
     chihat = cumulative_simpson(outer, h, out=out)
     chihat *= 2.0
     return chihat

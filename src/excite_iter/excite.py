@@ -162,7 +162,7 @@ def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
     tail = (0.0 if gs.hard_wall
             else w_end * chi_prev[-1] / (2.0 * gs.s_prime[-1]))
     return kernels.excite_profile(gs.grid.h, w, work.winv, chi_prev, tail,
-                                  gs.hard_wall, work.b, work.a, out=out)
+                                  work.b, work.a, out=out)
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,

@@ -3,11 +3,12 @@
 Two kernels have a compiled and a pure-Python implementation with
 bit-identical output: the Riccati sweep of the ground-state solve and the
 profile of one iteration step, whose two running integrals mirror
-numerics.cumulative_simpson's operation order.  The compiled ones are the
-plain C file ``_kernels.c``, built into the user cache,
-``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/`` when unset),
-on the first import that finds no build for this source and these flags,
-and loaded from there through ctypes.  The Python kernels are used when
+numerics.cumulative_simpson's operation order: Simpson panel pairs, and
+the half-panel rule h/12 (5 y0 + 8 y1 - y2) at odd offsets.  The
+compiled ones are the plain C file ``_kernels.c``, built into the user
+cache, ``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/`` when
+unset), on the first import that finds no build for this source and these
+flags, and loaded from there through ctypes.  The Python kernels are used when
 there is no build and no C compiler, the cache directory cannot be
 written or the build fails; both kernels fall back together.
 
@@ -107,7 +108,7 @@ def _load():
     c_profile.restype = None
     c_profile.argtypes = ([ctypes.c_long, ctypes.c_double]
                           + [ctypes.c_void_p] * 3
-                          + [ctypes.c_double, ctypes.c_int]
+                          + [ctypes.c_double]
                           + [ctypes.c_void_p] * 2)
 
     def riccati_sweep(x_start, h, n_steps, g, e, s_init, sp_init):
@@ -120,16 +121,14 @@ def _load():
                        s.ctypes.data, sp.ctypes.data)
         return s, sp, node
 
-    def excite_profile(h, w, winv, chi_prev, tail, hard_wall, inner,
-                       scratch, out=None):
+    def excite_profile(h, w, winv, chi_prev, tail, inner, scratch,
+                       out=None):
         """See _kernels_py.excite_profile; the integrands stay in
         registers, so scratch is not touched.  out, when given, is the
         C kernel's chihat."""
         n = len(chi_prev)
         if n < 3 or n % 2 == 0:
             raise ValueError("need an odd number of nodes, at least 3")
-        if hard_wall and n < 5:
-            raise ValueError("need at least five nodes to extrapolate")
         if out is not None:
             _kernels_py.check_profile_out(out, n, w, winv, chi_prev, inner,
                                           scratch)
@@ -143,8 +142,8 @@ def _load():
         if out is None:
             out = np.empty(n)
         c_profile(n, h, w.ctypes.data, winv.ctypes.data,
-                  chi_prev.ctypes.data, tail, bool(hard_wall),
-                  inner.ctypes.data, out.ctypes.data)
+                  chi_prev.ctypes.data, tail, inner.ctypes.data,
+                  out.ctypes.data)
         return out
 
     kernels = SimpleNamespace(riccati_sweep=riccati_sweep,

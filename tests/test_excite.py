@@ -37,25 +37,17 @@ DELTA = 0.1
 
 # eps_sequence, as float.hex, of the 2001-node runs below, so any change
 # that moves a bit of the iteration fails here.  The outer integrand is
-# winv * (e^{-u_ref} I) with winv = e^{2(S - S_min)} built once per run.
+# winv * (e^{-u_ref} I) with winv = e^{2(S - S_min)} built once per run;
+# both running integrals take odd offsets from the half-panel rule
+# h/12 (5 y0 + 8 y1 - y2).
 PINNED_EPS_SOLUBLE_D01 = (
-    "0x1.2e859e63e4f5cp-1", "0x1.41014b903a162p-2", "0x1.3caa9ebe957bfp-2",
-    "0x1.3c94b35efddbbp-2", "0x1.3c94414e75396p-2", "0x1.3c943ef9de351p-2",
-    "0x1.3c943eedaad6cp-2", "0x1.3c943eed6af2fp-2")
+    "0x1.2e85a16e9b98ep-1", "0x1.41014a1077e35p-2", "0x1.3caa9ebb987fep-2",
+    "0x1.3c94b361beec7p-2", "0x1.3c9441515349dp-2", "0x1.3c943efcbcdafp-2",
+    "0x1.3c943ef0897f6p-2", "0x1.3c943ef0499b2p-2")
 PINNED_EPS_QUARTIC_G3 = (
-    "0x1.acb708437fd8bp-2", "0x1.a88c99b9a7d50p-2", "0x1.a874916a67ef3p-2",
-    "0x1.a8748188c3b1fp-2", "0x1.a8748c31a98b6p-2", "0x1.a8748d3a90451p-2",
-    "0x1.a8748d4e3429bp-2", "0x1.a8748d4f8a220p-2")
-# the same runs with the outer integrand formed per step in the log domain,
-# as sign(I) * e^{2S + log|I|}; the change to one product moved last bits
-PINNED_EPS_SOLUBLE_D01_LOGDOMAIN = (
-    "0x1.2e859e63e4f5cp-1", "0x1.41014b903a162p-2", "0x1.3caa9ebe957bfp-2",
-    "0x1.3c94b35efddbcp-2", "0x1.3c94414e75396p-2", "0x1.3c943ef9de351p-2",
-    "0x1.3c943eedaad6dp-2", "0x1.3c943eed6af2fp-2")
-PINNED_EPS_QUARTIC_G3_LOGDOMAIN = (
-    "0x1.acb708437fd8bp-2", "0x1.a88c99b9a7d50p-2", "0x1.a874916a67ef3p-2",
-    "0x1.a8748188c3b1fp-2", "0x1.a8748c31a98b6p-2", "0x1.a8748d3a9044ep-2",
-    "0x1.a8748d4e3429bp-2", "0x1.a8748d4f8a220p-2")
+    "0x1.acb70841ae896p-2", "0x1.a88c99c3c763dp-2", "0x1.a874917427bbcp-2",
+    "0x1.a874819282ed6p-2", "0x1.a8748c3b68d47p-2", "0x1.a8748d444f8fdp-2",
+    "0x1.a8748d57f373fp-2", "0x1.a8748d59496bcp-2")
 
 
 def tail_integral(gs, chi_prev, x):
@@ -210,14 +202,21 @@ class TestRun:
         assert tuple(e.hex() for e in report.eps_sequence) \
             == PINNED_EPS_QUARTIC_G3
 
-    @pytest.mark.parametrize("pinned, logdomain", [
-        (PINNED_EPS_SOLUBLE_D01, PINNED_EPS_SOLUBLE_D01_LOGDOMAIN),
-        (PINNED_EPS_QUARTIC_G3, PINNED_EPS_QUARTIC_G3_LOGDOMAIN)])
-    def test_pins_are_within_1e14_of_the_log_domain_pins(self, pinned,
-                                                          logdomain):
-        for new, old in zip(pinned, logdomain, strict=True):
-            old = float.fromhex(old)
-            assert abs(float.fromhex(new) - old) <= 1e-14 * abs(old)
+    @pytest.mark.parametrize("g", [3.0, 8.0])
+    def test_quartic_eps_converges_at_fourth_order(self, g):
+        # log2 of the ratio of successive differences over 4001, 8001 and
+        # 16001 nodes, each run to convergence; a one-panel trapezoid at
+        # odd offsets gives 3 at g=3
+        eps = []
+        for n in (4001, 8001, 16001):
+            gs = solve_groundstate_numeric(Quartic(g),
+                                           Grid(default_x_max(g), n))
+            report = run(gs, TrialFunction.saturating(), anchor_x0=1.0,
+                         max_iters=40, tol=0.0)
+            assert report.status == "converged"
+            eps.append(report.eps)
+        ratio = (eps[0] - eps[1]) / (eps[1] - eps[2])
+        assert ratio >= 2.0 ** 3.8
 
     def test_tail_cutoff_does_no_harm(self):
         # at x_max = 8, 2(S - S_min) reaches ~983; winv is cut to 0 beyond
@@ -315,13 +314,14 @@ def test_profile_backends_agree_bit_for_bit(case):
 
 
 def test_profile_rejects_arrays_it_cannot_use(profile_backend):
-    def profile(n, hard_wall=False, n_inner=None, n_w=None):
+    def profile(n, n_inner=None, n_w=None):
         return kernels.excite_profile(
-            0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5, hard_wall,
+            0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5,
             np.empty(n_inner or n), np.empty(n))
 
-    assert profile(5).shape == profile(5, hard_wall=True).shape == (5,)
-    for bad in (dict(n=4), dict(n=3, hard_wall=True), dict(n=5, n_inner=3),
+    assert profile(5).shape == (5,)
+    assert profile(3).shape == (3,)
+    for bad in (dict(n=4), dict(n=1), dict(n=5, n_inner=3),
                 dict(n=5, n_w=7)):
         with pytest.raises(ValueError):
             profile(**bad)
@@ -333,8 +333,8 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     block = np.ones((2, n))
 
     def profile_into(out, chi_prev=chi, inner=inner):
-        return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, False,
-                                      inner, scratch, out=out)
+        return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, inner,
+                                      scratch, out=out)
 
     out = np.empty(n)
     assert profile_into(out) is out

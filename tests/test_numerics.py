@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from excite_iter.excite import Workspace, _unnormalized_profile
 from excite_iter.groundstate import Grid, soluble_groundstate
-from excite_iter.numerics import (cubic_extrapolate_edge, cumulative_simpson,
+from excite_iter.numerics import (cumulative_simpson,
                                   reverse_cumulative_simpson,
                                   simpson_integral)
 
@@ -57,11 +57,9 @@ def test_simpson_order_h4_convergence():
 
 
 def test_simpson_rejects_bad_ranges():
-    y = np.ones(11)
-    with pytest.raises(ValueError):
-        simpson_integral(y, 0.1, 0, 5)   # odd panel count
-    with pytest.raises(IndexError):
-        simpson_integral(y, 0.1, 0, 20)
+    for n in (1, 2, 10):
+        with pytest.raises(ValueError, match="panel count"):
+            simpson_integral(np.ones(n), 0.1)
 
 
 def test_cumulative_matches_full_integral():
@@ -73,12 +71,22 @@ def test_cumulative_matches_full_integral():
 
 
 def test_cumulative_odd_offsets_are_consistent():
-    # running integral of a quadratic is exact at even offsets and O(h^3)
-    # at odd ones; both must track the antiderivative closely
+    # the pair rule and the half-panel rule both integrate a quadratic
+    # exactly, so the running integral is exact at every offset
     x = np.linspace(0, 1, 201)
     cum = cumulative_simpson(x ** 2, x[1])
-    assert np.max(np.abs(cum - x ** 3 / 3)) < 1e-7
-    assert np.max(np.abs(cum[::2] - x[::2] ** 3 / 3)) < 1e-15
+    assert np.max(np.abs(cum - x ** 3 / 3)) < 1e-15
+
+
+def test_cumulative_is_fourth_order_at_odd_offsets():
+    # the half-panel rule at odd offsets is O(h^4) like the panel pairs:
+    # halving h divides the largest odd-offset error by about 16
+    def err(n):
+        x = np.linspace(0, 1, n)
+        cum = cumulative_simpson(np.cos(3 * x), x[1])
+        return np.max(np.abs(cum - np.sin(3 * x) / 3)[1::2])
+
+    assert 14 <= err(81) / err(161) <= 18
 
 
 def test_reverse_cumulative_mirrors_forward():
@@ -95,7 +103,8 @@ def _reference_cumulative(y, h):
     out = np.empty(len(y))
     out[0] = 0.0
     out[2::2] = np.cumsum(h / 3.0 * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
-    out[1::2] = out[0:-1:2] + 0.5 * h * (y[0:-1:2] + y[1::2])
+    out[1::2] = (out[0:-1:2]
+                 + (5.0 * y[0:-2:2] + 8.0 * y[1::2] - y[2::2]) * (h / 12.0))
     return out
 
 
@@ -153,16 +162,6 @@ def test_cumulative_out_checks():
         cumulative_simpson(np.ones(11), 0.1, out=np.empty(13))
     with pytest.raises(ValueError, match="float"):
         cumulative_simpson(np.ones(11), 0.1, out=np.empty(11, np.float32))
-
-
-def test_cubic_extrapolation_exact_for_cubic():
-    x = np.linspace(0, 1, 9)
-    y = 1 + x - 2 * x ** 2 + 0.5 * x ** 3
-    got = cubic_extrapolate_edge(y[:-1].copy())
-    # extrapolating node 8 from nodes 4..7
-    assert got == pytest.approx(y[7], rel=1e-12)
-    with pytest.raises(ValueError):
-        cubic_extrapolate_edge(y[:4])
 
 
 def test_tail_closure_hard_wall_is_exactly_zero():
