@@ -91,11 +91,11 @@ def excite_profile(h: float, w, winv, chi_prev, tail: float,
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
     I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
 
-    Writes I + tail into inner; scratch receives the two integrands.  At a
-    hard wall the caller passes tail 0 and winv 0 on the wall node, where
-    the outer integrand vanishes.  Writes chihat into out (see
-    check_profile_out) and returns it; with out None, chihat is a new
-    array, the only one allocated.
+    Writes I + tail into inner; scratch receives the two integrands.  The
+    caller's tail w * chi/(2S') at the last node is 0 at a hard wall,
+    since w is 0 there; winv is 0 there too, so the outer integrand
+    vanishes.  Writes chihat into out (see check_profile_out) and returns
+    it; with out None, chihat is a new array, the only one allocated.
     """
     if out is not None:
         check_profile_out(out, len(chi_prev), w, winv, chi_prev, inner,

@@ -101,20 +101,35 @@ class IterationState:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    eps_sequence: list[float]
-    delta_sequence: list[float]
+    """A run's iterates; the eps, delta and energies are read off them."""
+
+    states: list[IterationState] = field(repr=False)
     orth_residuals: list[float]
     status: str                      # converged | max_iters | stalled
     anchor_x0: float
     trial_kind: str
     e_gd: float
-    e_odd: float
-    e_mean: float
-    states: list[IterationState] = field(repr=False, default_factory=list)
+
+    @property
+    def eps_sequence(self) -> list[float]:
+        return [s.eps for s in self.states[1:]]
+
+    @property
+    def delta_sequence(self) -> list[float]:
+        eps = self.eps_sequence
+        return [abs(b - a) for a, b in zip(eps, eps[1:])]
 
     @property
     def eps(self) -> float:
-        return self.eps_sequence[-1]
+        return self.states[-1].eps
+
+    @property
+    def e_odd(self) -> float:
+        return self.e_gd + self.eps
+
+    @property
+    def e_mean(self) -> float:
+        return self.e_gd + 0.5 * self.eps
 
 
 class Workspace(NamedTuple):
@@ -150,7 +165,7 @@ def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
 
     e^{-u_ref} I, the reverse cumulative integral of w * chi_prev, is left
     in work.b.  The tail beyond x_max is closed with the first-order
-    Watson estimate chi/(2S') * weight (none for hard-wall support).
+    Watson estimate chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).
     chihat goes into out when given, under the contract of
     _kernels_py.check_profile_out, else into a new array; that array and
     a workspace made when none is given are the only grid arrays
@@ -158,9 +173,8 @@ def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
     """
     if work is None:
         work = Workspace.for_groundstate(gs)
-    w, _, w_end = gs.scaled_weight
-    tail = (0.0 if gs.hard_wall
-            else w_end * chi_prev[-1] / (2.0 * gs.s_prime[-1]))
+    w = gs.scaled_weight[0]
+    tail = w[-1] * chi_prev[-1] / (2.0 * gs.s_prime[-1])
     return kernels.excite_profile(gs.grid.h, w, work.winv, chi_prev, tail,
                                   work.b, work.a, out=out)
 
@@ -250,34 +264,30 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
 
     work = Workspace.for_groundstate(gs)
     states = [IterationState(n=0, chi=chi0)]
-    eps_seq: list[float] = []
-    deltas: list[float] = []
     residuals: list[float] = []
     status = "max_iters"
+    last_delta = None
     stall_count = 0
     for _ in range(max_iters):
         state = iterate_once(gs, states[-1], anchor_x0, chi0_at_anchor,
                              work=work, out=next(rows))
         states.append(state)
-        eps_seq.append(state.eps)
         residuals.append(orthogonality_residual(gs, state.chi, work=work))
-        if len(eps_seq) >= 2:
-            delta = abs(eps_seq[-1] - eps_seq[-2])
-            deltas.append(delta)
-            if delta <= tol * abs(eps_seq[-1]):
-                status = "converged"
+        if state.n == 1:
+            continue
+        delta = abs(state.eps - states[-2].eps)
+        if delta <= tol * abs(state.eps):
+            status = "converged"
+            break
+        if last_delta is not None and delta >= last_delta:
+            stall_count += 1
+            if stall_count >= 3:
+                status = "stalled"
                 break
-            if len(deltas) >= 2 and deltas[-1] >= deltas[-2]:
-                stall_count += 1
-                if stall_count >= 3:
-                    status = "stalled"
-                    break
-            else:
-                stall_count = 0
+        else:
+            stall_count = 0
+        last_delta = delta
 
-    e_odd = gs.e_gd + eps_seq[-1]
     return ConvergenceReport(
-        eps_sequence=eps_seq, delta_sequence=deltas,
-        orth_residuals=residuals, status=status, anchor_x0=anchor_x0,
-        trial_kind=trial.kind, e_gd=gs.e_gd, e_odd=e_odd,
-        e_mean=gs.e_gd + 0.5 * eps_seq[-1], states=states)
+        states=states, orth_residuals=residuals, status=status,
+        anchor_x0=anchor_x0, trial_kind=trial.kind, e_gd=gs.e_gd)

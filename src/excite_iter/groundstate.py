@@ -60,9 +60,9 @@ class Grid:
 class GroundState:
     """Samples of S(x_i), S'(x_i) and the ground-state energy.
 
-    gauge records S(0); the iteration is invariant under S -> S + c, so the
-    value is bookkeeping only.  hard_wall marks compact support with the
-    last node on the wall (S = +inf there, weight exactly zero).
+    The iteration is invariant under S -> S + c, so no gauge is stored:
+    S(0) is s[0].  A hard wall (compact support ending on the last node)
+    is S = S' = +inf on the last node, where the weight is exactly zero.
 
     Work that depends only on the ground state (scaled_weight) is cached
     on the instance; dataclasses.replace gives a copy with a fresh cache.
@@ -72,26 +72,19 @@ class GroundState:
     s: np.ndarray
     s_prime: np.ndarray
     e_gd: float
-    gauge: float
     potential: Potential
-    hard_wall: bool = False
-
-    def weight_log_nodes(self) -> np.ndarray:
-        """-2 S at the nodes (log of the dielectric kappa = e^{-2S})."""
-        return -2.0 * self.s
 
     @functools.cached_property
-    def scaled_weight(self) -> tuple[np.ndarray, float, float]:
-        """(w, u_ref, w_end): the weight e^{-2S - u_ref} at the nodes,
-        with u_ref = max(-2S) over the finite samples so every sample is
-        representable, zero where -2S is not finite, and read-only; w_end
-        is e^{-2S - u_ref} at the last node before that masking."""
-        u = self.weight_log_nodes()
+    def scaled_weight(self) -> tuple[np.ndarray, float]:
+        """(w, u_ref): the weight e^{-2S - u_ref} at the nodes, with
+        u_ref = max(-2S) over the finite samples so every sample is
+        representable, zero where -2S is not finite, and read-only."""
+        u = -2.0 * self.s
         finite = np.isfinite(u)
         u_ref = float(u[finite].max())
         w = np.where(finite, np.exp(np.where(finite, u, 0.0) - u_ref), 0.0)
         w.flags.writeable = False
-        return w, u_ref, np.exp(u[-1] - u_ref)
+        return w, u_ref
 
 
 def soluble_groundstate(delta: float, grid: Grid) -> GroundState:
@@ -113,7 +106,7 @@ def soluble_groundstate(delta: float, grid: Grid) -> GroundState:
     s[-1] = np.inf
     s_prime[-1] = np.inf
     return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=0.5 * p * p,
-                       gauge=float(s[0]), potential=pot, hard_wall=True)
+                       potential=pot)
 
 
 def default_bracket(g: float) -> tuple[float, float]:
@@ -221,8 +214,7 @@ def _brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
 
 def solve_groundstate_numeric(potential: Potential, grid: Grid,
                               bracket: tuple[float, float] | None = None,
-                              tol: float = 1e-12,
-                              backend: str | None = None) -> GroundState:
+                              tol: float = 1e-12) -> GroundState:
     """Shooting solver for the even, nodeless quartic ground state.
 
     S and S' are integrated directly (Riccati form of the Schroedinger
@@ -242,8 +234,7 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid,
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"empty bracket {bracket}")
-    sweep = (kernels.get_backend(backend).riccati_sweep
-             if backend else kernels.riccati_sweep)
+    sweep = kernels.riccati_sweep
     h = grid.h
     n = grid.n_points
     x_max = grid.x_max
@@ -295,7 +286,7 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid,
     s[i_match:] = s_in_rev + (s_out[i_match] - s_in_rev[0])
     s_prime[i_match + 1:] = sp_in_rev[1:]
     return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=float(e_star),
-                       gauge=0.0, potential=potential, hard_wall=False)
+                       potential=potential)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +309,8 @@ def save_groundstate(gs: GroundState, csv_path, sidecar_path=None) -> None:
               [gs.grid.nodes(), gs.s, gs.s_prime])
     meta = {
         "e_gd": gs.e_gd,
-        "gauge": gs.gauge,
         "potential": gs.potential.to_dict(),
         "grid": gs.grid.to_dict(),
-        "hard_wall": gs.hard_wall,
     }
     with open(sidecar_path, "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
@@ -333,6 +322,9 @@ def load_groundstate(csv_path, sidecar_path=None) -> GroundState:
     sidecar_path = str(sidecar_path) if sidecar_path else csv_path + ".json"
     with open(sidecar_path) as f:
         meta = json.load(f)
+    for key in ("e_gd", "potential", "grid"):
+        if key not in meta:
+            raise ValueError(f"sidecar {sidecar_path} has no {key!r} key")
     grid = Grid(**meta["grid"])
     with open(csv_path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -345,6 +337,4 @@ def load_groundstate(csv_path, sidecar_path=None) -> GroundState:
             f"{grid.n_points} nodes")
     return GroundState(grid=grid, s=data[:, 0].copy(),
                        s_prime=data[:, 1].copy(), e_gd=meta["e_gd"],
-                       gauge=meta["gauge"],
-                       potential=potential_from_dict(meta["potential"]),
-                       hard_wall=meta["hard_wall"])
+                       potential=potential_from_dict(meta["potential"]))

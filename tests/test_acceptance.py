@@ -162,7 +162,7 @@ def test_criterion_6_property_suite(quartic_g3):
     gs3, report3, _ = quartic_g3
 
     # gauge invariance of the eps sequence under S -> S + c
-    gs_shift = dataclasses.replace(gs3, s=gs3.s + 3.0, gauge=gs3.gauge + 3.0)
+    gs_shift = dataclasses.replace(gs3, s=gs3.s + 3.0)
     shifted = run(gs_shift, TrialFunction.saturating(), anchor_x0=1.0,
                   max_iters=8, tol=1e-9)
     rel = max(abs(a - b) / abs(a) for a, b in

@@ -288,6 +288,49 @@ class TestGroundStateCache:
         assert b["eps_sequence"] == a["eps_sequence"]
         assert b["e_gd"] == a["e_gd"]
 
+    @pytest.mark.parametrize("args, hard_wall", [(QUARTIC, False),
+                                                 (SOLUBLE, True)],
+                             ids=["quartic", "soluble"])
+    def test_sidecar_with_gauge_and_hard_wall_keys_loads(self, tmp_path,
+                                                         args, hard_wall):
+        # sidecars written while GroundState stored its gauge S(0) and a
+        # hard-wall flag carry those two keys as well
+        cache = tmp_path / "gs.csv"
+        sidecar = tmp_path / "gs.csv.json"
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        assert run_cli(args + ["--out", str(cold),
+                               "--gs-cache", str(cache)]) == 0
+        meta = json.loads(read(sidecar))
+        assert sorted(meta) == ["e_gd", "grid", "potential"]
+        meta.update(gauge=float(groundstate.load_groundstate(cache).s[0]),
+                    hard_wall=hard_wall)
+        sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        assert run_cli(args + ["--out", str(warm),
+                               "--gs-cache", str(cache)]) == 0
+        a = json.loads(read(cold / "summary.json"))
+        b = json.loads(read(warm / "summary.json"))
+        assert (a.pop("gs_source"), b.pop("gs_source")) == ("solved", "cache")
+        assert b == a
+        for name in ("chi_curves.csv", "wavefunctions.csv"):
+            assert read(warm / name) == read(cold / name)
+
+    @pytest.mark.parametrize("key", ["e_gd", "potential", "grid"])
+    def test_sidecar_without_a_key_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, key):
+        cache = tmp_path / "gs.csv"
+        sidecar = tmp_path / "gs.csv.json"
+        assert run_cli(QUARTIC + ["--out", str(tmp_path / "first"),
+                                  "--gs-cache", str(cache)]) == 0
+        meta = json.loads(read(sidecar))
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        code = run_cli(QUARTIC + ["--out", str(out), "--gs-cache", str(cache)])
+        assert code == 1
+        assert (f"error: sidecar {sidecar} has no {key!r} key\n"
+                == capsys.readouterr().err)
+        assert files_in(out) == []
+
 
 def test_failure_after_the_iteration_leaves_no_file(tmp_path, monkeypatch):
     def fail(*args):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from excite_iter import kernels
+from excite_iter import excite, kernels
 from excite_iter.errors import DegenerateAnchorError
 from excite_iter.excite import (
     BLOCK_ROWS,
@@ -151,9 +151,7 @@ class TestGaugeAndAnchor:
         # the outer factor e^{+2S} cancel any constant shift.
         base = run(gs_soluble, TrialFunction.linear(), max_iters=4).eps_sequence
         for shift in (+5.0, -5.0):
-            shifted = dataclasses.replace(
-                gs_soluble, s=gs_soluble.s + shift,
-                gauge=gs_soluble.gauge + shift)
+            shifted = dataclasses.replace(gs_soluble, s=gs_soluble.s + shift)
             moved = run(shifted, TrialFunction.linear(), max_iters=4).eps_sequence
             assert np.allclose(moved, base, rtol=1e-12, atol=0.0)
 
@@ -242,7 +240,7 @@ class TestRun:
         grid = Grid(4.0, 16001)
         x = grid.nodes()
         gs = GroundState(grid=grid, s=0.5 * x * x, s_prime=x.copy(),
-                         e_gd=0.5, gauge=0.0, potential=None)
+                         e_gd=0.5, potential=None)
         report = run(gs, TrialFunction.linear(), max_iters=3, tol=0.0)
         assert len(report.eps_sequence) == 3
         for eps in report.eps_sequence:
@@ -265,7 +263,7 @@ def _harmonic(x_max, n_points):
     grid = Grid(x_max, n_points)
     x = grid.nodes()
     return GroundState(grid=grid, s=0.5 * x * x, s_prime=x.copy(),
-                       e_gd=0.5, gauge=0.0, potential=None)
+                       e_gd=0.5, potential=None)
 
 
 # x_max 40 puts 2S above OVERFLOW_EXPONENT beyond x = 26.5: winv is 0 there
@@ -309,8 +307,8 @@ def test_profile_backends_agree_bit_for_bit(case):
         assert results[0] == results[1]
     if case == "harmonic-winv-0-in-tail":
         assert (work.winv == 0.0).sum() > n // 4
-    elif not gs.hard_wall:
-        assert gs.scaled_weight[2] != 0.0      # a nonzero Watson tail
+    elif gs.s[-1] != np.inf:                  # no hard wall
+        assert gs.scaled_weight[0][-1] != 0.0  # a nonzero Watson tail
 
 
 def test_profile_rejects_arrays_it_cannot_use(profile_backend):
@@ -456,6 +454,50 @@ def test_run_reserves_rows_as_it_goes():
     blocks = {id(s.chi.base): s.chi.base for s in report.states}
     reserved = sum(len(b) for b in blocks.values())
     assert len(report.states) <= reserved < len(report.states) + BLOCK_ROWS
+
+
+# (scripted eps_1, eps_2, ..., tol, max_iters, status, steps taken)
+STOPPING_CASES = {
+    # delta_4 = 2^-40 <= 1e-9 * eps_4
+    "converged": ((1.0, 0.5, 0.25, 0.25 + 2.0 ** -40), 1e-9, 8,
+                  "converged", 4),
+    # deltas 1, 2, 3, 1, 2, 3, 4: the fall to 1 resets the stall count
+    "stalled-after-reset": ((1.0, 2.0, 4.0, 7.0, 8.0, 10.0, 13.0, 17.0,
+                             22.0), 1e-9, 20, "stalled", 8),
+    # equal deltas count as a stall
+    "stalled-on-equal-deltas": ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 1e-9, 20,
+                                "stalled", 5),
+    # deltas halve but stay above tol
+    "max-iters": (tuple(1.0 + 2.0 ** -k for k in range(1, 12)), 1e-9, 6,
+                  "max_iters", 6),
+    "max-iters-1": ((1.0, 1.0), 1e-9, 1, "max_iters", 1),
+    # delta_2 = 0.5 <= 1.0 * eps_2
+    "converged-at-step-2": ((1.0, 1.5, 9.0), 1.0, 8, "converged", 2),
+}
+
+
+@pytest.mark.parametrize("case", STOPPING_CASES)
+def test_run_stops_by_its_rule(case, monkeypatch):
+    script, tol, max_iters, status, steps = STOPPING_CASES[case]
+    scripted = iter(script)
+
+    def step(gs, prev, anchor_x0, chi0_at_anchor, work=None, out=None):
+        out[...] = prev.chi
+        return IterationState(n=prev.n + 1, chi=out, eps=next(scripted))
+
+    monkeypatch.setattr(excite, "iterate_once", step)
+    gs = soluble_groundstate(DELTA, Grid(1.0, 5))
+    report = run(gs, TrialFunction.linear(), max_iters=max_iters, tol=tol)
+    eps = list(script[:steps])
+    assert report.status == status
+    assert report.eps_sequence == eps
+    assert report.delta_sequence == [abs(b - a) for a, b in
+                                     zip(eps, eps[1:])]
+    assert report.eps == eps[-1]
+    assert report.e_odd == gs.e_gd + eps[-1]
+    assert report.e_mean == gs.e_gd + 0.5 * eps[-1]
+    assert [s.n for s in report.states] == list(range(steps + 1))
+    assert len(report.orth_residuals) == steps
 
 
 class TestOrthogonality:

@@ -61,10 +61,8 @@ def test_soluble_groundstate_values():
     # e^{-S}(0) = sin p = sin delta
     assert math.exp(-gs.s[0]) == pytest.approx(math.sin(delta), rel=1e-12)
     assert gs.e_gd == pytest.approx(0.5 * p * p, rel=1e-15)
-    assert gs.hard_wall
-    assert gs.gauge == gs.s[0]
-    # wall node excluded from support
-    assert gs.s[-1] == np.inf
+    # hard wall: S = S' = +inf on the wall node, excluded from support
+    assert gs.s[-1] == gs.s_prime[-1] == np.inf
     # interior nodelessness
     assert np.all(np.exp(-gs.s[:-1]) > 0)
 
@@ -101,8 +99,7 @@ def test_quartic_g8_energy():
 def test_gauge_and_parity_conventions(gs_g3):
     assert gs_g3.s[0] == 0.0          # psi(0) = 1 gauge
     assert gs_g3.s_prime[0] == 0.0    # even state
-    assert gs_g3.gauge == 0.0
-    assert not gs_g3.hard_wall
+    assert np.isfinite(gs_g3.s[-1])   # no hard wall
 
 
 def test_quartic_nodelessness(gs_g3):
@@ -272,10 +269,14 @@ _SWEEPS = [(0.0, 0.002, 1500, 3.0, 2.7, 0.0, 0.0),       # node at 783
 
 
 @pytest.mark.skipif(not _can_build_kernel(), reason="no C compiler")
-def test_backends_agree_exactly():
+def test_backends_agree_exactly(monkeypatch):
     grid = Grid(4.0, 2001)
-    a = solve_groundstate_numeric(Quartic(3.0), grid, backend="python")
-    b = solve_groundstate_numeric(Quartic(3.0), grid, backend="cython")
+    solved = []
+    for name in ("python", "cython"):
+        monkeypatch.setattr(kernels, "riccati_sweep",
+                            kernels.get_backend(name).riccati_sweep)
+        solved.append(solve_groundstate_numeric(Quartic(3.0), grid))
+    a, b = solved
     assert a.e_gd == b.e_gd
     assert np.array_equal(a.s, b.s)
     assert np.array_equal(a.s_prime, b.s_prime)
@@ -422,14 +423,14 @@ def test_default_domain_rule():
 
 def test_scaled_weight_is_built_once_and_read_only():
     gs = soluble_groundstate(0.1, Grid(1.0, 2001))
-    w, u_ref, w_end = gs.scaled_weight
+    w, u_ref = gs.scaled_weight
     assert gs.scaled_weight is gs.scaled_weight
     assert gs.scaled_weight[0] is w
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 1.0
     # the wall node carries exactly zero weight; the largest weight is 1
-    assert w[-1] == 0.0 and w_end == 0.0
+    assert w[-1] == 0.0
     assert w.max() == 1.0 and u_ref == -2.0 * gs.s[np.argmax(w)]
 
 
@@ -452,7 +453,6 @@ def test_groundstate_roundtrip(tmp_path):
     save_groundstate(gs, path)
     back = load_groundstate(path)
     assert back.e_gd == gs.e_gd
-    assert back.gauge == gs.gauge
     assert back.potential == gs.potential
     assert back.grid == gs.grid
     assert np.array_equal(back.s, gs.s)
@@ -474,6 +474,5 @@ def test_soluble_roundtrip_with_wall(tmp_path):
     path = tmp_path / "gs.csv"
     save_groundstate(gs, path)
     back = load_groundstate(path)
-    assert back.hard_wall
-    assert back.s[-1] == np.inf
+    assert back.s[-1] == back.s_prime[-1] == np.inf
     assert np.array_equal(back.s[:-1], gs.s[:-1])
