@@ -10,8 +10,7 @@ from .excite import (ConvergenceReport, IterationState, TrialFunction,
 from .groundstate import (Grid, GroundState, default_bracket, default_x_max,
                           load_groundstate, save_groundstate,
                           solve_groundstate_numeric, soluble_groundstate)
-from .potential import DeltaBox, Potential, Quartic, eval_quartic, \
-    soluble_params
+from .potential import DeltaBox, Potential, Quartic, eval_quartic
 
 __version__ = "0.1.0"
 
@@ -23,5 +22,5 @@ __all__ = [
     "default_bracket", "default_x_max", "eval_quartic",
     "excited_wavefunction", "iterate_once", "load_groundstate",
     "orthogonality_residual", "run", "save_groundstate",
-    "soluble_groundstate", "soluble_params", "solve_groundstate_numeric",
+    "soluble_groundstate", "solve_groundstate_numeric",
 ]

@@ -8,11 +8,11 @@ as round-trip-exact CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .groundstate import (Grid, GroundState, default_x_max, load_groundstate,
 from .potential import DeltaBox, Potential, Quartic
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     case: str                      # "soluble" | "quartic"
     delta: float | None = None
@@ -108,13 +108,13 @@ def _obtain_groundstate(config: RunConfig) -> tuple[GroundState, bool]:
     """Returns (ground state, loaded_from_cache).  A cache is used only if
     it holds the configured potential and grid."""
     if config.case == "soluble":
-        x_max = config.x_max if config.x_max else 1.0
+        potential = DeltaBox(config.delta)
+        x_max = config.x_max or 1.0
     else:
-        x_max = config.x_max if config.x_max else default_x_max(config.g)
+        potential = Quartic(config.g)
+        x_max = config.x_max or default_x_max(config.g)
     grid = Grid(x_max=x_max, n_points=config.n_points)
     _check_anchor(grid, config.anchor_x0)
-    potential = (DeltaBox(config.delta) if config.case == "soluble"
-                 else Quartic(config.g))
     cache = config.gs_cache
     if cache and os.path.exists(cache):
         gs = load_groundstate(cache)
@@ -279,6 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "symmetric 1D Schroedinger problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)
+                if f.default is not dataclasses.MISSING}
     for case in ("soluble", "quartic"):
         p = sub.add_parser(case, help=f"run the {case} benchmark")
         if case == "soluble":
@@ -287,26 +289,28 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--g", type=float, required=True,
                            help="quartic coupling, positive")
-        p.add_argument("--anchor", type=float, default=1.0,
+        p.add_argument("--anchor", dest="anchor_x0", metavar="ANCHOR",
+                       type=float,
                        help="fixed point x0 for the normalization")
         p.add_argument("--trial", choices=("linear", "saturating"),
-                       default=None,
                        help="seed function (default: linear for soluble, "
                             "saturating for quartic)")
-        p.add_argument("--iters", type=int, default=8,
-                       help="maximum number of iterations")
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--iters", dest="max_iters", metavar="ITERS",
+                       type=int, help="maximum number of iterations")
+        p.add_argument("--tol", type=float,
                        help="relative stopping tolerance on eps")
-        p.add_argument("--xmax", type=float, default=None,
+        p.add_argument("--xmax", dest="x_max", metavar="XMAX", type=float,
                        help="domain edge (default: 1 for soluble, "
                             "weight-suppression rule for quartic)")
-        p.add_argument("--points", type=int, default=16001,
-                       help="grid node count (odd)")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--gs-cache", default=None,
+        p.add_argument("--points", dest="n_points", metavar="POINTS",
+                       type=int, help="grid node count (odd)")
+        p.add_argument("--out", dest="out_dir", metavar="OUT",
+                       help="output directory")
+        p.add_argument("--gs-cache",
                        help="ground-state CSV cache path (loaded if "
                             "present, written otherwise); a cache for "
                             "another case, coupling or grid is an error")
+        p.set_defaults(**defaults)
 
     c = sub.add_parser("compare",
                        help="gate a summary against a reference table")
@@ -324,19 +328,8 @@ def main(argv=None) -> int:
             text, ok = references.compare_report(args.summary, args.ref)
             print(text)
             return 0 if ok else 1
-        config = RunConfig(
-            case=args.command,
-            delta=getattr(args, "delta", None),
-            g=getattr(args, "g", None),
-            anchor_x0=args.anchor,
-            trial=args.trial,
-            x_max=args.xmax,
-            n_points=args.points,
-            max_iters=args.iters,
-            tol=args.tol,
-            out_dir=args.out,
-            gs_cache=args.gs_cache,
-        )
+        options = vars(args)
+        config = RunConfig(case=options.pop("command"), **options)
         summary = run_case(config)
     except (ExciteIterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

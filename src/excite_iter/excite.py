@@ -106,8 +106,6 @@ class ConvergenceReport:
     states: list[IterationState] = field(repr=False)
     orth_residuals: list[float]
     status: str                      # converged | max_iters | stalled
-    anchor_x0: float
-    trial_kind: str
     e_gd: float
 
     @property
@@ -201,27 +199,25 @@ def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
 
 
 def orthogonality_residual(gs: GroundState, chi: np.ndarray,
-                           parity: str = "odd",
                            work: Workspace | None = None) -> float:
     """Full-line int e^{-2S} chi, normalized by int e^{-2S} |chi|.
 
-    The stored half-line samples are extended by the given parity; for the
-    odd extension the two half-line contributions cancel structurally, so
-    the value quantifies nothing but quadrature asymmetry (it is exactly
-    zero by construction here).
+    The stored half-line samples are extended as an odd function, so the
+    two half-line contributions cancel structurally: the value quantifies
+    nothing but quadrature asymmetry (it is exactly zero by construction
+    here).
     """
     chi = np.asarray(chi, dtype=float)
     w = gs.scaled_weight[0]
     h = gs.grid.h
     buf = work.a if work is not None else None
     half = simpson_integral(np.multiply(w, chi, out=buf), h)
-    mirror = half if parity == "even" else -half
     weighted_abs = np.abs(chi, out=buf)
     weighted_abs *= w
     norm = 2.0 * simpson_integral(weighted_abs, h)
     if norm == 0.0:
         return 0.0
-    return (half + mirror) / norm
+    return (half - half) / norm
 
 
 def excited_wavefunction(gs: GroundState, chi: np.ndarray) -> np.ndarray:
@@ -290,4 +286,4 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
 
     return ConvergenceReport(
         states=states, orth_residuals=residuals, status=status,
-        anchor_x0=anchor_x0, trial_kind=trial.kind, e_gd=gs.e_gd)
+        e_gd=gs.e_gd)

@@ -47,7 +47,7 @@ class Grid:
 
     def index_of(self, x: float) -> int:
         """Index of the node at coordinate x; x must lie on a node."""
-        i = int(round(x / self.h))
+        i = int(round(x / self.h)) if math.isfinite(x) else -1
         if not 0 <= i < self.n_points or abs(x - i * self.h) > 1e-9 * self.x_max:
             raise ValueError(f"{x} is not a grid node")
         return i
@@ -154,6 +154,9 @@ def _wkb_start(g: float, e: float, x_max: float) -> float:
 
 _BRENT_ITERATIONS = 100   # as in SciPy's brentq.c
 
+#: root-finder tolerance on E, in units of max(1, E) at the bracket center
+_E_TOL = 1e-12
+
 
 def _brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
     """Root of f in [lo, hi] by Brent's method (R. P. Brent, Algorithms for
@@ -213,21 +216,19 @@ def _brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
 
 
 def solve_groundstate_numeric(potential: Potential, grid: Grid,
-                              bracket: tuple[float, float] | None = None,
-                              tol: float = 1e-12) -> GroundState:
+                              bracket: tuple[float, float] | None = None
+                              ) -> GroundState:
     """Shooting solver for the even, nodeless quartic ground state.
 
     S and S' are integrated directly (Riccati form of the Schroedinger
     equation), so s_prime is the analytically propagated log-derivative,
     not a finite difference of s.  Energy is refined by root finding on the
     S' mismatch at the outer turning point until the bracket has shrunk to
-    the requested relative tolerance.
+    _E_TOL * max(1, E).
     """
     if not isinstance(potential, Quartic):
         raise TypeError("numeric ground-state solver supports the quartic "
                         "potential only")
-    if tol < 1e-12:
-        raise ValueError(f"tol must be >= 1e-12, got {tol}")
     g = potential.g
     if bracket is None:
         bracket = default_bracket(g)
@@ -269,7 +270,7 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid,
             f"no shooting-mismatch sign change in bracket {bracket} "
             f"(f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g})")
     e_star = _brent(mismatch, lo, hi, f_lo, f_hi,
-                    xtol=tol * max(1.0, e_mid), rtol=8.9e-16)
+                    xtol=_E_TOL * max(1.0, e_mid), rtol=8.9e-16)
 
     s_out, sp_out, node_out, s_in, sp_in, node_in = sweeps(e_star)
     if node_out >= 0 or node_in >= 0:
@@ -302,9 +303,9 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
                      for values in zip(*(c.tolist() for c in columns)))
 
 
-def save_groundstate(gs: GroundState, csv_path, sidecar_path=None) -> None:
+def save_groundstate(gs: GroundState, csv_path) -> None:
+    """Write the profile to csv_path and its metadata to csv_path.json."""
     csv_path = str(csv_path)
-    sidecar_path = str(sidecar_path) if sidecar_path else csv_path + ".json"
     write_csv(csv_path, ["x", "S", "Sprime"],
               [gs.grid.nodes(), gs.s, gs.s_prime])
     meta = {
@@ -312,29 +313,35 @@ def save_groundstate(gs: GroundState, csv_path, sidecar_path=None) -> None:
         "potential": gs.potential.to_dict(),
         "grid": gs.grid.to_dict(),
     }
-    with open(sidecar_path, "w") as f:
+    with open(csv_path + ".json", "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def load_groundstate(csv_path, sidecar_path=None) -> GroundState:
+def load_groundstate(csv_path) -> GroundState:
+    """Read what save_groundstate wrote to csv_path and csv_path.json."""
     csv_path = str(csv_path)
-    sidecar_path = str(sidecar_path) if sidecar_path else csv_path + ".json"
+    sidecar_path = csv_path + ".json"
     with open(sidecar_path) as f:
         meta = json.load(f)
-    for key in ("e_gd", "potential", "grid"):
+    fields = {}
+    for key, build in (("e_gd", float), ("potential", potential_from_dict),
+                       ("grid", lambda d: Grid(**d))):
         if key not in meta:
             raise ValueError(f"sidecar {sidecar_path} has no {key!r} key")
-    grid = Grid(**meta["grid"])
+        try:
+            fields[key] = build(meta[key])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"sidecar {sidecar_path} has a malformed "
+                             f"{key!r} key: {meta[key]!r}") from None
+    n = fields["grid"].n_points
     with open(csv_path) as f:
         header = f.readline().rstrip("\n").split(",")
         if header != ["x", "S", "Sprime"]:
             raise ValueError(f"unexpected ground-state CSV header {header}")
         data = np.loadtxt(f, delimiter=",", usecols=(1, 2), ndmin=2)
-    if len(data) != grid.n_points:
-        raise ValueError(
-            f"{csv_path} has {len(data)} rows; its sidecar grid has "
-            f"{grid.n_points} nodes")
-    return GroundState(grid=grid, s=data[:, 0].copy(),
-                       s_prime=data[:, 1].copy(), e_gd=meta["e_gd"],
-                       potential=potential_from_dict(meta["potential"]))
+    if len(data) != n:
+        raise ValueError(f"{csv_path} has {len(data)} rows; its sidecar grid "
+                         f"has {n} nodes")
+    return GroundState(s=data[:, 0].copy(), s_prime=data[:, 1].copy(),
+                       **fields)

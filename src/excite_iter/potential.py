@@ -17,9 +17,6 @@ class Quartic:
         if not self.g > 0:
             raise ValueError(f"coupling g must be positive, got {self.g}")
 
-    def __call__(self, x):
-        return eval_quartic(self.g, x)
-
     def to_dict(self):
         return {"variant": "quartic", "g": self.g}
 
@@ -59,15 +56,6 @@ Potential = Quartic | DeltaBox
 def eval_quartic(g: float, x):
     """V(x) = (g^2/2)(x^2 - 1)^2; even in x. Accepts scalars or arrays."""
     return 0.5 * g * g * (x * x - 1.0) ** 2
-
-
-def soluble_params(delta: float) -> tuple[float, float]:
-    """Wavenumber p = pi - delta and spike strength lambda = p*cot(delta).
-
-    Both are strictly positive for delta in (0, pi/2).
-    """
-    box = DeltaBox(delta)
-    return box.p, box.spike_strength
 
 
 def potential_from_dict(d: dict) -> Potential:

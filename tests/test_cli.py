@@ -111,6 +111,34 @@ class TestQuarticRun:
             assert read(out1 / name) == read(out2 / name)
 
 
+class TestOptionsReachTheConfig:
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        configs = []
+
+        def capture(config):
+            configs.append(config)
+            return {"e_gd": 1.0, "eps_sequence": [0.5], "status": "converged",
+                    "e_odd": 1.5, "e_mean": 1.25}
+
+        monkeypatch.setattr(cli, "run_case", capture)
+        return configs
+
+    def test_bare_run_gives_the_config_defaults(self, configs):
+        assert run_cli(["soluble", "--delta", "0.1"]) == 0
+        assert configs == [cli.RunConfig(case="soluble", delta=0.1)]
+
+    def test_every_option_lands_on_its_field(self, configs):
+        assert run_cli(["quartic", "--g", "3", "--anchor", "0.5",
+                        "--trial", "linear", "--iters", "5", "--tol", "1e-7",
+                        "--xmax", "4", "--points", "2001", "--out", "o",
+                        "--gs-cache", "c.csv"]) == 0
+        assert configs == [cli.RunConfig(
+            case="quartic", g=3.0, anchor_x0=0.5, trial="linear",
+            max_iters=5, tol=1e-7, x_max=4.0, n_points=2001, out_dir="o",
+            gs_cache="c.csv")]
+
+
 class TestCompare:
     def test_soluble_reference_passes(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -171,7 +199,23 @@ class TestErrors:
         assert "--anchor 1.0" in err and "--xmax 1.5" in err
         # x_max / anchor = 3/2, so n_points - 1 must be a multiple of 6
         assert "--points 16001; --points 16003 puts it on one" in err
+        for anchor in ("inf", "nan"):
+            code = run_cli(["quartic", "--g", "3", "--anchor", anchor,
+                            "--out", str(tmp_path)])
+            assert code == 1
+            assert (f"error: --anchor {anchor} is not a node of the grid "
+                    "with --xmax 4.0 and --points 16001: it lies outside "
+                    "[0, 4.0]\n" == capsys.readouterr().err)
         assert not (tmp_path / "summary.json").exists()
+
+    def test_zero_coupling_exits_1_and_writes_nothing(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "out"
+        code = run_cli(["quartic", "--g", "0", "--out", str(out)])
+        assert code == 1
+        assert ("error: coupling g must be positive, got 0.0\n"
+                == capsys.readouterr().err)
+        assert files_in(out) == []
 
     def test_grid_too_coarse_for_the_well_exits_1(self, tmp_path, capsys):
         code = run_cli(["quartic", "--g", "3", "--points", "7",
@@ -329,6 +373,27 @@ class TestGroundStateCache:
         assert code == 1
         assert (f"error: sidecar {sidecar} has no {key!r} key\n"
                 == capsys.readouterr().err)
+        assert files_in(out) == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("potential", {"variant": "quartic"}),
+        ("grid", [4.0, 2001]),
+        ("grid", {"x_max": 4.0}),
+    ], ids=["potential-without-g", "grid-list", "grid-without-n_points"])
+    def test_malformed_sidecar_key_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, key, value):
+        cache = tmp_path / "gs.csv"
+        sidecar = tmp_path / "gs.csv.json"
+        assert run_cli(QUARTIC + ["--out", str(tmp_path / "first"),
+                                  "--gs-cache", str(cache)]) == 0
+        meta = json.loads(read(sidecar))
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        code = run_cli(QUARTIC + ["--out", str(out), "--gs-cache", str(cache)])
+        assert code == 1
+        assert (f"error: sidecar {sidecar} has a malformed {key!r} key: "
+                f"{value!r}\n" == capsys.readouterr().err)
         assert files_in(out) == []
 
 

@@ -139,9 +139,8 @@ class TestIterateOnce:
         # Applying the map to a converged iterate reproduces its eigenvalue.
         report = run(gs_soluble, TrialFunction.linear(), max_iters=8, tol=1e-9)
         last = report.states[-1]
-        i0 = gs_soluble.grid.index_of(report.anchor_x0)
-        again = iterate_once(gs_soluble, last, report.anchor_x0,
-                             report.states[0].chi[i0])
+        i0 = gs_soluble.grid.index_of(1.0)
+        again = iterate_once(gs_soluble, last, 1.0, report.states[0].chi[i0])
         assert again.eps == pytest.approx(report.eps, rel=5e-9)
 
 
@@ -364,10 +363,8 @@ def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
             assert fresh.eps == reused.eps
             assert np.array_equal(fresh.chi.view(np.int64),
                                   reused.chi.view(np.int64))
-            for parity in ("odd", "even"):
-                assert orthogonality_residual(gs, fresh.chi, parity) \
-                    == orthogonality_residual(gs, fresh.chi, parity,
-                                              work=work)
+            assert orthogonality_residual(gs, fresh.chi) \
+                == orthogonality_residual(gs, fresh.chi, work=work)
             prev = fresh
 
 
@@ -505,10 +502,6 @@ class TestOrthogonality:
         report = run(gs_soluble, TrialFunction.linear(), max_iters=3)
         for r in report.orth_residuals:
             assert r == 0.0
-
-    def test_even_constant_is_one(self, gs_soluble):
-        chi = np.ones(gs_soluble.grid.n_points)
-        assert orthogonality_residual(gs_soluble, chi, parity="even") == 1.0
 
     def test_converged_iterate_residual(self, gs_quartic):
         report = run(gs_quartic, TrialFunction.linear(), max_iters=4)

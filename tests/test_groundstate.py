@@ -150,11 +150,6 @@ def test_solver_detects_wrong_parity():
                                   bracket=(6.0, 6.6))
 
 
-def test_solver_rejects_too_tight_tolerance():
-    with pytest.raises(ValueError):
-        solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001), tol=1e-15)
-
-
 def test_solver_rejects_delta_box():
     with pytest.raises(TypeError):
         solve_groundstate_numeric(DeltaBox(0.1), Grid(1.0, 2001))

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from excite_iter.potential import (DeltaBox, Quartic, eval_quartic,
-                                   potential_from_dict, soluble_params)
+                                   potential_from_dict)
 
 
 def test_quartic_zero_of_double_well():
@@ -37,33 +37,36 @@ def test_quartic_rejects_nonpositive_coupling():
 
 
 def test_soluble_params_small_delta():
-    p, lam = soluble_params(0.1)
+    box = DeltaBox(0.1)
+    p, lam = box.p, box.spike_strength
     assert p == pytest.approx(math.pi - 0.1, rel=1e-15)
     assert lam == pytest.approx(p / math.tan(0.1), rel=1e-15)
     assert lam == pytest.approx(30.3145, abs=5e-4)
 
 
 def test_soluble_params_quarter_pi():
-    p, lam = soluble_params(math.pi / 4)
+    box = DeltaBox(math.pi / 4)
+    p, lam = box.p, box.spike_strength
     assert p == pytest.approx(3 * math.pi / 4, rel=1e-15)
     assert lam == pytest.approx(3 * math.pi / 4, rel=1e-12)
 
 
 def test_soluble_params_diverges_at_small_delta():
-    _, lam_small = soluble_params(1e-8)
+    lam_small = DeltaBox(1e-8).spike_strength
     assert lam_small > 1e8
 
 
 @pytest.mark.parametrize("delta", [-0.1, 0.0, math.pi / 2, 2.0])
 def test_soluble_params_rejects_out_of_range(delta):
     with pytest.raises(ValueError):
-        soluble_params(delta)
+        DeltaBox(delta)
 
 
 @pytest.mark.parametrize("delta", np.geomspace(1e-3, 1.5, 25))
 def test_matching_identity(delta):
     # -p cot p must equal (pi - delta) cot(delta)
-    p, lam = soluble_params(delta)
+    box = DeltaBox(delta)
+    p, lam = box.p, box.spike_strength
     lhs = -p / math.tan(p)
     assert lhs == pytest.approx(lam, rel=1e-12)
     assert p > 0 and lam > 0

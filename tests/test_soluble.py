@@ -13,7 +13,7 @@ from excite_iter.excite import (
     run,
 )
 from excite_iter.groundstate import Grid, soluble_groundstate
-from excite_iter.potential import DeltaBox, soluble_params
+from excite_iter.potential import DeltaBox
 from excite_iter.soluble import (
     chi1_closed_form,
     epsilon1_closed_form,
@@ -137,7 +137,7 @@ class TestClosedFormFirstIterate:
         # e^{-S} times the unnormalized first iterate equals the closed-form
         # profile divided by 2 p sin(p).
         delta = 0.1
-        p, _ = soluble_params(delta)
+        p = DeltaBox(delta).p
         gs = soluble_groundstate(delta, Grid(1.0, 16001))
         x = gs.grid.nodes()
         chihat = _unnormalized_profile(gs, x.copy())
