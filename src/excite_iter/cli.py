@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -24,18 +25,20 @@ from .groundstate import (Grid, GroundState, default_x_max, load_groundstate,
                           soluble_groundstate, write_csv)
 from .potential import DeltaBox, Potential, Quartic
 
+_RUN_PARAMS = inspect.signature(run).parameters
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     case: str                      # "soluble" | "quartic"
     delta: float | None = None
     g: float | None = None
-    anchor_x0: float = 1.0
+    anchor_x0: float = _RUN_PARAMS["anchor_x0"].default
     trial: str | None = None       # None: per-case default
     x_max: float | None = None
     n_points: int = 16001
-    max_iters: int = 8
-    tol: float = 1e-9
+    max_iters: int = _RUN_PARAMS["max_iters"].default
+    tol: float = _RUN_PARAMS["tol"].default
     out_dir: str = "."
     gs_cache: str | None = None
 
@@ -48,8 +51,8 @@ class RunConfig:
                 raise ValueError("quartic case takes --g only")
         else:
             raise ValueError(f"unknown case {self.case!r}")
-        if not self.tol > 0:
-            raise ValueError(f"--tol must be positive, got {self.tol}")
+        if not 0 < self.tol < 1:
+            raise ValueError(f"--tol must be positive and < 1, got {self.tol}")
         if not self.n_points >= 5:
             raise ValueError(
                 f"--points must be at least 5, got {self.n_points}")
@@ -235,7 +238,7 @@ def run_case(config: RunConfig) -> dict:
     x = gs.grid.nodes()
 
     # chi iterates (the curves behind the convergence figures)
-    header = ["x"] + [f"chi_{s.n}" for s in report.states]
+    header = ["x"] + [f"chi_{n}" for n in range(len(report.states))]
     columns = [x] + [s.chi for s in report.states]
     if config.case == "soluble":
         chi_ex = soluble.exact_chi(config.delta, x)

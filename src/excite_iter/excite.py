@@ -5,13 +5,14 @@ Each step maps chi_{n-1} to the unnormalized profile
     chihat(x) = 2 * int_0^x e^{2S(y)} int_y^inf e^{-2S(z)} chi_{n-1}(z) dz dy
 
 and splits off the excitation energy with the fixed-point rule
-chi_n(x0) = chi_0(x0), i.e. eps_n = chi_0(x0) / chihat(x0).  All functions
-are odd in x and stored on x >= 0 only; full-line integrals use the parity
-factor analytically.
+chi_n(x0) = chi_{n-1}(x0) (= chi_0(x0) by induction), i.e. eps_n =
+chi_{n-1}(x0) / chihat(x0).  All functions are odd in x and stored on
+x >= 0 only; full-line integrals use the parity factor analytically.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,10 +27,6 @@ TRIAL_KINDS = ("linear", "saturating", "tabulated")
 
 # exp() overflows just above 709; leave headroom for the product with I
 OVERFLOW_EXPONENT = 700.0
-
-# rows per block of iterates in run: max_iters + 1 at the default
-# max_iters, so a default run allocates its iterates at once
-BLOCK_ROWS = 9
 
 
 @dataclass(frozen=True)
@@ -67,23 +64,17 @@ class TrialFunction:
     def tabulated(cls, values):
         return cls("tabulated", np.asarray(values, dtype=float))
 
-    def sample(self, grid, out: np.ndarray | None = None) -> np.ndarray:
-        """chi_0 at the grid nodes, written into out (a new array when out
-        is None) and returned."""
+    def sample(self, grid) -> np.ndarray:
+        """chi_0 at the grid nodes, in a new array."""
         if self.kind == "tabulated":
             if len(self.values) != grid.n_points:
                 raise ValueError(
                     f"tabulated trial has {len(self.values)} samples for a "
                     f"{grid.n_points}-point grid")
-            chi = self.values
-        else:
-            x = grid.nodes()
-            chi = (x if self.kind == "linear"
-                   else np.where(x < 1.0, x * (2.0 - x), 1.0))
-        if out is None:
-            return chi.copy() if self.kind == "tabulated" else chi
-        out[...] = chi
-        return out
+            return self.values.copy()
+        x = grid.nodes()
+        return (x if self.kind == "linear"
+                else np.where(x < 1.0, x * (2.0 - x), 1.0))
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,6 @@ class IterationState:
     other iterates too, so keeping one chi keeps that block alive.
     """
 
-    n: int
     chi: np.ndarray
     eps: float | None = None
 
@@ -178,24 +168,24 @@ def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
-                 chi0_at_anchor: float,
                  work: Workspace | None = None,
                  out: np.ndarray | None = None) -> IterationState:
-    """One application of the iteration map plus the fixed-point split.
+    """One step of the map, split by the rule chi_n(x0) = chi_{n-1}(x0).
 
     The returned chi is out when given (see _unnormalized_profile), else
     a new array.  Given a workspace and out, a step allocates nothing of
     grid size; given only a workspace, it allocates only chi.
     """
     i0 = gs.grid.index_of(anchor_x0)
+    pinned = prev.chi[i0]
     chi = _unnormalized_profile(gs, prev.chi, work, out)
     if chi[i0] == 0.0:
         raise DegenerateAnchorError(
             f"unnormalized iterate vanishes at the anchor x0={anchor_x0}")
-    eps = chi0_at_anchor / chi[i0]
+    eps = pinned / chi[i0]
     chi *= eps
-    chi[i0] = chi0_at_anchor       # eq. fixed-point rule, exact by definition
-    return IterationState(n=prev.n + 1, chi=chi, eps=float(eps))
+    chi[i0] = pinned               # eq. fixed-point rule, exact by definition
+    return IterationState(chi=chi, eps=float(eps))
 
 
 def orthogonality_residual(gs: GroundState, chi: np.ndarray,
@@ -227,16 +217,6 @@ def excited_wavefunction(gs: GroundState, chi: np.ndarray) -> np.ndarray:
     return weight * np.asarray(chi, dtype=float)
 
 
-def _rows(n_points: int, count: int):
-    """Yields count rows of n_points floats, in order, from blocks of at
-    most BLOCK_ROWS rows; each block is allocated when the one before it
-    is used up."""
-    while count > 0:
-        block = np.empty((min(count, BLOCK_ROWS), n_points))
-        count -= len(block)
-        yield from block
-
-
 def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
         max_iters: int = 8, tol: float = 1e-9) -> ConvergenceReport:
     """Drive iterate_once to convergence of the eps sequence.
@@ -250,26 +230,25 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     rows = _rows(gs.grid.n_points, max_iters + 1)
-    chi0 = trial.sample(gs.grid, out=next(rows))
-    i0 = gs.grid.index_of(anchor_x0)
-    if chi0[i0] == 0.0:
+    chi0 = next(rows)
+    chi0[...] = trial.sample(gs.grid)
+    if chi0[gs.grid.index_of(anchor_x0)] == 0.0:
         raise DegenerateAnchorError(
             f"trial function vanishes at the anchor x0={anchor_x0}; the "
             "fixed-point normalization is undefined")
-    chi0_at_anchor = float(chi0[i0])
 
     work = Workspace.for_groundstate(gs)
-    states = [IterationState(n=0, chi=chi0)]
+    states = [IterationState(chi=chi0)]
     residuals: list[float] = []
     status = "max_iters"
     last_delta = None
     stall_count = 0
     for _ in range(max_iters):
-        state = iterate_once(gs, states[-1], anchor_x0, chi0_at_anchor,
-                             work=work, out=next(rows))
+        state = iterate_once(gs, states[-1], anchor_x0, work=work,
+                             out=next(rows))
         states.append(state)
         residuals.append(orthogonality_residual(gs, state.chi, work=work))
-        if state.n == 1:
+        if len(states) == 2:
             continue
         delta = abs(state.eps - states[-2].eps)
         if delta <= tol * abs(state.eps):
@@ -287,3 +266,18 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
     return ConvergenceReport(
         states=states, orth_residuals=residuals, status=status,
         e_gd=gs.e_gd)
+
+
+# rows per block of iterates in run: max_iters + 1 at the default
+# max_iters, so a default run allocates its iterates at once
+BLOCK_ROWS = inspect.signature(run).parameters["max_iters"].default + 1
+
+
+def _rows(n_points: int, count: int):
+    """Yields count rows of n_points floats, in order, from blocks of at
+    most BLOCK_ROWS rows; each block is allocated when the one before it
+    is used up."""
+    while count > 0:
+        block = np.empty((min(count, BLOCK_ROWS), n_points))
+        count -= len(block)
+        yield from block

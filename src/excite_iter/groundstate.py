@@ -34,6 +34,8 @@ class Grid:
     def __post_init__(self):
         if not self.x_max > 0:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
+        if not math.isfinite(self.x_max):
+            raise ValueError(f"x_max must be finite, got {self.x_max}")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError(
                 f"n_points must be odd and >= 3, got {self.n_points}")
@@ -215,23 +217,20 @@ def _brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
         f"(last E={x_cur!r})")
 
 
-def solve_groundstate_numeric(potential: Potential, grid: Grid,
-                              bracket: tuple[float, float] | None = None
-                              ) -> GroundState:
+def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
     """Shooting solver for the even, nodeless quartic ground state.
 
     S and S' are integrated directly (Riccati form of the Schroedinger
     equation), so s_prime is the analytically propagated log-derivative,
     not a finite difference of s.  Energy is refined by root finding on the
-    S' mismatch at the outer turning point until the bracket has shrunk to
-    _E_TOL * max(1, E).
+    S' mismatch at the outer turning point, in default_bracket(g), until
+    the bracket has shrunk to _E_TOL * max(1, E).
     """
     if not isinstance(potential, Quartic):
         raise TypeError("numeric ground-state solver supports the quartic "
                         "potential only")
     g = potential.g
-    if bracket is None:
-        bracket = default_bracket(g)
+    bracket = default_bracket(g)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"empty bracket {bracket}")

@@ -16,6 +16,8 @@ class Quartic:
     def __post_init__(self):
         if not self.g > 0:
             raise ValueError(f"coupling g must be positive, got {self.g}")
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g}")
 
     def to_dict(self):
         return {"variant": "quartic", "g": self.g}

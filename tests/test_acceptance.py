@@ -182,8 +182,7 @@ def test_criterion_6_property_suite(quartic_g3):
     gs_sol = soluble_groundstate(delta, Grid(1.0, N_POINTS))
     x = gs_sol.grid.nodes()
     chi_star = np.array([exact_chi(delta, xi) for xi in x])
-    state = iterate_once(gs_sol, IterationState(n=0, chi=chi_star),
-                         anchor_x0=1.0, chi0_at_anchor=chi_star[-1])
+    state = iterate_once(gs_sol, IterationState(chi=chi_star), anchor_x0=1.0)
     eps_rel = abs(state.eps - exact_epsilon(delta)) / exact_epsilon(delta)
     chi_rel = np.max(np.abs(state.chi - chi_star)) / np.max(np.abs(chi_star))
     checks.append((f"fixed point eps rel {eps_rel:.2e} <= 1e-6",

@@ -217,6 +217,19 @@ class TestErrors:
                 == capsys.readouterr().err)
         assert files_in(out) == []
 
+    @pytest.mark.parametrize("args, name", [
+        (["quartic", "--g", "inf"], "coupling g"),
+        (["quartic", "--g", "3", "--xmax", "inf"], "x_max"),
+        (["soluble", "--delta", "0.1", "--xmax", "inf"], "x_max")])
+    def test_infinite_value_exits_1_and_writes_nothing(self, tmp_path,
+                                                       capsys, args, name):
+        out = tmp_path / "out"
+        code = run_cli(args + ["--points", "2001", "--out", str(out)])
+        assert code == 1
+        assert (f"error: {name} must be finite, got inf\n"
+                == capsys.readouterr().err)
+        assert files_in(out) == []
+
     def test_grid_too_coarse_for_the_well_exits_1(self, tmp_path, capsys):
         code = run_cli(["quartic", "--g", "3", "--points", "7",
                         "--anchor", "2", "--out", str(tmp_path)])
@@ -226,8 +239,8 @@ class TestErrors:
         assert "on 7 nodes (h=0.667)" in err
         assert "raise --points" in err
 
-    @pytest.mark.parametrize("tol", ["-1", "0"])
-    def test_nonpositive_tol_exits_1(self, tmp_path, capsys, tol):
+    @pytest.mark.parametrize("tol", ["-1", "0", "1", "inf"])
+    def test_tol_outside_0_1_exits_1(self, tmp_path, capsys, tol):
         code = run_cli(["soluble", "--delta", "0.1", "--tol", tol,
                         "--points", "201", "--out", str(tmp_path)])
         assert code == 1

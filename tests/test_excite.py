@@ -119,28 +119,26 @@ class TestTailIntegral:
 
 class TestIterateOnce:
     def test_first_epsilon_matches_closed_form(self, gs_soluble):
-        prev = IterationState(n=0, chi=gs_soluble.grid.nodes())
-        state = iterate_once(gs_soluble, prev, anchor_x0=1.0, chi0_at_anchor=1.0)
+        prev = IterationState(chi=gs_soluble.grid.nodes())
+        state = iterate_once(gs_soluble, prev, anchor_x0=1.0)
         assert state.eps == pytest.approx(epsilon1_closed_form(DELTA), rel=1e-8)
 
     def test_anchor_value_is_exact(self, gs_soluble):
-        prev = IterationState(n=0, chi=gs_soluble.grid.nodes())
-        state = iterate_once(gs_soluble, prev, anchor_x0=1.0, chi0_at_anchor=1.0)
+        prev = IterationState(chi=gs_soluble.grid.nodes())
+        state = iterate_once(gs_soluble, prev, anchor_x0=1.0)
         i0 = gs_soluble.grid.index_of(1.0)
         assert state.chi[i0] == 1.0
 
     def test_degenerate_anchor_raises(self, gs_soluble):
         # The unnormalized iterate vanishes at the origin by construction.
-        prev = IterationState(n=0, chi=gs_soluble.grid.nodes())
+        prev = IterationState(chi=gs_soluble.grid.nodes())
         with pytest.raises(DegenerateAnchorError):
-            iterate_once(gs_soluble, prev, anchor_x0=0.0, chi0_at_anchor=0.0)
+            iterate_once(gs_soluble, prev, anchor_x0=0.0)
 
     def test_fixed_point(self, gs_soluble):
         # Applying the map to a converged iterate reproduces its eigenvalue.
         report = run(gs_soluble, TrialFunction.linear(), max_iters=8, tol=1e-9)
-        last = report.states[-1]
-        i0 = gs_soluble.grid.index_of(1.0)
-        again = iterate_once(gs_soluble, last, 1.0, report.states[0].chi[i0])
+        again = iterate_once(gs_soluble, report.states[-1], 1.0)
         assert again.eps == pytest.approx(report.eps, rel=5e-9)
 
 
@@ -356,10 +354,10 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
 def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
     for gs in (gs_quartic, gs_soluble):
         work = Workspace.for_groundstate(gs)
-        prev = IterationState(n=0, chi=TrialFunction.linear().sample(gs.grid))
+        prev = IterationState(chi=TrialFunction.linear().sample(gs.grid))
         for _ in range(2):      # the second step reuses a dirty workspace
-            fresh = iterate_once(gs, prev, 1.0, 1.0)
-            reused = iterate_once(gs, prev, 1.0, 1.0, work=work)
+            fresh = iterate_once(gs, prev, 1.0)
+            reused = iterate_once(gs, prev, 1.0, work=work)
             assert fresh.eps == reused.eps
             assert np.array_equal(fresh.chi.view(np.int64),
                                   reused.chi.view(np.int64))
@@ -386,16 +384,16 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
     for gs in (gs_quartic, gs_soluble):
         n = gs.grid.n_points
         work = Workspace.for_groundstate(gs)
-        prev = IterationState(n=0, chi=TrialFunction.saturating().sample(
+        prev = IterationState(chi=TrialFunction.saturating().sample(
             gs.grid))
-        iterate_once(gs, prev, 1.0, 1.0, work=work)   # caches the weight
+        iterate_once(gs, prev, 1.0, work=work)   # caches the weight
         state, peak = _peak_bytes(
-            lambda: iterate_once(gs, prev, 1.0, 1.0, work=work))
+            lambda: iterate_once(gs, prev, 1.0, work=work))
         assert peak <= 8 * n + 2048
         assert not any(np.shares_memory(state.chi, buf) for buf in work)
         out = np.empty(n)
         into, peak = _peak_bytes(
-            lambda: iterate_once(gs, prev, 1.0, 1.0, work=work, out=out))
+            lambda: iterate_once(gs, prev, 1.0, work=work, out=out))
         assert peak <= 2048
         assert into.chi is out
         assert into.chi.tobytes() == state.chi.tobytes()
@@ -416,12 +414,10 @@ def test_run_writes_its_iterates_into_one_block(gs_quartic):
 
 def _allocating_eps(gs, trial, steps):
     """eps_1 .. eps_steps at anchor 1 from steps that allocate their chi."""
-    chi0 = trial.sample(gs.grid)
-    at_anchor = float(chi0[gs.grid.index_of(1.0)])
-    state = IterationState(n=0, chi=chi0)
+    state = IterationState(chi=trial.sample(gs.grid))
     eps = []
     for _ in range(steps):
-        state = iterate_once(gs, state, 1.0, at_anchor)
+        state = iterate_once(gs, state, 1.0)
         eps.append(state.eps)
     return eps
 
@@ -478,9 +474,9 @@ def test_run_stops_by_its_rule(case, monkeypatch):
     script, tol, max_iters, status, steps = STOPPING_CASES[case]
     scripted = iter(script)
 
-    def step(gs, prev, anchor_x0, chi0_at_anchor, work=None, out=None):
+    def step(gs, prev, anchor_x0, work=None, out=None):
         out[...] = prev.chi
-        return IterationState(n=prev.n + 1, chi=out, eps=next(scripted))
+        return IterationState(chi=out, eps=next(scripted))
 
     monkeypatch.setattr(excite, "iterate_once", step)
     gs = soluble_groundstate(DELTA, Grid(1.0, 5))
@@ -493,7 +489,7 @@ def test_run_stops_by_its_rule(case, monkeypatch):
     assert report.eps == eps[-1]
     assert report.e_odd == gs.e_gd + eps[-1]
     assert report.e_mean == gs.e_gd + 0.5 * eps[-1]
-    assert [s.n for s in report.states] == list(range(steps + 1))
+    assert len(report.states) == steps + 1
     assert len(report.orth_residuals) == steps
 
 

@@ -136,18 +136,18 @@ def test_sprime_is_integrated_not_differenced(gs_g3):
     assert np.max(np.abs(d_sp - rhs)) < 1e-4 * max(1.0, np.max(np.abs(rhs)))
 
 
-def test_solver_rejects_empty_bracket():
+def test_solver_rejects_empty_bracket(monkeypatch):
+    monkeypatch.setattr(groundstate, "default_bracket", lambda g: (8.0, 9.0))
     with pytest.raises(NoEigenvalueError):
-        solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001),
-                                  bracket=(8.0, 9.0))
+        solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001))
 
 
-def test_solver_detects_wrong_parity():
+def test_solver_detects_wrong_parity(monkeypatch):
     # bracket isolating the second even level (~6.2956 at g=3): the
     # converged wave function has a node
+    monkeypatch.setattr(groundstate, "default_bracket", lambda g: (6.0, 6.6))
     with pytest.raises((WrongParityError, NoEigenvalueError)):
-        solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 4001),
-                                  bracket=(6.0, 6.6))
+        solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 4001))
 
 
 def test_solver_rejects_delta_box():

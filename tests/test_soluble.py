@@ -129,8 +129,8 @@ class TestClosedFormFirstIterate:
         delta = 0.1
         gs = soluble_groundstate(delta, Grid(1.0, 16001))
         x = gs.grid.nodes()
-        prev = IterationState(n=0, chi=x.copy())
-        state = iterate_once(gs, prev, anchor_x0=1.0, chi0_at_anchor=1.0)
+        prev = IterationState(chi=x.copy())
+        state = iterate_once(gs, prev, anchor_x0=1.0)
         assert state.eps == pytest.approx(epsilon1_closed_form(delta), rel=1e-8)
 
     def test_profile_matches_engine(self):
