@@ -5,8 +5,7 @@ soluble hard-wall benchmark."""
 from .errors import (DegenerateAnchorError, ExciteIterError,
                      NoEigenvalueError, WrongParityError)
 from .excite import (ConvergenceReport, IterationState, TrialFunction,
-                     excited_wavefunction, iterate_once,
-                     orthogonality_residual, run)
+                     iterate_once, orthogonality_residual, run)
 from .groundstate import (Grid, GroundState, default_bracket, default_x_max,
                           load_groundstate, save_groundstate,
                           solve_groundstate_numeric, soluble_groundstate)
@@ -19,8 +18,7 @@ __all__ = [
     "ExciteIterError", "Grid", "GroundState", "IterationState",
     "NoEigenvalueError", "Potential", "Quartic", "TrialFunction",
     "WrongParityError",
-    "default_bracket", "default_x_max", "eval_quartic",
-    "excited_wavefunction", "iterate_once", "load_groundstate",
-    "orthogonality_residual", "run", "save_groundstate",
+    "default_bracket", "default_x_max", "eval_quartic", "iterate_once",
+    "load_groundstate", "orthogonality_residual", "run", "save_groundstate",
     "soluble_groundstate", "solve_groundstate_numeric",
 ]

@@ -7,12 +7,11 @@
  * fused and the output stays bit-identical. */
 #include <math.h>
 
-#define BLOWUP_LIMIT 1e12
-
 /* s and sp hold n + 1 doubles each.  Returns the index at which |S'|
- * exceeded the blow-up limit (entries after it are NaN), or -1. */
+ * exceeded limit (entries after it are NaN), or -1. */
 long riccati_sweep(double x0, double h, long n, double g, double e,
-                   double s0, double sp0, double *s, double *sp)
+                   double s0, double sp0, double limit, double *s,
+                   double *sp)
 {
     double gg = g * g, a = s0, b = sp0;
     s[0] = s0;
@@ -41,7 +40,7 @@ long riccati_sweep(double x0, double h, long n, double g, double e,
         b += h / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b);
         s[i + 1] = a;
         sp[i + 1] = b;
-        if (b > BLOWUP_LIMIT || b < -BLOWUP_LIMIT) {
+        if (b > limit || b < -limit) {
             for (long j = i + 2; j <= n; j++)
                 s[j] = sp[j] = NAN;
             return i + 1;
@@ -51,38 +50,39 @@ long riccati_sweep(double x0, double h, long n, double g, double e,
 }
 
 /* Every array holds n doubles, n odd and >= 3.  A reverse pass writes
- * I + tail into inner, I being the running integral of w * chi from each
- * node to the last; a forward pass writes twice the running integral of
- * winv * inner from node 0 into chihat.  Both running integrals are
- * cumulative_simpson's: panel pairs (4 y1 + y0 + y2) * h/3 summed in
- * order from the first pair, as np.cumsum sums, and odd offsets
+ * I + tail into chihat, I being the running integral of w * chi from each
+ * node to the last; a forward pass overwrites it with twice the running
+ * integral of winv * (I + tail) from node 0.  The forward pass keeps y0 in
+ * a register and reads chihat[i + 1] and chihat[i + 2] before it writes
+ * them, so each I is read before it is overwritten.  Both running
+ * integrals are cumulative_simpson's: panel pairs (4 y1 + y0 + y2) * h/3
+ * summed in order from the first pair, as np.cumsum sums, and odd offsets
  * ((5 y0 + 8 y1) - y2) * h/12 plus the even offset before them. */
 void excite_profile(long n, double h, const double *w, const double *winv,
-                    const double *chi, double tail, double *inner,
-                    double *chihat)
+                    const double *chi, double tail, double *chihat)
 {
     const double h3 = h / 3.0, h12 = h / 12.0;
     double y0, y1, y2, even = 0.0;
 
     y0 = w[n - 1] * chi[n - 1];
-    inner[n - 1] = 0.0 + tail;
+    chihat[n - 1] = 0.0 + tail;
     for (long i = n - 1; i > 0; i -= 2) {
         y1 = w[i - 1] * chi[i - 1];
         y2 = w[i - 2] * chi[i - 2];
         double odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even;
         double pair = (4.0 * y1 + y0 + y2) * h3;
         even = i == n - 1 ? pair : even + pair;
-        inner[i - 1] = odd + tail;
-        inner[i - 2] = even + tail;
+        chihat[i - 1] = odd + tail;
+        chihat[i - 2] = even + tail;
         y0 = y2;
     }
 
     even = 0.0;
-    y0 = winv[0] * inner[0];
+    y0 = winv[0] * chihat[0];
     chihat[0] = 0.0;
     for (long i = 0; i < n - 1; i += 2) {
-        y1 = winv[i + 1] * inner[i + 1];
-        y2 = winv[i + 2] * inner[i + 2];
+        y1 = winv[i + 1] * chihat[i + 1];
+        y2 = winv[i + 2] * chihat[i + 2];
         double odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even;
         double pair = (4.0 * y1 + y0 + y2) * h3;
         even = i == 0 ? pair : even + pair;

@@ -86,24 +86,21 @@ def check_profile_out(out, n: int, *others) -> None:
 
 
 def excite_profile(h: float, w, winv, chi_prev, tail: float,
-                   inner: np.ndarray, scratch: np.ndarray,
-                   out=None) -> np.ndarray:
+                   scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
     I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
 
-    Writes I + tail into inner; scratch receives the two integrands.  The
-    caller's tail w * chi/(2S') at the last node is 0 at a hard wall,
-    since w is 0 there; winv is 0 there too, so the outer integrand
-    vanishes.  Writes chihat into out (see check_profile_out) and returns
-    it; with out None, chihat is a new array, the only one allocated.
+    scratch receives the two integrands, and out holds I + tail until
+    chihat overwrites it.  The caller's tail w * chi/(2S') at the last
+    node is 0 at a hard wall, since w is 0 there; winv is 0 there too, so
+    the outer integrand vanishes.  Writes chihat into out (see
+    check_profile_out) and returns it; allocates nothing of grid size.
     """
-    if out is not None:
-        check_profile_out(out, len(chi_prev), w, winv, chi_prev, inner,
-                          scratch)
+    check_profile_out(out, len(chi_prev), w, winv, chi_prev, scratch)
     integrand = np.multiply(w, chi_prev, out=scratch)
-    reverse_cumulative_simpson(integrand, h, out=inner)
-    inner += tail
-    outer = np.multiply(winv, inner, out=scratch)
-    chihat = cumulative_simpson(outer, h, out=out)
-    chihat *= 2.0
-    return chihat
+    reverse_cumulative_simpson(integrand, h, out=out)
+    out += tail
+    outer = np.multiply(winv, out, out=scratch)
+    cumulative_simpson(outer, h, out=out)
+    out *= 2.0
+    return out

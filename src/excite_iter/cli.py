@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels, references, soluble
 from .errors import ExciteIterError
-from .excite import TrialFunction, excited_wavefunction, run
+from .excite import TrialFunction, run
 from .groundstate import (Grid, GroundState, default_x_max, load_groundstate,
                           save_groundstate, solve_groundstate_numeric,
                           soluble_groundstate, write_csv)
@@ -251,7 +251,7 @@ def run_case(config: RunConfig) -> dict:
     # ground and excited wave functions
     with np.errstate(under="ignore"):
         psi_gd = np.exp(-gs.s)
-    psi_ex = excited_wavefunction(gs, report.states[-1].chi)
+    psi_ex = psi_gd * report.states[-1].chi
 
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -302,9 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        type=int, help="maximum number of iterations")
         p.add_argument("--tol", type=float,
                        help="relative stopping tolerance on eps")
-        p.add_argument("--xmax", dest="x_max", metavar="XMAX", type=float,
-                       help="domain edge (default: 1 for soluble, "
-                            "weight-suppression rule for quartic)")
+        if case == "quartic":      # the soluble box ends at x = 1
+            p.add_argument("--xmax", dest="x_max", metavar="XMAX",
+                           type=float,
+                           help="domain edge (default: 1 for soluble, "
+                                "weight-suppression rule for quartic)")
         p.add_argument("--points", dest="n_points", metavar="POINTS",
                        type=int, help="grid node count (odd)")
         p.add_argument("--out", dest="out_dir", metavar="OUT",

@@ -121,10 +121,9 @@ class ConvergenceReport:
 
 
 class Workspace(NamedTuple):
-    """Arrays for one ground state, shared by the steps of a run: two
-    scratch float arrays, of which a step leaves b holding its scaled
-    inner integral, and winv = e^{2S + u_ref} = e^{2(S - S_min)}, the
-    outer weight.  No result keeps a view of them.
+    """Arrays for one ground state, shared by the steps of a run: a
+    scratch float array a, and winv = e^{2S + u_ref} = e^{2(S - S_min)},
+    the outer weight.  No result keeps a view of them.
 
     winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
     OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
@@ -133,7 +132,6 @@ class Workspace(NamedTuple):
     """
 
     a: np.ndarray
-    b: np.ndarray
     winv: np.ndarray
 
     @classmethod
@@ -142,7 +140,7 @@ class Workspace(NamedTuple):
         exponent = 2.0 * gs.s + gs.scaled_weight[1]
         winv = np.zeros(n)
         np.exp(exponent, out=winv, where=exponent <= OVERFLOW_EXPONENT)
-        return cls(np.empty(n), np.empty(n), winv)
+        return cls(np.empty(n), winv)
 
 
 def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
@@ -151,20 +149,21 @@ def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
     """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
     winv * (e^{-u_ref} I), by the active kernel backend.
 
-    e^{-u_ref} I, the reverse cumulative integral of w * chi_prev, is left
-    in work.b.  The tail beyond x_max is closed with the first-order
-    Watson estimate chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).
-    chihat goes into out when given, under the contract of
+    The tail beyond x_max is closed with the first-order Watson estimate
+    chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).  chihat goes
+    into out when given, under the contract of
     _kernels_py.check_profile_out, else into a new array; that array and
     a workspace made when none is given are the only grid arrays
     allocated.
     """
     if work is None:
         work = Workspace.for_groundstate(gs)
+    if out is None:
+        out = np.empty(gs.grid.n_points)
     w = gs.scaled_weight[0]
     tail = w[-1] * chi_prev[-1] / (2.0 * gs.s_prime[-1])
     return kernels.excite_profile(gs.grid.h, w, work.winv, chi_prev, tail,
-                                  work.b, work.a, out=out)
+                                  work.a, out)
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
@@ -208,13 +207,6 @@ def orthogonality_residual(gs: GroundState, chi: np.ndarray,
     if norm == 0.0:
         return 0.0
     return (half - half) / norm
-
-
-def excited_wavefunction(gs: GroundState, chi: np.ndarray) -> np.ndarray:
-    """psi_ex = e^{-S} chi, finite everywhere including support edges."""
-    with np.errstate(under="ignore"):
-        weight = np.exp(-gs.s)
-    return weight * np.asarray(chi, dtype=float)
 
 
 def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,

@@ -130,17 +130,12 @@ def default_x_max(g: float) -> float:
     """Smallest commensurate domain edge with weight suppression
     2S(x_max) - 2S(1) >= 100 by the WKB estimate 2S ~ 2g(x^3/3 - x + 2/3),
     keeping truncation error far below the seven-figure targets while all
-    exponentials stay representable.  The edge is rounded up to the ladder
-    of grid-commensurate values (2.5, 3.2, 4.0, 5.0, 6.4, ...)."""
-    target = 100.0 / (2.0 * g)
-    lo, hi = 1.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid ** 3 / 3.0 - mid + 2.0 / 3.0 < target:
-            lo = mid
-        else:
-            hi = mid
-    return min(e for e in _EDGE_LADDER if e >= hi - 1e-9)
+    exponentials stay representable: the first edge on the ladder of
+    grid-commensurate values (2.5, 3.2, 4.0, 5.0, 6.4, ...) that passes,
+    or the last one, 40, when none does."""
+    return next((e for e in _EDGE_LADDER
+                 if e ** 3 / 3.0 - e + 2.0 / 3.0 >= 50.0 / g),
+                _EDGE_LADDER[-1])
 
 
 def _wkb_start(g: float, e: float, x_max: float) -> float:
@@ -230,10 +225,7 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
         raise TypeError("numeric ground-state solver supports the quartic "
                         "potential only")
     g = potential.g
-    bracket = default_bracket(g)
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError(f"empty bracket {bracket}")
+    lo, hi = bracket = default_bracket(g)
     sweep = kernels.riccati_sweep
     h = grid.h
     n = grid.n_points

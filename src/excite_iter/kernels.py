@@ -104,12 +104,11 @@ def _load():
         raise ImportError(f"cannot load {path}: {exc}") from exc
     c_sweep.restype = ctypes.c_long
     c_sweep.argtypes = ([ctypes.c_double] * 2 + [ctypes.c_long]
-                        + [ctypes.c_double] * 4 + [ctypes.c_void_p] * 2)
+                        + [ctypes.c_double] * 5 + [ctypes.c_void_p] * 2)
     c_profile.restype = None
     c_profile.argtypes = ([ctypes.c_long, ctypes.c_double]
                           + [ctypes.c_void_p] * 3
-                          + [ctypes.c_double]
-                          + [ctypes.c_void_p] * 2)
+                          + [ctypes.c_double, ctypes.c_void_p])
 
     def riccati_sweep(x_start, h, n_steps, g, e, s_init, sp_init):
         """See _kernels_py.riccati_sweep."""
@@ -118,32 +117,23 @@ def _load():
         s = np.empty(n_steps + 1)
         sp = np.empty(n_steps + 1)
         node = c_sweep(x_start, h, n_steps, g, e, s_init, sp_init,
-                       s.ctypes.data, sp.ctypes.data)
+                       _kernels_py.BLOWUP_LIMIT, s.ctypes.data,
+                       sp.ctypes.data)
         return s, sp, node
 
-    def excite_profile(h, w, winv, chi_prev, tail, inner, scratch,
-                       out=None):
+    def excite_profile(h, w, winv, chi_prev, tail, scratch, out):
         """See _kernels_py.excite_profile; the integrands stay in
-        registers, so scratch is not touched.  out, when given, is the
-        C kernel's chihat."""
+        registers, so scratch is not touched."""
         n = len(chi_prev)
         if n < 3 or n % 2 == 0:
             raise ValueError("need an odd number of nodes, at least 3")
-        if out is not None:
-            _kernels_py.check_profile_out(out, n, w, winv, chi_prev, inner,
-                                          scratch)
+        _kernels_py.check_profile_out(out, n, w, winv, chi_prev, scratch)
         w, winv, chi_prev = (np.ascontiguousarray(a, dtype=float)
                              for a in (w, winv, chi_prev))
-        if not (w.shape == winv.shape == chi_prev.shape == inner.shape
-                == (n,) and inner.dtype == float
-                and inner.flags.c_contiguous and inner.flags.writeable):
-            raise ValueError(f"profile arrays must have shape ({n},), "
-                             "inner contiguous, writable and float")
-        if out is None:
-            out = np.empty(n)
+        if not w.shape == winv.shape == chi_prev.shape == (n,):
+            raise ValueError(f"profile arrays must have shape ({n},)")
         c_profile(n, h, w.ctypes.data, winv.ctypes.data,
-                  chi_prev.ctypes.data, tail, inner.ctypes.data,
-                  out.ctypes.data)
+                  chi_prev.ctypes.data, tail, out.ctypes.data)
         return out
 
     kernels = SimpleNamespace(riccati_sweep=riccati_sweep,

@@ -169,6 +169,13 @@ class TestErrors:
             run_cli(["soluble"])  # missing --delta
         assert exc.value.code == 2
 
+    def test_soluble_takes_no_xmax(self, tmp_path):
+        # the box ends at x = 1, the only edge the soluble case can take
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["soluble", "--delta", "0.1", "--xmax", "1",
+                     "--points", "2001", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_unknown_case_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["cubic", "--g", "1.0"])
@@ -219,8 +226,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("args, name", [
         (["quartic", "--g", "inf"], "coupling g"),
-        (["quartic", "--g", "3", "--xmax", "inf"], "x_max"),
-        (["soluble", "--delta", "0.1", "--xmax", "inf"], "x_max")])
+        (["quartic", "--g", "3", "--xmax", "inf"], "x_max")])
     def test_infinite_value_exits_1_and_writes_nothing(self, tmp_path,
                                                        capsys, args, name):
         out = tmp_path / "out"

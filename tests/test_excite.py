@@ -17,7 +17,6 @@ from excite_iter.excite import (
     TrialFunction,
     Workspace,
     _unnormalized_profile,
-    excited_wavefunction,
     iterate_once,
     orthogonality_residual,
     run,
@@ -25,6 +24,7 @@ from excite_iter.excite import (
 from excite_iter.groundstate import (Grid, GroundState, default_x_max,
                                      soluble_groundstate,
                                      solve_groundstate_numeric)
+from excite_iter.numerics import reverse_cumulative_simpson
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
 
@@ -51,12 +51,12 @@ PINNED_EPS_QUARTIC_G3 = (
 
 
 def tail_integral(gs, chi_prev, x):
-    """I(x) = int_x^inf e^{-2S(z)} chi_prev(z) dz at a grid node, read
-    from the scaled inner integral a step leaves in its workspace."""
-    work = Workspace.for_groundstate(gs)
-    _unnormalized_profile(gs, chi_prev, work)
-    u_ref = gs.scaled_weight[1]
-    return float(work.b[gs.grid.index_of(x)] * np.exp(u_ref))
+    """I(x) = int_x^inf e^{-2S(z)} chi_prev(z) dz at a grid node, from
+    the reverse running integral of the scaled weight times chi_prev
+    that a step integrates first."""
+    w, u_ref = gs.scaled_weight
+    scaled = reverse_cumulative_simpson(w * chi_prev, gs.grid.h)
+    return float(scaled[gs.grid.index_of(x)] * np.exp(u_ref))
 
 
 @pytest.fixture(scope="module")
@@ -293,13 +293,11 @@ def test_profile_backends_agree_bit_for_bit(case):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "excite_profile", backend.excite_profile)
                 chihat = _unnormalized_profile(gs, chi, work)
-                inner = work.b.tobytes()
                 # a row of a block, filled with NaN, as run passes it
                 out = np.full((3, n), np.nan)[1]
                 assert _unnormalized_profile(gs, chi, work, out=out) is out
             assert out.tobytes() == chihat.tobytes()
-            assert work.b.tobytes() == inner
-            results.append((chihat.tobytes(), inner))
+            results.append(chihat.tobytes())
             assert np.isfinite(chihat).all()
         assert results[0] == results[1]
     if case == "harmonic-winv-0-in-tail":
@@ -309,27 +307,26 @@ def test_profile_backends_agree_bit_for_bit(case):
 
 
 def test_profile_rejects_arrays_it_cannot_use(profile_backend):
-    def profile(n, n_inner=None, n_w=None):
+    def profile(n, n_w=None):
         return kernels.excite_profile(
             0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5,
-            np.empty(n_inner or n), np.empty(n))
+            np.empty(n), np.empty(n))
 
     assert profile(5).shape == (5,)
     assert profile(3).shape == (3,)
-    for bad in (dict(n=4), dict(n=1), dict(n=5, n_inner=3),
-                dict(n=5, n_w=7)):
+    for bad in (dict(n=4), dict(n=1), dict(n=5, n_w=7)):
         with pytest.raises(ValueError):
             profile(**bad)
 
     # out: float, C-contiguous, writable, shape (n,), sharing no memory
     # with the other arrays of the call
     n = 5
-    w, winv, chi, inner, scratch = (np.ones(n) for _ in range(5))
+    w, winv, chi, scratch = (np.ones(n) for _ in range(4))
     block = np.ones((2, n))
 
-    def profile_into(out, chi_prev=chi, inner=inner):
-        return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, inner,
-                                      scratch, out=out)
+    def profile_into(out, chi_prev=chi, scratch=scratch):
+        return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, scratch,
+                                      out)
 
     out = np.empty(n)
     assert profile_into(out) is out
@@ -338,17 +335,17 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     assert out.tobytes() == profile(n).tobytes() == row.tobytes()
     read_only = np.empty(n)
     read_only.flags.writeable = False
-    long_inner = np.empty(n + 2)
+    long_scratch = np.empty(n + 2)
     for bad in (np.empty(n - 2), np.empty(n + 2), np.empty((1, n)),
                 np.empty(n, dtype=np.float32), np.empty(n, dtype=np.int64),
                 np.empty(2 * n)[::2], np.empty(n).tolist(), read_only,
-                w, winv, chi, inner, scratch):
+                w, winv, chi, scratch):
         with pytest.raises(ValueError):
             profile_into(bad)
     with pytest.raises(ValueError):     # overlaps chi_prev by one element
         profile_into(block.ravel()[n - 1:2 * n - 1], chi_prev=block[0])
-    with pytest.raises(ValueError):     # overlaps inner by three elements
-        profile_into(long_inner[2:], inner=long_inner[:n])
+    with pytest.raises(ValueError):     # overlaps scratch by three elements
+        profile_into(long_scratch[2:], scratch=long_scratch[:n])
 
 
 def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
@@ -510,7 +507,7 @@ class TestExcitedWavefunction:
         # e^{-S} chi for the converged soluble iterate is proportional to
         # sin(pi x): the spike drops out of the odd state entirely.
         report = run(gs_soluble, TrialFunction.linear(), max_iters=8, tol=1e-9)
-        psi = excited_wavefunction(gs_soluble, report.states[-1].chi)
+        psi = np.exp(-gs_soluble.s) * report.states[-1].chi
         x = gs_soluble.grid.nodes()
         target = np.sin(np.pi * x)
         i = gs_soluble.grid.index_of(0.5)
@@ -519,10 +516,10 @@ class TestExcitedWavefunction:
 
     def test_quartic_tail_is_negligible(self, gs_quartic):
         report = run(gs_quartic, TrialFunction.linear(), max_iters=8, tol=1e-9)
-        psi = excited_wavefunction(gs_quartic, report.states[-1].chi)
+        psi = np.exp(-gs_quartic.s) * report.states[-1].chi
         assert abs(psi[-1]) <= 1e-18 * np.max(np.abs(psi))
 
     def test_node_at_origin(self, gs_quartic):
         report = run(gs_quartic, TrialFunction.linear(), max_iters=4)
-        psi = excited_wavefunction(gs_quartic, report.states[-1].chi)
+        psi = np.exp(-gs_quartic.s) * report.states[-1].chi
         assert psi[0] == 0.0

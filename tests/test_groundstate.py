@@ -414,6 +414,27 @@ def test_default_domain_rule():
     assert lo < 2.4826969 < hi
 
 
+def _bisected_x_max(g):
+    """default_x_max by its former route: bisect x^3/3 - x + 2/3 =
+    100/(2g) on [1, 40], then round up to the ladder."""
+    target = 100.0 / (2.0 * g)
+    lo, hi = 1.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid ** 3 / 3.0 - mid + 2.0 / 3.0 < target:
+            lo = mid
+        else:
+            hi = mid
+    return min(e for e in groundstate._EDGE_LADDER if e >= hi - 1e-9)
+
+
+def test_default_x_max_matches_the_bisection():
+    couplings = [*np.logspace(-4.0, 4.0, 2001), 0.7, 1.0, 3.0, 8.0, 12.0,
+                 120.0]
+    for g in couplings:
+        assert default_x_max(g) == _bisected_x_max(g), g
+
+
 # --------------------------------------------------------- scaled_weight
 
 def test_scaled_weight_is_built_once_and_read_only():

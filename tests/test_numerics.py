@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from excite_iter import kernels
 from excite_iter.excite import Workspace, _unnormalized_profile
 from excite_iter.groundstate import Grid, soluble_groundstate
 from excite_iter.numerics import (cumulative_simpson,
@@ -165,9 +166,13 @@ def test_cumulative_out_checks():
 
 
 def test_tail_closure_hard_wall_is_exactly_zero():
-    # compact support: no Watson closure is added, so the inner integral
-    # from the wall node is exactly zero
+    # compact support: the Watson closure is exactly zero, so chihat is
+    # the profile with no tail at all
     gs = soluble_groundstate(0.1, Grid(1.0, 101))
     work = Workspace.for_groundstate(gs)
-    _unnormalized_profile(gs, np.ones(101), work)
-    assert work.b[-1] == 0.0
+    chi = np.ones(101)
+    chihat = _unnormalized_profile(gs, chi, work)
+    no_tail = kernels.excite_profile(gs.grid.h, gs.scaled_weight[0],
+                                     work.winv, chi, 0.0, work.a,
+                                     np.empty(101))
+    assert chihat.tobytes() == no_tail.tobytes()
