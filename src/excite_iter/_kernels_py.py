@@ -86,21 +86,21 @@ def check_profile_out(out, n: int, *others) -> None:
 
 
 def excite_profile(h: float, w, winv, chi_prev, tail: float,
-                   scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+                   out: np.ndarray) -> np.ndarray:
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
     I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
 
-    scratch receives the two integrands, and out holds I + tail until
-    chihat overwrites it.  The caller's tail w * chi/(2S') at the last
-    node is 0 at a hard wall, since w is 0 there; winv is 0 there too, so
-    the outer integrand vanishes.  Writes chihat into out (see
-    check_profile_out) and returns it; allocates nothing of grid size.
+    One temporary holds the two integrands in turn, and out holds I + tail
+    until chihat overwrites it.  The caller's tail w * chi/(2S') at the
+    last node is 0 at a hard wall, since w is 0 there; winv is 0 there
+    too, so the outer integrand vanishes.  Writes chihat into out (see
+    check_profile_out) and returns it.
     """
-    check_profile_out(out, len(chi_prev), w, winv, chi_prev, scratch)
-    integrand = np.multiply(w, chi_prev, out=scratch)
+    check_profile_out(out, len(chi_prev), w, winv, chi_prev)
+    integrand = np.multiply(w, chi_prev)
     reverse_cumulative_simpson(integrand, h, out=out)
     out += tail
-    outer = np.multiply(winv, out, out=scratch)
-    cumulative_simpson(outer, h, out=out)
+    np.multiply(winv, out, out=integrand)
+    cumulative_simpson(integrand, h, out=out)
     out *= 2.0
     return out

@@ -56,6 +56,8 @@ class RunConfig:
         if not self.n_points >= 5:
             raise ValueError(
                 f"--points must be at least 5, got {self.n_points}")
+        if self.n_points % 2 == 0:
+            raise ValueError(f"--points must be odd, got {self.n_points}")
         if not self.max_iters >= 1:
             raise ValueError(
                 f"--iters must be at least 1, got {self.max_iters}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .numerics import simpson_integral
 
 TRIAL_KINDS = ("linear", "saturating", "tabulated")
 
-# exp() overflows just above 709; leave headroom for the product with I
-OVERFLOW_EXPONENT = 700.0
-
 
 @dataclass(frozen=True)
 class TrialFunction:
@@ -35,7 +31,7 @@ class TrialFunction:
 
     linear:     chi_0(x) = x
     saturating: chi_0(x) = x(2-x) on [0, 1), then 1
-    tabulated:  grid-aligned samples (must vanish at x = 0)
+    tabulated:  grid-aligned finite samples (must vanish at x = 0)
     """
 
     kind: str
@@ -45,8 +41,11 @@ class TrialFunction:
         if self.kind not in TRIAL_KINDS:
             raise ValueError(f"unknown trial kind {self.kind!r}")
         if self.kind == "tabulated":
-            if self.values is None or len(self.values) == 0:
-                raise ValueError("tabulated trial needs samples")
+            if np.ndim(self.values) != 1 or np.size(self.values) == 0:
+                raise ValueError("tabulated trial needs samples in a 1-D "
+                                 f"array, got shape {np.shape(self.values)}")
+            if not np.isfinite(self.values).all():
+                raise ValueError("tabulated trial samples must be finite")
             if self.values[0] != 0.0:
                 raise ValueError("odd trial must vanish at x = 0")
         elif self.values is not None:
@@ -120,64 +119,34 @@ class ConvergenceReport:
         return self.e_gd + 0.5 * self.eps
 
 
-class Workspace(NamedTuple):
-    """Arrays for one ground state, shared by the steps of a run: a
-    scratch float array a, and winv = e^{2S + u_ref} = e^{2(S - S_min)},
-    the outer weight.  No result keeps a view of them.
-
-    winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
-    OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
-    the matching e^{-2S} decay, and chihat at the anchor does not read
-    them.  On the default grids 2(S - S_min) stays below 200.
-    """
-
-    a: np.ndarray
-    winv: np.ndarray
-
-    @classmethod
-    def for_groundstate(cls, gs: GroundState) -> Workspace:
-        n = gs.grid.n_points
-        exponent = 2.0 * gs.s + gs.scaled_weight[1]
-        winv = np.zeros(n)
-        np.exp(exponent, out=winv, where=exponent <= OVERFLOW_EXPONENT)
-        return cls(np.empty(n), winv)
-
-
 def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
-                          work: Workspace | None = None,
                           out: np.ndarray | None = None) -> np.ndarray:
     """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
-    winv * (e^{-u_ref} I), by the active kernel backend.
+    winv * (e^{-u_ref} I) (gs.scaled_weight), by the active kernel backend.
 
     The tail beyond x_max is closed with the first-order Watson estimate
     chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).  chihat goes
     into out when given, under the contract of
-    _kernels_py.check_profile_out, else into a new array; that array and
-    a workspace made when none is given are the only grid arrays
-    allocated.
+    _kernels_py.check_profile_out, else into a new array.
     """
-    if work is None:
-        work = Workspace.for_groundstate(gs)
     if out is None:
         out = np.empty(gs.grid.n_points)
-    w = gs.scaled_weight[0]
+    w, _, winv = gs.scaled_weight
     tail = w[-1] * chi_prev[-1] / (2.0 * gs.s_prime[-1])
-    return kernels.excite_profile(gs.grid.h, w, work.winv, chi_prev, tail,
-                                  work.a, out)
+    return kernels.excite_profile(gs.grid.h, w, winv, chi_prev, tail, out)
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
-                 work: Workspace | None = None,
                  out: np.ndarray | None = None) -> IterationState:
     """One step of the map, split by the rule chi_n(x0) = chi_{n-1}(x0).
 
     The returned chi is out when given (see _unnormalized_profile), else
-    a new array.  Given a workspace and out, a step allocates nothing of
-    grid size; given only a workspace, it allocates only chi.
+    a new array.  Given out, a step on the compiled kernel allocates
+    nothing of grid size; the Python kernel allocates one temporary.
     """
     i0 = gs.grid.index_of(anchor_x0)
     pinned = prev.chi[i0]
-    chi = _unnormalized_profile(gs, prev.chi, work, out)
+    chi = _unnormalized_profile(gs, prev.chi, out)
     if chi[i0] == 0.0:
         raise DegenerateAnchorError(
             f"unnormalized iterate vanishes at the anchor x0={anchor_x0}")
@@ -188,20 +157,19 @@ def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
 
 
 def orthogonality_residual(gs: GroundState, chi: np.ndarray,
-                           work: Workspace | None = None) -> float:
+                           scratch: np.ndarray | None = None) -> float:
     """Full-line int e^{-2S} chi, normalized by int e^{-2S} |chi|.
 
     The stored half-line samples are extended as an odd function, so the
     two half-line contributions cancel structurally: the value quantifies
     nothing but quadrature asymmetry (it is exactly zero by construction
-    here).
+    here).  The weighted samples go into scratch when it is given.
     """
     chi = np.asarray(chi, dtype=float)
     w = gs.scaled_weight[0]
     h = gs.grid.h
-    buf = work.a if work is not None else None
-    half = simpson_integral(np.multiply(w, chi, out=buf), h)
-    weighted_abs = np.abs(chi, out=buf)
+    half = simpson_integral(np.multiply(w, chi, out=scratch), h)
+    weighted_abs = np.abs(chi, out=scratch)
     weighted_abs *= w
     norm = 2.0 * simpson_integral(weighted_abs, h)
     if norm == 0.0:
@@ -229,17 +197,16 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
             f"trial function vanishes at the anchor x0={anchor_x0}; the "
             "fixed-point normalization is undefined")
 
-    work = Workspace.for_groundstate(gs)
+    scratch = np.empty(gs.grid.n_points)    # the residual's, reused
     states = [IterationState(chi=chi0)]
     residuals: list[float] = []
     status = "max_iters"
     last_delta = None
     stall_count = 0
     for _ in range(max_iters):
-        state = iterate_once(gs, states[-1], anchor_x0, work=work,
-                             out=next(rows))
+        state = iterate_once(gs, states[-1], anchor_x0, out=next(rows))
         states.append(state)
-        residuals.append(orthogonality_residual(gs, state.chi, work=work))
+        residuals.append(orthogonality_residual(gs, state.chi, scratch))
         if len(states) == 2:
             continue
         delta = abs(state.eps - states[-2].eps)

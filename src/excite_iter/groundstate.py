@@ -22,6 +22,9 @@ from .potential import DeltaBox, Potential, Quartic, potential_from_dict
 #: mismatch value reported when a sweep blows up (wave-function node)
 _BLOWN = 1e15
 
+# exp() overflows just above 709; leave headroom for the product with I
+OVERFLOW_EXPONENT = 700.0
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -66,8 +69,8 @@ class GroundState:
     S(0) is s[0].  A hard wall (compact support ending on the last node)
     is S = S' = +inf on the last node, where the weight is exactly zero.
 
-    Work that depends only on the ground state (scaled_weight) is cached
-    on the instance; dataclasses.replace gives a copy with a fresh cache.
+    Both weights of an iteration step (scaled_weight) are cached on the
+    instance; dataclasses.replace gives a copy with a fresh cache.
     """
 
     grid: Grid
@@ -77,16 +80,25 @@ class GroundState:
     potential: Potential
 
     @functools.cached_property
-    def scaled_weight(self) -> tuple[np.ndarray, float]:
-        """(w, u_ref): the weight e^{-2S - u_ref} at the nodes, with
-        u_ref = max(-2S) over the finite samples so every sample is
-        representable, zero where -2S is not finite, and read-only."""
+    def scaled_weight(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """(w, u_ref, winv), the read-only weights of an iteration step:
+        w = e^{-2S - u_ref} at the nodes, with u_ref = max(-2S) over the
+        finite samples so every sample is representable, zero where -2S is
+        not finite; and the outer weight winv = e^{2S + u_ref}.
+
+        winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
+        OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
+        the matching e^{-2S} decay, and chihat at the anchor does not read
+        them.  On the default grids 2(S - S_min) stays below 200."""
         u = -2.0 * self.s
         finite = np.isfinite(u)
         u_ref = float(u[finite].max())
         w = np.where(finite, np.exp(np.where(finite, u, 0.0) - u_ref), 0.0)
-        w.flags.writeable = False
-        return w, u_ref
+        exponent = 2.0 * self.s + u_ref
+        winv = np.zeros(len(exponent))
+        np.exp(exponent, out=winv, where=exponent <= OVERFLOW_EXPONENT)
+        w.flags.writeable = winv.flags.writeable = False
+        return w, u_ref, winv
 
 
 def soluble_groundstate(delta: float, grid: Grid) -> GroundState:

@@ -121,13 +121,13 @@ def _load():
                        sp.ctypes.data)
         return s, sp, node
 
-    def excite_profile(h, w, winv, chi_prev, tail, scratch, out):
+    def excite_profile(h, w, winv, chi_prev, tail, out):
         """See _kernels_py.excite_profile; the integrands stay in
-        registers, so scratch is not touched."""
+        registers, so it needs no temporary array."""
         n = len(chi_prev)
         if n < 3 or n % 2 == 0:
             raise ValueError("need an odd number of nodes, at least 3")
-        _kernels_py.check_profile_out(out, n, w, winv, chi_prev, scratch)
+        _kernels_py.check_profile_out(out, n, w, winv, chi_prev)
         w, winv, chi_prev = (np.ascontiguousarray(a, dtype=float)
                              for a in (w, winv, chi_prev))
         if not w.shape == winv.shape == chi_prev.shape == (n,):

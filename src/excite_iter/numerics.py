@@ -1,7 +1,7 @@
 """Quadrature on uniform grids with an odd node count.
 
 These routines see plain finite samples.  The iteration's integrands span
-hundreds of e-folds, and excite scales them before they arrive here: the
+hundreds of e-folds, and GroundState.scaled_weight scales them first: the
 inner integrand by e^{-u_ref}, the outer by e^{2(S - S_min)}, which stays
 below e^{OVERFLOW_EXPONENT} wherever it is not cut to zero.
 

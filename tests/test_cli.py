@@ -190,7 +190,9 @@ class TestErrors:
         code = run_cli(["soluble", "--delta", "0.1", "--points", "2000",
                         "--out", str(tmp_path)])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert ("error: --points must be odd, got 2000\n"
+                == capsys.readouterr().err)
+        assert not (tmp_path / "summary.json").exists()
 
     def test_anchor_off_the_grid_exits_1_before_solving(self, tmp_path,
                                                         capsys, monkeypatch):

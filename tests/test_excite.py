@@ -12,17 +12,15 @@ from excite_iter import excite, kernels
 from excite_iter.errors import DegenerateAnchorError
 from excite_iter.excite import (
     BLOCK_ROWS,
-    OVERFLOW_EXPONENT,
     IterationState,
     TrialFunction,
-    Workspace,
     _unnormalized_profile,
     iterate_once,
     orthogonality_residual,
     run,
 )
-from excite_iter.groundstate import (Grid, GroundState, default_x_max,
-                                     soluble_groundstate,
+from excite_iter.groundstate import (OVERFLOW_EXPONENT, Grid, GroundState,
+                                     default_x_max, soluble_groundstate,
                                      solve_groundstate_numeric)
 from excite_iter.numerics import reverse_cumulative_simpson
 from excite_iter.potential import Quartic
@@ -37,8 +35,8 @@ DELTA = 0.1
 
 # eps_sequence, as float.hex, of the 2001-node runs below, so any change
 # that moves a bit of the iteration fails here.  The outer integrand is
-# winv * (e^{-u_ref} I) with winv = e^{2(S - S_min)} built once per run;
-# both running integrals take odd offsets from the half-panel rule
+# winv * (e^{-u_ref} I) with winv = e^{2(S - S_min)} built once per ground
+# state; both running integrals take odd offsets from the half-panel rule
 # h/12 (5 y0 + 8 y1 - y2).
 PINNED_EPS_SOLUBLE_D01 = (
     "0x1.2e85a16e9b98ep-1", "0x1.41014a1077e35p-2", "0x1.3caa9ebb987fep-2",
@@ -54,7 +52,7 @@ def tail_integral(gs, chi_prev, x):
     """I(x) = int_x^inf e^{-2S(z)} chi_prev(z) dz at a grid node, from
     the reverse running integral of the scaled weight times chi_prev
     that a step integrates first."""
-    w, u_ref = gs.scaled_weight
+    w, u_ref, _ = gs.scaled_weight
     scaled = reverse_cumulative_simpson(w * chi_prev, gs.grid.h)
     return float(scaled[gs.grid.index_of(x)] * np.exp(u_ref))
 
@@ -94,6 +92,18 @@ class TestTrialFunction:
     def test_empty_tabulated_rejected(self):
         with pytest.raises(ValueError, match="needs samples"):
             TrialFunction.tabulated([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_tabulated_rejected(self, gs_soluble, bad):
+        values = gs_soluble.grid.nodes()
+        values[5] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            TrialFunction.tabulated(values)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 5), ()])
+    def test_tabulated_that_is_not_1d_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"1-D array, got shape"):
+            TrialFunction.tabulated(np.zeros(shape))
 
 
 class TestTailIntegral:
@@ -222,8 +232,7 @@ class TestRun:
         beyond = exponent > OVERFLOW_EXPONENT
         n_beyond = int(beyond.sum())
         assert n_beyond > 3000 and beyond[-n_beyond:].all()
-        work = Workspace.for_groundstate(gs)
-        assert np.array_equal(work.winv == 0.0, beyond)
+        assert np.array_equal(gs.scaled_weight[2] == 0.0, beyond)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run(gs, TrialFunction.saturating())
@@ -289,19 +298,18 @@ def test_profile_backends_agree_bit_for_bit(case):
                 rng.standard_normal(n), np.full(n, -0.0)):
         results = []
         for backend in (kernels.get_backend("python"), compiled):
-            work = Workspace.for_groundstate(gs)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "excite_profile", backend.excite_profile)
-                chihat = _unnormalized_profile(gs, chi, work)
+                chihat = _unnormalized_profile(gs, chi)
                 # a row of a block, filled with NaN, as run passes it
                 out = np.full((3, n), np.nan)[1]
-                assert _unnormalized_profile(gs, chi, work, out=out) is out
+                assert _unnormalized_profile(gs, chi, out=out) is out
             assert out.tobytes() == chihat.tobytes()
             results.append(chihat.tobytes())
             assert np.isfinite(chihat).all()
         assert results[0] == results[1]
     if case == "harmonic-winv-0-in-tail":
-        assert (work.winv == 0.0).sum() > n // 4
+        assert (gs.scaled_weight[2] == 0.0).sum() > n // 4
     elif gs.s[-1] != np.inf:                  # no hard wall
         assert gs.scaled_weight[0][-1] != 0.0  # a nonzero Watson tail
 
@@ -310,7 +318,7 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     def profile(n, n_w=None):
         return kernels.excite_profile(
             0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5,
-            np.empty(n), np.empty(n))
+            np.empty(n))
 
     assert profile(5).shape == (5,)
     assert profile(3).shape == (3,)
@@ -321,12 +329,11 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     # out: float, C-contiguous, writable, shape (n,), sharing no memory
     # with the other arrays of the call
     n = 5
-    w, winv, chi, scratch = (np.ones(n) for _ in range(4))
+    w, winv, chi = (np.ones(n) for _ in range(3))
     block = np.ones((2, n))
 
-    def profile_into(out, chi_prev=chi, scratch=scratch):
-        return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, scratch,
-                                      out)
+    def profile_into(out, chi_prev=chi):
+        return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, out)
 
     out = np.empty(n)
     assert profile_into(out) is out
@@ -335,31 +342,25 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     assert out.tobytes() == profile(n).tobytes() == row.tobytes()
     read_only = np.empty(n)
     read_only.flags.writeable = False
-    long_scratch = np.empty(n + 2)
     for bad in (np.empty(n - 2), np.empty(n + 2), np.empty((1, n)),
                 np.empty(n, dtype=np.float32), np.empty(n, dtype=np.int64),
                 np.empty(2 * n)[::2], np.empty(n).tolist(), read_only,
-                w, winv, chi, scratch):
+                w, winv, chi):
         with pytest.raises(ValueError):
             profile_into(bad)
     with pytest.raises(ValueError):     # overlaps chi_prev by one element
         profile_into(block.ravel()[n - 1:2 * n - 1], chi_prev=block[0])
-    with pytest.raises(ValueError):     # overlaps scratch by three elements
-        profile_into(long_scratch[2:], scratch=long_scratch[:n])
 
 
 def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
+    # the residual's scratch array, run's one per-run buffer, moves no bit
     for gs in (gs_quartic, gs_soluble):
-        work = Workspace.for_groundstate(gs)
+        scratch = np.empty(gs.grid.n_points)
         prev = IterationState(chi=TrialFunction.linear().sample(gs.grid))
-        for _ in range(2):      # the second step reuses a dirty workspace
+        for _ in range(2):      # the second step reuses a dirty scratch
             fresh = iterate_once(gs, prev, 1.0)
-            reused = iterate_once(gs, prev, 1.0, work=work)
-            assert fresh.eps == reused.eps
-            assert np.array_equal(fresh.chi.view(np.int64),
-                                  reused.chi.view(np.int64))
             assert orthogonality_residual(gs, fresh.chi) \
-                == orthogonality_residual(gs, fresh.chi, work=work)
+                == orthogonality_residual(gs, fresh.chi, scratch=scratch)
             prev = fresh
 
 
@@ -375,26 +376,45 @@ def _peak_bytes(step):
 
 def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
                                          profile_backend):
-    # with a workspace, one step's only grid-sized allocation is the chi
-    # it returns (8 B a node), and given out too, nothing of grid size;
+    # once the ground state holds its weights, one step's only grid-sized
+    # allocation is the chi it returns (8 B a node), and given out,
+    # nothing of grid size, but for the Python kernel's one temporary;
     # 2 KB covers the small Python objects
     for gs in (gs_quartic, gs_soluble):
         n = gs.grid.n_points
-        work = Workspace.for_groundstate(gs)
+        temporary = 8 * n if profile_backend == "python" else 0
         prev = IterationState(chi=TrialFunction.saturating().sample(
             gs.grid))
-        iterate_once(gs, prev, 1.0, work=work)   # caches the weight
-        state, peak = _peak_bytes(
-            lambda: iterate_once(gs, prev, 1.0, work=work))
-        assert peak <= 8 * n + 2048
-        assert not any(np.shares_memory(state.chi, buf) for buf in work)
+        iterate_once(gs, prev, 1.0)   # caches the weights
+        state, peak = _peak_bytes(lambda: iterate_once(gs, prev, 1.0))
+        assert peak <= 8 * n + temporary + 2048
         out = np.empty(n)
         into, peak = _peak_bytes(
-            lambda: iterate_once(gs, prev, 1.0, work=work, out=out))
-        assert peak <= 2048
+            lambda: iterate_once(gs, prev, 1.0, out=out))
+        assert peak <= temporary + 2048
         assert into.chi is out
         assert into.chi.tobytes() == state.chi.tobytes()
         assert into.eps == state.eps
+
+
+def test_warm_run_allocates_its_block_and_one_scratch_array(gs_quartic,
+                                                           monkeypatch):
+    # on a ground state that holds its weights, a run's grid-sized
+    # allocations are its block of iterates and the residual's scratch
+    # array; the compiled kernel allocates nothing.  8 KB covers the small
+    # Python objects (the report, its states and their rows: 3.8-6 KB),
+    # and one more grid array at this size is 128 KB
+    try:
+        compiled = kernels.get_backend("cython")
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    monkeypatch.setattr(kernels, "excite_profile", compiled.excite_profile)
+    n = gs_quartic.grid.n_points
+    trial = TrialFunction.linear()
+    run(gs_quartic, trial)          # caches the weights
+    report, peak = _peak_bytes(lambda: run(gs_quartic, trial))
+    assert len(report.states[0].chi.base) == BLOCK_ROWS
+    assert peak <= 8 * n * (BLOCK_ROWS + 1) + 8192
 
 
 def test_run_writes_its_iterates_into_one_block(gs_quartic):
@@ -403,7 +423,7 @@ def test_run_writes_its_iterates_into_one_block(gs_quartic):
     assert len(chis) == BLOCK_ROWS == 9
     assert chis[0].base is not None
     assert all(chi.base is chis[0].base for chi in chis)
-    # no iterate kept by the report is a view of another or of scratch
+    # no iterate kept by the report is a view of another
     for i, a in enumerate(chis):
         for b in chis[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -471,7 +491,7 @@ def test_run_stops_by_its_rule(case, monkeypatch):
     script, tol, max_iters, status, steps = STOPPING_CASES[case]
     scripted = iter(script)
 
-    def step(gs, prev, anchor_x0, work=None, out=None):
+    def step(gs, prev, anchor_x0, out=None):
         out[...] = prev.chi
         return IterationState(chi=out, eps=next(scripted))
 

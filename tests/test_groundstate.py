@@ -439,26 +439,31 @@ def test_default_x_max_matches_the_bisection():
 
 def test_scaled_weight_is_built_once_and_read_only():
     gs = soluble_groundstate(0.1, Grid(1.0, 2001))
-    w, u_ref = gs.scaled_weight
+    w, u_ref, winv = gs.scaled_weight
     assert gs.scaled_weight is gs.scaled_weight
-    assert gs.scaled_weight[0] is w
-    assert not w.flags.writeable
-    with pytest.raises(ValueError):
-        w[0] = 1.0
-    # the wall node carries exactly zero weight; the largest weight is 1
-    assert w[-1] == 0.0
+    assert gs.scaled_weight[0] is w and gs.scaled_weight[2] is winv
+    for weight in (w, winv):
+        assert not weight.flags.writeable
+        with pytest.raises(ValueError):
+            weight[0] = 1.0
+        # the wall node carries exactly zero weight, both ways
+        assert weight[-1] == 0.0
+    # the largest weight is 1, and winv is 1/w off the wall
     assert w.max() == 1.0 and u_ref == -2.0 * gs.s[np.argmax(w)]
+    assert winv[np.argmax(w)] == 1.0
+    assert np.allclose(w[:-1] * winv[:-1], 1.0, rtol=1e-12, atol=0.0)
 
 
 def test_scaled_weight_is_not_shared_by_a_replaced_ground_state():
     gs = solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001))
-    w = gs.scaled_weight[0]
+    w, _, winv = gs.scaled_weight
     shifted = dataclasses.replace(gs, s=gs.s + 5)
     assert shifted.scaled_weight is not gs.scaled_weight
     assert shifted.scaled_weight[0] is not w
+    assert shifted.scaled_weight[2] is not winv
     assert shifted.scaled_weight[1] == pytest.approx(
         gs.scaled_weight[1] - 10.0, abs=1e-12)
-    assert gs.scaled_weight[0] is w
+    assert gs.scaled_weight[0] is w and gs.scaled_weight[2] is winv
 
 
 # ---------------------------------------------------------- serialization

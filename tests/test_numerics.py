@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from excite_iter import kernels
-from excite_iter.excite import Workspace, _unnormalized_profile
+from excite_iter.excite import _unnormalized_profile
 from excite_iter.groundstate import Grid, soluble_groundstate
 from excite_iter.numerics import (cumulative_simpson,
                                   reverse_cumulative_simpson,
@@ -169,10 +169,9 @@ def test_tail_closure_hard_wall_is_exactly_zero():
     # compact support: the Watson closure is exactly zero, so chihat is
     # the profile with no tail at all
     gs = soluble_groundstate(0.1, Grid(1.0, 101))
-    work = Workspace.for_groundstate(gs)
+    w, _, winv = gs.scaled_weight
     chi = np.ones(101)
-    chihat = _unnormalized_profile(gs, chi, work)
-    no_tail = kernels.excite_profile(gs.grid.h, gs.scaled_weight[0],
-                                     work.winv, chi, 0.0, work.a,
+    chihat = _unnormalized_profile(gs, chi)
+    no_tail = kernels.excite_profile(gs.grid.h, w, winv, chi, 0.0,
                                      np.empty(101))
     assert chihat.tobytes() == no_tail.tobytes()
