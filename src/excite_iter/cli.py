@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels, references, soluble
 from .errors import ExciteIterError
-from .excite import TrialFunction, run
+from .excite import ConvergenceReport, TrialFunction, run
 from .groundstate import (Grid, GroundState, default_x_max, load_groundstate,
                           save_groundstate, solve_groundstate_numeric,
                           soluble_groundstate, write_csv)
@@ -36,7 +36,7 @@ class RunConfig:
     anchor_x0: float = _RUN_PARAMS["anchor_x0"].default
     trial: str | None = None       # None: per-case default
     x_max: float | None = None
-    n_points: int = 16001
+    n_points: int = 4001
     max_iters: int = _RUN_PARAMS["max_iters"].default
     tol: float = _RUN_PARAMS["tol"].default
     out_dir: str = "."
@@ -67,6 +67,23 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+#: relative size below which an error estimate is rounding noise
+ROUNDING_FLOOR = 1e-14
+
+
+def _estimate_line(summary: dict) -> str:
+    """The stdout line of the half-grid error estimate."""
+    err = summary["eps_disc_err"]
+    if err is None:
+        return ("eps_richardson = null, eps_disc_err = null: "
+                + summary["eps_disc_err_reason"])
+    line = f"eps_richardson = {_fmt(summary['eps_richardson'])}, "
+    if abs(err) < ROUNDING_FLOOR * abs(summary["eps"]):
+        return line + (f"eps_disc_err at the rounding floor (below "
+                       f"{ROUNDING_FLOOR:g} relative)")
+    return line + f"eps_disc_err = {err:.2g}"
+
+
 def _on_node(grid: Grid, x: float) -> bool:
     try:
         grid.index_of(x)
@@ -84,16 +101,31 @@ def _check_anchor(grid: Grid, anchor: float) -> None:
              f"{grid.x_max} and --points {grid.n_points}")
     if not 0 < anchor <= grid.x_max:
         raise ValueError(f"{where}: it lies outside [0, {grid.x_max}]")
-    from fractions import Fraction  # only this error message needs it
+    hint = _points_hint(grid, anchor, "puts it on a node of the grid and "
+                        "of its half grid")
+    raise ValueError(f"{where}; {hint}")
 
-    # the anchor is on a node when n_points - 1 is an even multiple of the
-    # numerator of x_max / anchor in lowest terms
-    step = math.lcm(2, Fraction(grid.x_max / anchor)
-                    .limit_denominator(10_000).numerator)
-    n = max(step, round((grid.n_points - 1) / step) * step) + 1
-    if not _on_node(Grid(grid.x_max, n), anchor):
-        raise ValueError(f"{where}; change --xmax or --anchor")
-    raise ValueError(f"{where}; --points {n} puts it on one")
+
+def _half(grid: Grid) -> Grid:
+    """Every other node of grid."""
+    return Grid(grid.x_max, (grid.n_points + 1) // 2)
+
+
+def _points_hint(grid: Grid, anchor: float, does: str) -> str:
+    """Advice: the --points nearest grid's that puts 0 < anchor <= x_max
+    on a node of the grid and of its half grid, followed by what it does;
+    else the options to change."""
+    from fractions import Fraction  # only this advice needs it
+
+    # the anchor is on a node of both grids when (n_points - 1) / 2 is an
+    # even multiple of the numerator of x_max / anchor in lowest terms
+    step = 2 * math.lcm(2, Fraction(grid.x_max / anchor)
+                        .limit_denominator(10_000).numerator)
+    fit = Grid(grid.x_max,
+               max(step, round((grid.n_points - 1) / step) * step) + 1)
+    if _on_node(fit, anchor) and _on_node(_half(fit), anchor):
+        return f"--points {fit.n_points} {does}"
+    return "change --xmax or --anchor"
 
 
 def _check_cache(cache: str, gs: GroundState, potential: Potential,
@@ -107,6 +139,13 @@ def _check_cache(cache: str, gs: GroundState, potential: Potential,
             raise ValueError(
                 f"--gs-cache {cache} holds a ground state with {field} "
                 f"{have.get(field)!r}, but this run has {field} {value!r}")
+
+
+def _solve(potential: Potential, grid: Grid) -> GroundState:
+    """The ground state on grid from the case's own provider."""
+    if isinstance(potential, DeltaBox):
+        return soluble_groundstate(potential.delta, grid)
+    return solve_groundstate_numeric(potential, grid)
 
 
 def _obtain_groundstate(config: RunConfig) -> tuple[GroundState, bool]:
@@ -125,9 +164,42 @@ def _obtain_groundstate(config: RunConfig) -> tuple[GroundState, bool]:
         gs = load_groundstate(cache)
         _check_cache(cache, gs, potential, grid)
         return gs, True
-    if config.case == "soluble":
-        return soluble_groundstate(config.delta, grid), False
-    return solve_groundstate_numeric(potential, grid), False
+    return _solve(potential, grid), False
+
+
+def _half_grid_error(gs: GroundState, trial: TrialFunction,
+                     anchor_x0: float, report: ConvergenceReport
+                     ) -> tuple[float | None, str | None]:
+    """(e, None), or (None, why there is no e).
+
+    eps has an h^4 error, so with eps_2h, the eps after the same number
+    of steps on the half grid, e = (eps_h - eps_2h) / 15 estimates the
+    limit h -> 0 minus eps_h (L. F. Richardson, Phil. Trans. R. Soc. A
+    210, 307 (1911)).  The half grid gets its own ground state from the
+    case's provider: the error lives in S, so S on every other node of
+    gs would not show it.
+    """
+    grid, steps = gs.grid, len(report.eps_sequence)
+    if grid.n_points % 4 != 1:
+        hint = _points_hint(grid, anchor_x0, "gives an estimate")
+        return None, (f"--points {grid.n_points} is not 1 more than a "
+                      "multiple of 4, so its half grid would have an even "
+                      f"node count; {hint}")
+    half = _half(grid)
+    if not _on_node(half, anchor_x0):
+        hint = _points_hint(grid, anchor_x0, "puts it on a node of both")
+        return None, (f"--anchor {anchor_x0} is not a node of the "
+                      f"{half.n_points}-node half grid; {hint}")
+    try:
+        coarse = run(_solve(gs.potential, half), trial, anchor_x0=anchor_x0,
+                     max_iters=steps, tol=0.0)
+    except ExciteIterError as exc:
+        return None, f"the {half.n_points}-node half-grid run failed: {exc}"
+    if len(coarse.eps_sequence) < steps:
+        return None, (f"the {half.n_points}-node half-grid run stopped "
+                      f"({coarse.status}) after {len(coarse.eps_sequence)} "
+                      f"of {steps} steps")
+    return (report.eps - coarse.eps) / 15.0, None
 
 
 def _start_in_child(task):
@@ -184,7 +256,9 @@ def _start_in_child(task):
 
 
 def run_case(config: RunConfig) -> dict:
-    """Execute one configured run and write all artifacts to out_dir.
+    """Execute one configured run, and the same number of steps on the
+    half grid for the error estimate (_half_grid_error), and write all
+    artifacts to out_dir.
 
     Every result is computed before the first file is written, so a run
     that fails leaves no artifact.  A child process then writes the wave
@@ -201,6 +275,8 @@ def run_case(config: RunConfig) -> dict:
     trial = TrialFunction(trial_kind)
     report = run(gs, trial, anchor_x0=config.anchor_x0,
                  max_iters=config.max_iters, tol=config.tol)
+    disc_err, no_err_reason = _half_grid_error(gs, trial, config.anchor_x0,
+                                               report)
 
     summary = {
         "case": config.case,
@@ -223,6 +299,10 @@ def run_case(config: RunConfig) -> dict:
         "eps": report.eps,
         "e_odd": report.e_odd,
         "e_mean": report.e_mean,
+        "eps_disc_err": disc_err,
+        "eps_richardson": (None if disc_err is None
+                           else report.eps + disc_err),
+        "eps_disc_err_reason": no_err_reason,
     }
     if config.case == "soluble":
         summary["eps_exact"] = soluble.exact_epsilon(config.delta)
@@ -346,6 +426,7 @@ def main(argv=None) -> int:
     print(f"eps sequence: {eps_str}")
     print(f"status = {summary['status']}, e_odd = {_fmt(summary['e_odd'])}, "
           f"e_mean = {_fmt(summary['e_mean'])}")
+    print(_estimate_line(summary))
     return 0
 
 

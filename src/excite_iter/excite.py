@@ -63,17 +63,27 @@ class TrialFunction:
     def tabulated(cls, values):
         return cls("tabulated", np.asarray(values, dtype=float))
 
-    def sample(self, grid) -> np.ndarray:
-        """chi_0 at the grid nodes, in a new array."""
+    def sample(self, grid, out: np.ndarray | None = None) -> np.ndarray:
+        """chi_0 at the grid nodes, in out when given, else in a new
+        array.  Besides out, it allocates at most the nodes."""
+        if out is None:
+            out = np.empty(grid.n_points)
         if self.kind == "tabulated":
             if len(self.values) != grid.n_points:
                 raise ValueError(
                     f"tabulated trial has {len(self.values)} samples for a "
                     f"{grid.n_points}-point grid")
-            return self.values.copy()
+            out[...] = self.values
+            return out
         x = grid.nodes()
-        return (x if self.kind == "linear"
-                else np.where(x < 1.0, x * (2.0 - x), 1.0))
+        if self.kind == "linear":
+            out[...] = x
+        else:
+            # y (2 - y) with y = min(x, 1): x (2 - x) below 1, 1 from 1 on
+            np.minimum(x, 1.0, out=x)
+            np.subtract(2.0, x, out=out)
+            out *= x
+        return out
 
 
 @dataclass(frozen=True)
@@ -190,8 +200,7 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     rows = _rows(gs.grid.n_points, max_iters + 1)
-    chi0 = next(rows)
-    chi0[...] = trial.sample(gs.grid)
+    chi0 = trial.sample(gs.grid, out=next(rows))
     if chi0[gs.grid.index_of(anchor_x0)] == 0.0:
         raise DegenerateAnchorError(
             f"trial function vanishes at the anchor x0={anchor_x0}; the "

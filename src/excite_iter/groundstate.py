@@ -129,12 +129,15 @@ def default_bracket(g: float) -> tuple[float, float]:
     return 0.4 * g, 1.6 * g
 
 
-# Domain edges of the form 2^a * 5^b: for these, the default and halved
-# grids keep the anchor candidates x = 1.0 and x = 0.5 exactly on nodes
-# (h divides them), which the iteration requires.
+# Domain edges of the form 2^a * 5^b with a <= 3 and b <= 3: these divide
+# 2^3 * 5^3 = 0.5 * 2000, so the anchor candidates x = 1.0 and x = 0.5 lie
+# exactly on nodes (h divides them) of every grid of 2000k + 1 nodes: the
+# default 4001-node grid and its 2001-node half grid among them.  The
+# iteration needs the anchor on a node, and the CLI's error estimate
+# needs it on both grids.
 _EDGE_LADDER = tuple(sorted(
     2.0 ** a * 5.0 ** b
-    for a in range(-4, 7) for b in range(-3, 4)
+    for a in range(-4, 4) for b in range(-3, 4)
     if 1.0 <= 2.0 ** a * 5.0 ** b <= 40.0))
 
 
@@ -143,7 +146,7 @@ def default_x_max(g: float) -> float:
     2S(x_max) - 2S(1) >= 100 by the WKB estimate 2S ~ 2g(x^3/3 - x + 2/3),
     keeping truncation error far below the seven-figure targets while all
     exponentials stay representable: the first edge on the ladder of
-    grid-commensurate values (2.5, 3.2, 4.0, 5.0, 6.4, ...) that passes,
+    grid-commensurate values (2.5, 3.125, 4.0, 5.0, 6.25, ...) that passes,
     or the last one, 40, when none does."""
     return next((e for e in _EDGE_LADDER
                  if e ** 3 / 3.0 - e + 2.0 / 3.0 >= 50.0 / g),

@@ -11,6 +11,11 @@ import pytest
 import excite_iter
 from excite_iter import cli, groundstate, kernels
 from excite_iter.cli import main
+from excite_iter.errors import NoEigenvalueError
+from excite_iter.excite import TrialFunction, run
+from excite_iter.groundstate import Grid, default_x_max
+from excite_iter.potential import DeltaBox, Quartic
+from excite_iter.soluble import exact_epsilon
 
 
 def read(path):
@@ -55,6 +60,12 @@ class TestSolubleRun:
         assert len(summary["eps_sequence"]) >= 3
         assert summary["e_odd"] == pytest.approx(
             summary["e_gd"] + summary["eps"], rel=1e-14)
+
+    def test_summary_carries_the_half_grid_estimate(self, outdir):
+        summary = json.loads(read(outdir / "summary.json"))
+        assert summary["eps_disc_err_reason"] is None
+        assert summary["eps_richardson"] == (summary["eps"]
+                                             + summary["eps_disc_err"])
 
     def test_chi_curves_columns(self, outdir):
         header = read(outdir / "chi_curves.csv").splitlines()[0].decode()
@@ -119,7 +130,9 @@ class TestOptionsReachTheConfig:
         def capture(config):
             configs.append(config)
             return {"e_gd": 1.0, "eps_sequence": [0.5], "status": "converged",
-                    "e_odd": 1.5, "e_mean": 1.25}
+                    "e_odd": 1.5, "e_mean": 1.25, "eps": 0.5,
+                    "eps_disc_err": None, "eps_richardson": None,
+                    "eps_disc_err_reason": "not run"}
 
         monkeypatch.setattr(cli, "run_case", capture)
         return configs
@@ -206,14 +219,16 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "--anchor 1.0" in err and "--xmax 1.5" in err
-        # x_max / anchor = 3/2, so n_points - 1 must be a multiple of 6
-        assert "--points 16001; --points 16003 puts it on one" in err
+        # x_max / anchor = 3/2, so (n_points - 1) / 2 must be a multiple of
+        # 6 for the anchor to lie on the grid and on its half grid
+        assert ("--points 4001; --points 3997 puts it on a node of the grid "
+                "and of its half grid" in err)
         for anchor in ("inf", "nan"):
             code = run_cli(["quartic", "--g", "3", "--anchor", anchor,
                             "--out", str(tmp_path)])
             assert code == 1
             assert (f"error: --anchor {anchor} is not a node of the grid "
-                    "with --xmax 4.0 and --points 16001: it lies outside "
+                    "with --xmax 4.0 and --points 4001: it lies outside "
                     "[0, 4.0]\n" == capsys.readouterr().err)
         assert not (tmp_path / "summary.json").exists()
 
@@ -524,3 +539,125 @@ class TestTwoProcessWriter:
             "summary.json", "wavefunctions.csv"]
         assert files_in(tmp_path / "cache" / "forked") == [
             "chi_curves.csv", "summary.json", "wavefunctions.csv"]
+
+
+class TestHalfGridEstimate:
+    """eps_disc_err, the Richardson estimate from the half grid, or null
+    with the reason on stdout."""
+
+    def test_default_soluble_run_is_corrected_towards_the_closed_form(
+            self, tmp_path, capsys):
+        assert run_cli(["soluble", "--delta", "0.1",
+                        "--out", str(tmp_path)]) == 0
+        summary = json.loads(read(tmp_path / "summary.json"))
+        assert summary["grid"]["n_points"] == 4001
+        exact = exact_epsilon(0.1)
+        assert (abs(summary["eps_richardson"] - exact)
+                < abs(summary["eps"] - exact))
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line == (
+            f"eps_richardson = {cli._fmt(summary['eps_richardson'])}, "
+            f"eps_disc_err = {summary['eps_disc_err']:.2g}")
+
+    @pytest.mark.parametrize("points, fit", [("2003", "2001"), ("7", "9")])
+    def test_count_not_1_mod_4_gives_null_and_the_reason(
+            self, tmp_path, capsys, points, fit):
+        assert run_cli(["soluble", "--delta", "0.1", "--points", points,
+                        "--out", str(tmp_path)]) == 0
+        reason = (f"--points {points} is not 1 more than a multiple of 4, "
+                  "so its half grid would have an even node count; "
+                  f"--points {fit} gives an estimate")
+        self.assert_null(tmp_path, capsys, reason)
+
+    def test_anchor_off_the_half_grid_gives_null_and_the_reason(
+            self, tmp_path, capsys):
+        # x_max 4 and 4009 nodes: h = 1/1002 on the grid, 1/501 on the half
+        assert run_cli(["quartic", "--g", "3", "--anchor", "0.5", "--points",
+                        "4009", "--out", str(tmp_path)]) == 0
+        self.assert_null(
+            tmp_path, capsys, "--anchor 0.5 is not a node of the 2005-node "
+            "half grid; --points 4001 puts it on a node of both")
+
+    def test_half_grid_run_that_stops_early_gives_null(
+            self, tmp_path, capsys, monkeypatch):
+        def one_step_short(gs, trial, anchor_x0, max_iters, tol):
+            if gs.grid.n_points == 1001:
+                max_iters -= 1
+            return run(gs, trial, anchor_x0=anchor_x0, max_iters=max_iters,
+                       tol=tol)
+
+        monkeypatch.setattr(cli, "run", one_step_short)
+        assert run_cli(SOLUBLE + ["--out", str(tmp_path)]) == 0
+        steps = len(json.loads(read(tmp_path / "summary.json"))
+                    ["eps_sequence"])
+        self.assert_null(tmp_path, capsys, "the 1001-node half-grid run "
+                         f"stopped (max_iters) after {steps - 1} of {steps} "
+                         "steps")
+
+    def test_half_grid_solve_that_fails_gives_null(self, tmp_path, capsys,
+                                                   monkeypatch):
+        solve = cli.solve_groundstate_numeric
+
+        def fail_on_the_half_grid(potential, grid):
+            if grid.n_points == 1001:
+                raise NoEigenvalueError("no root")
+            return solve(potential, grid)
+
+        monkeypatch.setattr(cli, "solve_groundstate_numeric",
+                            fail_on_the_half_grid)
+        assert run_cli(QUARTIC + ["--out", str(tmp_path)]) == 0
+        self.assert_null(tmp_path, capsys,
+                         "the 1001-node half-grid run failed: no root")
+
+    @staticmethod
+    def assert_null(out, capsys, reason):
+        summary = json.loads(read(out / "summary.json"))
+        assert summary["eps_disc_err"] is None
+        assert summary["eps_richardson"] is None
+        assert summary["eps_disc_err_reason"] == reason
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "eps_richardson = null, eps_disc_err = null: " + reason)
+
+    def test_estimate_below_1e_14_is_at_the_rounding_floor(self):
+        summary = {"eps": 2.0, "eps_disc_err": 1.9e-14,
+                   "eps_richardson": 2.0 + 1.9e-14}
+        assert cli._estimate_line(summary) == (
+            "eps_richardson = 2.0000000000000191, eps_disc_err at the "
+            "rounding floor (below 1e-14 relative)")
+        summary.update(eps_disc_err=-2.1e-14, eps_richardson=2.0 - 2.1e-14)
+        assert cli._estimate_line(summary) == (
+            "eps_richardson = 1.9999999999999789, eps_disc_err = -2.1e-14")
+
+    @pytest.mark.parametrize("case, param", [
+        ("soluble", 0.1), ("soluble", 0.77), ("soluble", 1.5),
+        ("quartic", 0.7), ("quartic", 3.0), ("quartic", 8.0),
+        ("quartic", 12.0)])
+    def test_estimate_is_within_a_factor_2_of_the_error(self, case, param):
+        """At 1001-4001 nodes, wherever eps is more than 1e-13 (relative)
+        from the limit, e is within a factor of 2 of limit - eps.  The
+        limit is the closed form for the soluble case, and the Richardson
+        limit of 32001 and 64001 nodes for the quartic one."""
+        if case == "soluble":
+            potential, x_max = DeltaBox(param), 1.0
+            trial, limit = TrialFunction.linear(), exact_epsilon(param)
+        else:
+            potential, x_max = Quartic(param), default_x_max(param)
+            trial, limit = TrialFunction.saturating(), None
+
+        def converged(n_points):
+            gs = cli._solve(potential, Grid(x_max, n_points))
+            return gs, run(gs, trial, max_iters=60, tol=1e-15)
+
+        if limit is None:
+            fine, finer = (converged(n)[1].eps for n in (32001, 64001))
+            limit = finer + (finer - fine) / 15.0
+        checked = []
+        for n_points in (1001, 2001, 4001):
+            gs, report = converged(n_points)
+            err, reason = cli._half_grid_error(gs, trial, 1.0, report)
+            assert reason is None
+            true = limit - report.eps
+            if abs(true) > 1e-13 * limit:
+                assert 0.5 <= err / true <= 2.0, (n_points, err, true)
+                checked.append(n_points)
+        assert 1001 in checked

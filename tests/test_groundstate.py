@@ -410,6 +410,15 @@ def test_default_domain_rule():
         for target in (1.0, 0.5):
             ratio = 16000.0 * target / default_x_max(g)
             assert ratio == round(ratio)
+    # every edge the rule can pick keeps both anchor candidates on nodes of
+    # the default 4001-node grid and of its 2001-node half grid, which the
+    # CLI's half-grid error estimate runs on
+    for edge in groundstate._EDGE_LADDER:
+        for n_points in (4001, 2001):
+            for target in (1.0, 0.5):
+                ratio = (n_points - 1) * target / edge
+                assert ratio == round(ratio), (edge, n_points, target)
+                Grid(edge, n_points).index_of(target)
     lo, hi = default_bracket(3.0)
     assert lo < 2.4826969 < hi
 
