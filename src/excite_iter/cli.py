@@ -2,10 +2,15 @@
 
 Runs the two benchmark cases, persists ground states for reuse, and emits
 the convergence summary plus the curve data (chi iterates, wave functions)
-as round-trip-exact CSV.
+as round-trip-exact CSV.  ``python -m excite_iter.cli`` ends in the
+process entry, excite_iter._cli_process.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":
+    from . import _one_blas_thread
+    _one_blas_thread()      # before the imports below load NumPy
 
 import argparse
 import dataclasses
@@ -72,16 +77,23 @@ ROUNDING_FLOOR = 1e-14
 
 
 def _estimate_line(summary: dict) -> str:
-    """The stdout line of the half-grid error estimate."""
+    """The stdout line of the half-grid error estimate, which says so
+    when the iteration has not converged: the estimate covers h only."""
     err = summary["eps_disc_err"]
     if err is None:
         return ("eps_richardson = null, eps_disc_err = null: "
                 + summary["eps_disc_err_reason"])
     line = f"eps_richardson = {_fmt(summary['eps_richardson'])}, "
     if abs(err) < ROUNDING_FLOOR * abs(summary["eps"]):
-        return line + (f"eps_disc_err at the rounding floor (below "
-                       f"{ROUNDING_FLOOR:g} relative)")
-    return line + f"eps_disc_err = {err:.2g}"
+        line += (f"eps_disc_err at the rounding floor (below "
+                 f"{ROUNDING_FLOOR:g} relative)")
+    else:
+        line += f"eps_disc_err = {err:.2g}"
+    if summary["status"] != "converged":
+        line += (f"; the iteration has not converged (status "
+                 f"{summary['status']}), so the estimate covers the grid "
+                 "only")
+    return line
 
 
 def _on_node(grid: Grid, x: float) -> bool:
@@ -217,9 +229,11 @@ def _start_in_child(task):
 
     r, w = os.pipe()
     with warnings.catch_warnings():
-        # NumPy's OpenBLAS keeps a second thread, and Python >= 3.12 warns
-        # on a fork from a threaded process.  The child runs no BLAS and
-        # takes no lock, so the deadlock the warning is about cannot occur.
+        # NumPy's OpenBLAS starts worker threads unless OPENBLAS_NUM_THREADS
+        # was 1 when it loaded (the process entry sets 1 unless the caller
+        # set a count), and Python >= 3.12 warns on a fork from a threaded
+        # process.  The child runs no BLAS and takes no lock, so the
+        # deadlock the warning is about cannot occur.
         warnings.filterwarnings(
             "ignore", message=r".*use of fork\(\) may lead to deadlocks",
             category=DeprecationWarning)
@@ -431,4 +445,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from . import _cli_process
+    _cli_process(main)

@@ -18,10 +18,8 @@ written or the build fails; both kernels fall back together.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shlex
-import sysconfig
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,22 +44,22 @@ def _build() -> str:
     """Path of the compiled kernels in the cache, compiling them first if
     no build of this source with these flags exists. Raises ImportError
     with the cause when they cannot be had."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    command = cc + _FLAGS
     try:
         with open(_SOURCE, "rb") as f:
             source = f.read()
     except OSError as exc:
         raise ImportError(f"shipped kernel source unreadable: {exc}") from exc
-    key = hashlib.sha256(source)
-    key.update("\0".join(command).encode())
+    key = zlib.crc32("\0".join(_FLAGS).encode(), zlib.crc32(source))
     directory = _cache_dir()
-    path = os.path.join(directory, f"_kernels-{key.hexdigest()[:16]}.so")
+    path = os.path.join(directory, f"_kernels-{key:08x}.so")
     if os.path.isfile(path):
         return path
-    import shutil       # only a build needs these
+    import shlex        # only a build needs these
+    import shutil
     import subprocess
+    import sysconfig
     import tempfile
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         raise ImportError(f"no C compiler: {' '.join(cc) or 'CC'!r} "
                           "not found")
@@ -73,7 +71,7 @@ def _build() -> str:
         raise ImportError(
             f"cache directory {directory} not writable: {exc}") from exc
     try:
-        done = subprocess.run(command + [_SOURCE, "-o", tmp],
+        done = subprocess.run(cc + _FLAGS + [_SOURCE, "-o", tmp],
                               capture_output=True, text=True)
         if done.returncode != 0:
             lines = done.stderr.strip().splitlines()

@@ -1,5 +1,6 @@
 """End-to-end tests of the excite-iter command line."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -559,6 +560,22 @@ class TestHalfGridEstimate:
             f"eps_richardson = {cli._fmt(summary['eps_richardson'])}, "
             f"eps_disc_err = {summary['eps_disc_err']:.2g}")
 
+    def test_unconverged_run_says_the_estimate_covers_the_grid_only(
+            self, tmp_path, capsys):
+        # the estimate is at the rounding floor, but after 8 steps eps is
+        # still about 1.5e-6 from the closed form
+        assert run_cli(["soluble", "--delta", "1.5",
+                        "--out", str(tmp_path)]) == 0
+        summary = json.loads(read(tmp_path / "summary.json"))
+        assert summary["status"] == "max_iters"
+        exact = exact_epsilon(1.5)
+        assert abs(summary["eps_richardson"] - exact) > 1e-7 * exact
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"eps_richardson = {cli._fmt(summary['eps_richardson'])}, "
+            "eps_disc_err at the rounding floor (below 1e-14 relative); "
+            "the iteration has not converged (status max_iters), so the "
+            "estimate covers the grid only")
+
     @pytest.mark.parametrize("points, fit", [("2003", "2001"), ("7", "9")])
     def test_count_not_1_mod_4_gives_null_and_the_reason(
             self, tmp_path, capsys, points, fit):
@@ -620,7 +637,7 @@ class TestHalfGridEstimate:
 
     def test_estimate_below_1e_14_is_at_the_rounding_floor(self):
         summary = {"eps": 2.0, "eps_disc_err": 1.9e-14,
-                   "eps_richardson": 2.0 + 1.9e-14}
+                   "eps_richardson": 2.0 + 1.9e-14, "status": "converged"}
         assert cli._estimate_line(summary) == (
             "eps_richardson = 2.0000000000000191, eps_disc_err at the "
             "rounding floor (below 1e-14 relative)")
@@ -661,3 +678,139 @@ class TestHalfGridEstimate:
                 assert 0.5 <= err / true <= 2.0, (n_points, err, true)
                 checked.append(n_points)
         assert 1001 in checked
+
+
+# run at exit by every process entry test: the OpenBLAS setting and the
+# thread count at that point
+ATEXIT_HOOK = """\
+import atexit, os
+
+def report():
+    threads = "?"
+    if os.path.exists("/proc/self/status"):
+        with open("/proc/self/status") as f:
+            threads = next(line.split()[1] for line in f
+                           if line.startswith("Threads:"))
+    print("atexit", os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+
+atexit.register(report)
+"""
+RUN_MODULE = ATEXIT_HOOK + """\
+import runpy
+runpy.run_module("excite_iter.cli", run_name="__main__")
+"""
+
+
+class TestProcessEntry:
+    """python -m excite_iter.cli and the excite-iter script end in
+    excite_iter._cli_process: one OpenBLAS thread unless the caller set
+    another count, and no interpreter teardown after main, with the same
+    exit codes, the atexit callbacks run and stdout flushed."""
+
+    @staticmethod
+    def env(**extra):
+        # buffered stdout, so that a closed pipe fails at the entry's
+        # flush and not inside main
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+        src = os.path.dirname(os.path.dirname(excite_iter.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return {**env, **extra}
+
+    def spawn(self, argv, env=None, **kwargs):
+        kwargs.setdefault("capture_output", True)
+        return subprocess.run([sys.executable, *argv], env=env or self.env(),
+                              timeout=120, **kwargs)
+
+    @pytest.mark.parametrize("args, code, err", [
+        (SOLUBLE, 0, b""),
+        (["soluble", "--delta", "-0.1"], 1, b"error: delta must lie in"),
+        (["soluble"], 2, b"usage: excite-iter soluble")])
+    def test_exit_codes_are_mains(self, tmp_path, args, code, err):
+        proc = self.spawn(["-m", "excite_iter.cli", *args,
+                         "--out", str(tmp_path)])
+        assert proc.returncode == code
+        assert proc.stderr.startswith(err)
+
+    def test_stdout_to_a_file_arrives_whole(self, tmp_path, capsys):
+        assert run_cli(SOLUBLE + ["--out", str(tmp_path / "here")]) == 0
+        expected = capsys.readouterr().out.encode()
+        with open(tmp_path / "stdout", "wb") as f:
+            proc = self.spawn(["-m", "excite_iter.cli", *SOLUBLE,
+                             "--out", str(tmp_path / "there")], stdout=f,
+                            stderr=subprocess.PIPE, capture_output=False)
+        assert proc.returncode == 0, proc.stderr
+        assert read(tmp_path / "stdout") == expected
+
+    @pytest.mark.parametrize("caller, threads", [(None, "1"), ("2", None)])
+    def test_atexit_hooks_run_and_blas_has_one_thread(self, tmp_path,
+                                                      caller, threads):
+        """The hook runs after main's output; a count the caller set is
+        kept (its thread count depends on the cores, so it is not
+        checked)."""
+        env = self.env(**({"OPENBLAS_NUM_THREADS": caller} if caller
+                          else {}))
+        proc = self.spawn(["-c", RUN_MODULE, *SOLUBLE, "--out",
+                         str(tmp_path)], env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode().splitlines()
+        assert lines[0].startswith("e_gd = ")
+        assert lines[-1].split()[:2] == ["atexit", caller or "1"]
+        if threads and sys.platform.startswith("linux"):
+            assert lines[-1].split()[2] == threads
+
+    def test_stdout_to_a_closed_pipe_exits_120_without_a_traceback(
+            self, tmp_path):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self.spawn(["-m", "excite_iter.cli", *SOLUBLE,
+                             "--out", str(tmp_path)], stdout=w,
+                            stderr=subprocess.PIPE, capture_output=False)
+        finally:
+            os.close(w)
+        assert proc.returncode == 120
+        assert proc.stderr == b""
+
+    def test_imports_load_no_numpy_and_set_no_environment(self):
+        code = ("import os, sys\n"
+                "import excite_iter\n"
+                "print('numpy' in sys.modules)\n"
+                "import excite_iter.cli\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                "print(all(hasattr(excite_iter, name)\n"
+                "          for name in excite_iter.__all__))\n")
+        proc = self.spawn(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().split() == ["False", "None", "True"]
+
+    def test_script_target_takes_the_same_entry(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(excite_iter.__file__))))
+        if not os.path.isfile(os.path.join(root, "pyproject.toml")):
+            pytest.skip("package not run from its source tree")
+        with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["excite-iter"]
+        module, attr = target.split(":")
+        assert (getattr(importlib.import_module(module), attr)
+                is excite_iter._cli_process)
+        # the console-script wrapper pip writes, after the hook
+        script = tmp_path / "excite-iter"
+        script.write_text(ATEXIT_HOOK + (
+            "import re\n"
+            "import sys\n"
+            f"from {module} import {attr}\n"
+            "if __name__ == '__main__':\n"
+            "    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '',"
+            " sys.argv[0])\n"
+            f"    sys.exit({attr}())\n"))
+        proc = self.spawn([str(script), *SOLUBLE, "--out", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode().splitlines()
+        assert lines[0].startswith("e_gd = ")
+        assert lines[-1].split()[:2] == ["atexit", "1"]
+        if sys.platform.startswith("linux"):
+            assert lines[-1].split()[2] == "1"
+        assert self.spawn([str(script), "soluble"]).returncode == 2

@@ -369,14 +369,16 @@ def test_cached_kernel_is_loaded_without_a_compiler(tmp_path):
 @pytest.mark.skipif(not _can_build_kernel(),
                     reason="no C compiler: no build to cache")
 def test_cached_kernel_import_loads_no_build_or_error_modules(tmp_path):
-    # subprocess is needed only to build the kernels and fractions only to
-    # word an off-grid anchor error
+    # subprocess, sysconfig and shlex are needed only to build the kernels,
+    # fractions only to word an off-grid anchor error, and hashlib by no
+    # code: the cached build is keyed by zlib.crc32
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
     assert _backend_in_subprocess(env)[0] == "cython"     # primes the cache
     code = ("import sys\n"
             "import excite_iter.cli\n"
             "print(excite_iter.cli.kernels.BACKEND,\n"
-            "      [m for m in ('fractions', 'subprocess')\n"
+            "      [m for m in ('fractions', 'subprocess', 'hashlib',\n"
+            "                   'shlex', 'sysconfig')\n"
             "       if m in sys.modules])\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
