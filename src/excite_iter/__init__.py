@@ -53,13 +53,12 @@ def _cli_process(main=None):
     with that module's main, having called _one_blas_thread before
     NumPy loaded.
 
-    After main returns, every artifact is closed and the writer child
-    reaped, so the process ends without the interpreter's teardown: it
-    runs the atexit callbacks and flushes the standard streams, as that
-    teardown would, and exits with main's code, or with 120 when stdout
-    cannot be flushed (a closed pipe).  An exception from main,
-    argparse's SystemExit(2) among them, takes the interpreter's own exit
-    path.
+    After main returns, every artifact is closed, so the process ends
+    without the interpreter's teardown: it runs the atexit callbacks and
+    flushes the standard streams, as that teardown would, and exits with
+    main's code, or with 120 when stdout cannot be flushed (a closed
+    pipe).  An exception from main, argparse's SystemExit(2) among them,
+    takes the interpreter's own exit path.
     """
     import atexit
     import os

@@ -18,6 +18,7 @@ import inspect
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -214,71 +215,17 @@ def _half_grid_error(gs: GroundState, trial: TrialFunction,
     return (report.eps - coarse.eps) / 15.0, None
 
 
-def _start_in_child(task):
-    """Run task() in a child made by os.fork, and return a function that
-    reaps the child and raises OSError with the text of the child's
-    exception if task raised.  Where os.fork does not exist, task runs
-    here and now, and the returned function does nothing."""
-    if not hasattr(os, "fork"):
-        task()
-        return lambda: None
-    # what is buffered before the fork must not be written twice
-    sys.stdout.flush()
-    sys.stderr.flush()
-    import warnings  # loaded at interpreter start, so this costs nothing
-
-    r, w = os.pipe()
-    with warnings.catch_warnings():
-        # NumPy's OpenBLAS starts worker threads unless OPENBLAS_NUM_THREADS
-        # was 1 when it loaded (the process entry sets 1 unless the caller
-        # set a count), and Python >= 3.12 warns on a fork from a threaded
-        # process.  The child runs no BLAS and takes no lock, so the
-        # deadlock the warning is about cannot occur.
-        warnings.filterwarnings(
-            "ignore", message=r".*use of fork\(\) may lead to deadlocks",
-            category=DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-    if pid == 0:
-        # the child never returns into the caller, so no test runner,
-        # atexit hook or enclosing script runs a second time in it
-        code = 1
-        try:
-            os.close(r)
-            task()
-            code = 0
-        except BaseException as exc:
-            os.write(w, (str(exc) or repr(exc)).encode(errors="replace"))
-        finally:
-            os._exit(code)
-    os.close(w)
-
-    def join():
-        try:
-            with open(r, "rb") as f:
-                text = f.read().decode(errors="replace")
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if text or status:
-            raise OSError(text or "artifact writer exited with status "
-                          f"{os.waitstatus_to_exitcode(status)}")
-    return join
-
-
 def run_case(config: RunConfig) -> dict:
     """Execute one configured run, and the same number of steps on the
     half grid for the error estimate (_half_grid_error), and write all
     artifacts to out_dir.
 
     Every result is computed before the first file is written, so a run
-    that fails leaves no artifact.  A child process then writes the wave
-    functions and, unless the ground state came from the cache, the
-    ground state (to out_dir and to the cache), while this process writes
-    summary.json and the chi iterates.
+    that fails leaves no artifact.  The files are then written in turn:
+    summary.json, the chi iterates, the wave functions and, unless the
+    ground state came from the cache, groundstate.csv with its sidecar.
+    The cache is a copy of those two, made last, so only a run whose every
+    write succeeded leaves one.
 
     Returns the summary dict (also written as summary.json).
     """
@@ -351,23 +298,21 @@ def run_case(config: RunConfig) -> dict:
 
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-
-    def write_profiles():
-        write_csv(os.path.join(out_dir, "wavefunctions.csv"),
-                  ["x", "psi_gd", "psi_ex"], [x, psi_gd, psi_ex])
-        if not cached:
-            save_groundstate(gs, os.path.join(out_dir, "groundstate.csv"))
-            if config.gs_cache:
-                save_groundstate(gs, config.gs_cache)
-
-    join = _start_in_child(write_profiles)
-    try:
-        with open(os.path.join(out_dir, "summary.json"), "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
-        write_csv(os.path.join(out_dir, "chi_curves.csv"), header, columns)
-    finally:
-        join()
+    with open(os.path.join(out_dir, "summary.json"), "w") as f:
+        json.dump(summary, f, indent=2, sort_keys=True)
+        f.write("\n")
+    write_csv(os.path.join(out_dir, "chi_curves.csv"), header, columns)
+    write_csv(os.path.join(out_dir, "wavefunctions.csv"),
+              ["x", "psi_gd", "psi_ex"], [x, psi_gd, psi_ex])
+    if not cached:
+        gs_csv = os.path.join(out_dir, "groundstate.csv")
+        save_groundstate(gs, gs_csv)
+        if config.gs_cache:
+            try:
+                for suffix in ("", ".json"):
+                    shutil.copyfile(gs_csv + suffix, config.gs_cache + suffix)
+            except shutil.SameFileError:
+                pass    # the cache is the groundstate.csv just written
     return summary
 
 

@@ -447,51 +447,23 @@ def test_failure_after_the_iteration_leaves_no_file(tmp_path, monkeypatch):
     assert not cache.exists()
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+ARTIFACTS = ["chi_curves.csv", "groundstate.csv", "groundstate.csv.json",
+             "summary.json", "wavefunctions.csv"]
 
 
-class TestTwoProcessWriter:
-    def test_files_are_split_between_two_processes(self, tmp_path,
-                                                   monkeypatch):
-        log = tmp_path / "writers.log"
-        write_csv = groundstate.write_csv
-
-        def logged(path, *args):
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()} {os.path.basename(path)}\n")
-            return write_csv(path, *args)
-
-        # save_groundstate calls the module's own write_csv
-        for module in (cli, groundstate):
-            monkeypatch.setattr(module, "write_csv", logged)
+class TestArtifactWriting:
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_write_failure_exits_1_naming_the_file_and_writes_no_cache(
+            self, tmp_path, capsys, name):
         out = tmp_path / "out"
-        assert run_cli(SOLUBLE + ["--out", str(out)]) == 0
-        writer = dict(reversed(line.split()) for line in
-                      log.read_text().splitlines())
-        assert writer["chi_curves.csv"] == str(os.getpid())
-        assert writer["wavefunctions.csv"] != str(os.getpid())
-        assert writer["groundstate.csv"] == writer["wavefunctions.csv"]
-
-    def test_child_failure_exits_1_naming_the_file(self, tmp_path, capsys):
-        (tmp_path / "wavefunctions.csv").mkdir()
-        code = run_cli(SOLUBLE + ["--out", str(tmp_path)])
+        (out / name).mkdir(parents=True)
+        cache = tmp_path / "gs.csv"
+        code = run_cli(SOLUBLE + ["--out", str(out), "--gs-cache", str(cache)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert str(tmp_path / "wavefunctions.csv") in err
-        assert_no_child_left()
-
-    def test_parent_failure_exits_1_and_reaps_the_child(self, tmp_path,
-                                                        capsys):
-        (tmp_path / "chi_curves.csv").mkdir()
-        code = run_cli(QUARTIC + ["--out", str(tmp_path)])
-        assert code == 1
-        assert str(tmp_path / "chi_curves.csv") in capsys.readouterr().err
-        assert_no_child_left()
-        # the child finished its files before it was reaped
-        assert (tmp_path / "groundstate.csv.json").exists()
+        assert str(out / name) in err
+        assert files_in(tmp_path) == ["out"]
 
     def test_successful_run_prints_nothing_on_stderr(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
@@ -506,40 +478,40 @@ class TestTwoProcessWriter:
 
     @pytest.mark.parametrize("args", [QUARTIC, SOLUBLE],
                              ids=["quartic", "soluble"])
-    def test_bytes_equal_the_serial_writer(self, tmp_path, monkeypatch,
-                                           args):
-        """Each file equals, byte for byte, what write_csv and
-        save_groundstate give when called in this process, for a solved
-        and for a cached ground state."""
+    def test_files_of_a_solved_and_a_cached_run(self, tmp_path, args):
+        """A cache miss writes five files, a hit three, and a hit leaves
+        the cache as it was."""
         cache = tmp_path / "gs.csv"
-
-        def both_ways(name):
-            forked, serial = (tmp_path / name / "forked",
-                              tmp_path / name / "serial")
-            assert run_cli(args + ["--out", str(forked),
-                                   "--gs-cache", str(cache)]) == 0
-            cached = {p: read(p) for p in (cache, tmp_path / "gs.csv.json")}
-            if name == "solved":
-                for p in cached:
-                    p.unlink()
-            with monkeypatch.context() as m:
-                m.delattr(os, "fork")
-                assert run_cli(args + ["--out", str(serial),
-                                       "--gs-cache", str(cache)]) == 0
-            for p, content in cached.items():
-                assert read(p) == content
-            return forked, serial
-
-        for name in ("solved", "cache"):
-            forked, serial = both_ways(name)
-            assert files_in(forked) == files_in(serial)
-            for f in files_in(forked):
-                assert read(forked / f) == read(serial / f), (name, f)
-        assert files_in(tmp_path / "solved" / "forked") == [
-            "chi_curves.csv", "groundstate.csv", "groundstate.csv.json",
-            "summary.json", "wavefunctions.csv"]
-        assert files_in(tmp_path / "cache" / "forked") == [
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        assert run_cli(args + ["--out", str(cold),
+                               "--gs-cache", str(cache)]) == 0
+        cached = {p: read(p) for p in (cache, tmp_path / "gs.csv.json")}
+        assert run_cli(args + ["--out", str(warm),
+                               "--gs-cache", str(cache)]) == 0
+        for p, content in cached.items():
+            assert read(p) == content
+        assert files_in(cold) == ARTIFACTS
+        assert files_in(warm) == [
             "chi_curves.csv", "summary.json", "wavefunctions.csv"]
+
+    @pytest.mark.parametrize("args", [QUARTIC, SOLUBLE],
+                             ids=["quartic", "soluble"])
+    def test_cache_equals_the_runs_groundstate_files(self, tmp_path, args):
+        cache = tmp_path / "gs.csv"
+        out = tmp_path / "out"
+        assert run_cli(args + ["--out", str(out),
+                               "--gs-cache", str(cache)]) == 0
+        for suffix in ("", ".json"):
+            assert (read(f"{cache}{suffix}")
+                    == read(f"{out / 'groundstate.csv'}{suffix}")), suffix
+
+    def test_cache_that_is_the_runs_own_groundstate_csv(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(QUARTIC + ["--out", str(out), "--gs-cache",
+                                  str(out / "groundstate.csv")]) == 0
+        assert files_in(out) == ARTIFACTS
+        assert groundstate.load_groundstate(out / "groundstate.csv").grid \
+            == Grid(4.0, 2001)
 
 
 class TestHalfGridEstimate:
