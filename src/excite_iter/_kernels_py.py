@@ -90,17 +90,11 @@ def excite_profile(h: float, w, winv, chi_prev, tail: float,
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
     I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
 
-    One temporary holds the two integrands in turn, and out holds I + tail
-    until chihat overwrites it.  The caller's tail w * chi/(2S') at the
-    last node is 0 at a hard wall, since w is 0 there; winv is 0 there
-    too, so the outer integrand vanishes.  Writes chihat into out (see
-    check_profile_out) and returns it.
+    The caller's tail w * chi/(2S') at the last node is 0 at a hard wall,
+    since w is 0 there; winv is 0 there too, so the outer integrand
+    vanishes.  Writes chihat into out (see check_profile_out) and returns
+    it; the quadrature's grid-sized temporaries are freed on return.
     """
     check_profile_out(out, len(chi_prev), w, winv, chi_prev)
-    integrand = np.multiply(w, chi_prev)
-    reverse_cumulative_simpson(integrand, h, out=out)
-    out += tail
-    np.multiply(winv, out, out=integrand)
-    cumulative_simpson(integrand, h, out=out)
-    out *= 2.0
-    return out
+    outer = winv * (reverse_cumulative_simpson(w * chi_prev, h) + tail)
+    return np.multiply(cumulative_simpson(outer, h), 2.0, out=out)

@@ -152,7 +152,8 @@ def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
 
     The returned chi is out when given (see _unnormalized_profile), else
     a new array.  Given out, a step on the compiled kernel allocates
-    nothing of grid size; the Python kernel allocates one temporary.
+    nothing of grid size; the Python kernel's quadrature temporaries are
+    freed before it returns.
     """
     i0 = gs.grid.index_of(anchor_x0)
     pinned = prev.chi[i0]

@@ -29,8 +29,9 @@ from . import _kernels_py
 # -ffp-contract=off keeps the compiler from fusing a*b+c into one rounding,
 # which would break bit-identity with the Python kernels
 _FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+_SOURCE_NAME = "_kernels.c"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       "_kernels.c")
+                       _SOURCE_NAME)
 
 
 def _cache_dir() -> str:
@@ -71,19 +72,22 @@ def _build() -> str:
         raise ImportError(
             f"cache directory {directory} not writable: {exc}") from exc
     try:
-        done = subprocess.run(cc + _FLAGS + [_SOURCE, "-o", tmp],
+        # compiled from its own directory, so that the compiler's
+        # messages name the source as the reasons do: by its file name
+        done = subprocess.run(cc + _FLAGS + [_SOURCE_NAME, "-o", tmp],
+                              cwd=os.path.dirname(_SOURCE),
                               capture_output=True, text=True)
         if done.returncode != 0:
             lines = done.stderr.strip().splitlines()
             first = next((ln for ln in lines if "error" in ln),
                          "".join(lines[-1:]))
-            raise ImportError(f"build of {_SOURCE} failed "
+            raise ImportError(f"build of {_SOURCE_NAME} failed "
                               f"(exit {done.returncode}): {first}")
         # a concurrent first import may replace the same name: both
         # builds are identical, and the rename is atomic
         os.replace(tmp, path)
     except OSError as exc:
-        raise ImportError(f"build of {_SOURCE} failed: {exc}") from exc
+        raise ImportError(f"build of {_SOURCE_NAME} failed: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -136,7 +140,7 @@ def _load():
 
     kernels = SimpleNamespace(riccati_sweep=riccati_sweep,
                               excite_profile=excite_profile)
-    return kernels, f"built from {_SOURCE}, loaded from {path}"
+    return kernels, f"built from {_SOURCE_NAME}, loaded from {path}"
 
 
 try:

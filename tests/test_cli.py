@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -786,3 +787,58 @@ class TestProcessEntry:
         if sys.platform.startswith("linux"):
             assert lines[-1].split()[2] == "1"
         assert self.spawn([str(script), "soluble"]).returncode == 2
+
+
+class TestSameBytesFromEveryBackendAndCheckout:
+    """A CLI process writes the same artifacts and stdout whichever
+    backend ran it and whichever copy of the package it ran from."""
+
+    @staticmethod
+    def spawn(src, args, out, **env):
+        """stdout of a CLI process on the package in src."""
+        env = dict(os.environ, PYTHONPATH=str(src), **env)
+        proc = subprocess.run(
+            [sys.executable, "-m", "excite_iter.cli", *args,
+             "--out", str(out)], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("args", [["soluble", "--delta", "0.3"],
+                                      ["quartic", "--g", "3"]],
+                             ids=["soluble", "quartic"])
+    def test_backends_write_the_same_bytes(self, tmp_path, args):
+        try:
+            kernels.get_backend("cython")
+        except ImportError as exc:
+            pytest.skip(str(exc))
+        # a cache "directory" that is a file: no compiled kernel
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        src = os.path.dirname(os.path.dirname(excite_iter.__file__))
+        runs = {}
+        for backend, env in (("cython", {}),
+                             ("python", {"XDG_CACHE_HOME": str(blocker)})):
+            out = tmp_path / backend
+            stdout = self.spawn(src, args + ["--points", "401"], out, **env)
+            files = {p.name: read(p) for p in out.iterdir()}
+            summary = json.loads(files.pop("summary.json"))
+            assert summary.pop("kernel_backend") == backend
+            del summary["kernel_backend_reason"]
+            runs[backend] = stdout, files, summary
+        assert runs["python"] == runs["cython"]
+
+    def test_summary_does_not_depend_on_the_checkout(self, tmp_path):
+        # two copies share one kernel cache: the first builds the kernel
+        # (or finds no compiler), the second loads that build
+        cache = str(tmp_path / "cache")
+        summaries = []
+        for checkout in ("a", "b"):
+            src = tmp_path / checkout / "src"
+            shutil.copytree(os.path.dirname(excite_iter.__file__),
+                            src / "excite_iter",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            out = tmp_path / checkout / "out"
+            self.spawn(src, ["soluble", "--delta", "0.1"], out,
+                       XDG_CACHE_HOME=cache)
+            summaries.append(read(out / "summary.json"))
+        assert summaries[0] == summaries[1]

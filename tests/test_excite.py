@@ -7,6 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from excite_iter import excite, kernels
 from excite_iter.errors import DegenerateAnchorError
@@ -325,6 +328,34 @@ def test_profile_backends_agree_bit_for_bit(case):
         assert gs.scaled_weight[0][-1] != 0.0  # a nonzero Watson tail
 
 
+@st.composite
+def profile_arguments(draw):
+    """(h, w, winv, chi_prev, tail) of an odd length in [3, 201]: weights
+    >= 0 with exact zeros, a finite chi with -0.0 in it, and a tail of
+    either signed zero or nonzero."""
+    n = 2 * draw(st.integers(1, 100)) + 1
+    weight = arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 1e6)))
+    chi = arrays(np.float64, n, elements=st.one_of(
+        st.just(-0.0), st.floats(-1e6, 1e6)))
+    tail = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    return (draw(st.floats(1e-4, 1.0)), draw(weight), draw(weight),
+            draw(chi), draw(tail))
+
+
+@given(profile_arguments())
+def test_profile_backends_agree_on_random_arrays(args):
+    try:
+        compiled = kernels.get_backend("cython")
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    n = len(args[3])
+    python, cython = (backend.excite_profile(*args, np.empty(n)).tobytes()
+                      for backend in (kernels.get_backend("python"),
+                                      compiled))
+    assert python == cython
+
+
 def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     def profile(n, n_w=None):
         return kernels.excite_profile(
@@ -389,11 +420,13 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
                                          profile_backend):
     # once the ground state holds its weights, one step's only grid-sized
     # allocation is the chi it returns (8 B a node), and given out,
-    # nothing of grid size, but for the Python kernel's one temporary;
-    # 2 KB covers the small Python objects
+    # nothing of grid size, but for the Python kernel's temporaries: at
+    # their peak the outer integrand, its running integral and three
+    # half-grid products, 3.5 grid arrays; 2 KB covers the small Python
+    # objects
     for gs in (gs_quartic, gs_soluble):
         n = gs.grid.n_points
-        temporary = 8 * n if profile_backend == "python" else 0
+        temporary = 28 * n if profile_backend == "python" else 0
         prev = IterationState(chi=TrialFunction.saturating().sample(
             gs.grid))
         iterate_once(gs, prev, 1.0)   # caches the weights
