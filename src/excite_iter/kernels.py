@@ -12,6 +12,13 @@ flags, and loaded from there through ctypes.  The Python kernels are used when
 there is no build and no C compiler, the cache directory cannot be
 written or the build fails; both kernels fall back together.
 
+The ctypes wrapper of the compiled profile passes array addresses.  It
+looks up those of a ground state's weights w and winv once per run: it
+keeps the last pair it was given that needed no conversion, with their
+addresses, and holds both arrays so that their memory stays theirs.  It
+still checks out and the shapes on every call, and converts on every call
+an array that needs it.
+
 ``BACKEND`` names the active backend and ``BACKEND_REASON`` says why.
 """
 
@@ -123,19 +130,34 @@ def _load():
                        sp.ctypes.data)
         return s, sp, node
 
+    # the last (w, winv) that needed no conversion, and their addresses:
+    # a run passes its ground state's weights on every step, and a
+    # .ctypes.data lookup costs about a microsecond.  Holding the arrays
+    # keeps their memory, so no other array can take their addresses; a
+    # converted copy is never kept, as its source may change
+    weights = (None, None, 0, 0)
+
     def excite_profile(h, w, winv, chi_prev, tail, out):
         """See _kernels_py.excite_profile; the integrands stay in
         registers, so it needs no temporary array."""
+        nonlocal weights
         n = len(chi_prev)
         if n < 3 or n % 2 == 0:
             raise ValueError("need an odd number of nodes, at least 3")
         _kernels_py.check_profile_out(out, n, w, winv, chi_prev)
-        w, winv, chi_prev = (np.ascontiguousarray(a, dtype=float)
-                             for a in (w, winv, chi_prev))
+        if w is weights[0] and winv is weights[1]:
+            w_at, winv_at = weights[2:]
+        else:
+            given_w, given_winv = w, winv
+            w, winv = (np.ascontiguousarray(a, dtype=float) for a in (w, winv))
+            w_at, winv_at = w.ctypes.data, winv.ctypes.data
+            if w is given_w and winv is given_winv:   # neither was copied
+                weights = w, winv, w_at, winv_at
+        chi_prev = np.ascontiguousarray(chi_prev, dtype=float)
         if not w.shape == winv.shape == chi_prev.shape == (n,):
             raise ValueError(f"profile arrays must have shape ({n},)")
-        c_profile(n, h, w.ctypes.data, winv.ctypes.data,
-                  chi_prev.ctypes.data, tail, out.ctypes.data)
+        c_profile(n, h, w_at, winv_at, chi_prev.ctypes.data, tail,
+                  out.ctypes.data)
         return out
 
     kernels = SimpleNamespace(riccati_sweep=riccati_sweep,

@@ -264,6 +264,19 @@ class TestErrors:
         assert "on 7 nodes (h=0.667)" in err
         assert "raise --points" in err
 
+    def test_coupling_below_the_bracket_exits_1_naming_g(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        code = run_cli(["quartic", "--g", "0.01", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --g 0.01: the energy window "
+                              "(0.4g, 1.6g) = (0.004, 0.016) holds no "
+                              "ground state at this coupling")
+        assert err.endswith("default_bracket is validated for g in "
+                            "[0.7, 12]\n")
+        assert files_in(out) == []
+
     @pytest.mark.parametrize("tol", ["-1", "0", "1", "inf"])
     def test_tol_outside_0_1_exits_1(self, tmp_path, capsys, tol):
         code = run_cli(["soluble", "--delta", "0.1", "--tol", tol,

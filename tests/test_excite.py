@@ -25,7 +25,8 @@ from excite_iter.excite import (
 from excite_iter.groundstate import (OVERFLOW_EXPONENT, Grid, GroundState,
                                      default_x_max, soluble_groundstate,
                                      solve_groundstate_numeric)
-from excite_iter.numerics import reverse_cumulative_simpson
+from excite_iter.numerics import (reverse_cumulative_simpson,
+                                  simpson_integral)
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
 
@@ -206,6 +207,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(gs_soluble, TrialFunction.linear(), max_iters=0)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0, math.inf, -1.0, math.nan])
+    def test_tol_outside_0_1_is_rejected(self, tol):
+        # tol = 2 stopped as converged after 2 steps, 1.4 % off the closed
+        # form; tol = -1 and NaN ran every step
+        gs = soluble_groundstate(DELTA, Grid(1.0, 2001))
+        with pytest.raises(ValueError, match=rf"^tol must be in \[0, 1\), "
+                                             rf"got {tol}$"):
+            run(gs, TrialFunction.linear(), tol=tol, max_iters=12)
+
     def test_soluble_eps_sequence_is_pinned_bit_for_bit(self):
         gs = soluble_groundstate(DELTA, Grid(1.0, 2001))
         report = run(gs, TrialFunction.linear(), anchor_x0=1.0)
@@ -354,6 +364,45 @@ def test_profile_backends_agree_on_random_arrays(args):
                       for backend in (kernels.get_backend("python"),
                                       compiled))
     assert python == cython
+
+
+def test_compiled_profile_reads_each_calls_weights():
+    # the compiled wrapper keeps the addresses of the last weights it was
+    # given; it must give the Python kernel's bytes when ground states
+    # alternate, when w must be copied to be contiguous, and when w is
+    # edited in place between calls
+    try:
+        compiled = kernels.get_backend("cython")
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    python = kernels.get_backend("python")
+    states = [soluble_groundstate(DELTA, Grid(1.0, 201)), _harmonic(4.0, 201)]
+    chi = TrialFunction.saturating().sample(states[0].grid)
+
+    def check(w, winv):
+        python_bytes, compiled_bytes = (
+            backend.excite_profile(0.005, w, winv, chi, 0.25,
+                                   np.empty(len(chi))).tobytes()
+            for backend in (python, compiled))
+        assert python_bytes == compiled_bytes
+        return compiled_bytes
+
+    seen = set()
+    for i in (0, 1, 1, 0, 0, 1):
+        w, _, winv = states[i].scaled_weight
+        seen.add(check(w, winv))
+    assert len(seen) == 2
+
+    w, _, winv = states[1].scaled_weight
+    source = np.zeros((len(w), 2))
+    source[:, 0] = w
+    strided = source[:, 0]                    # not contiguous: copied
+    writable = w.copy()
+    for given in (strided, writable):
+        before = check(given, winv)
+        assert check(given, winv) == before
+        given *= 0.5                          # the same array, new values
+        assert check(given, winv) != before
 
 
 def test_profile_rejects_arrays_it_cannot_use(profile_backend):
@@ -532,8 +581,8 @@ STOPPING_CASES = {
     "max-iters": (tuple(1.0 + 2.0 ** -k for k in range(1, 12)), 1e-9, 6,
                   "max_iters", 6),
     "max-iters-1": ((1.0, 1.0), 1e-9, 1, "max_iters", 1),
-    # delta_2 = 0.5 <= 1.0 * eps_2
-    "converged-at-step-2": ((1.0, 1.5, 9.0), 1.0, 8, "converged", 2),
+    # delta_2 = 1 <= 0.5 * eps_2, the bound itself (tol < 1)
+    "converged-at-step-2": ((1.0, 2.0, 9.0), 0.5, 8, "converged", 2),
 }
 
 
@@ -561,7 +610,61 @@ def test_run_stops_by_its_rule(case, monkeypatch):
     assert len(report.orth_residuals) == steps
 
 
+def _five_pass_residual(w, chi, h):
+    """The residual by its five-pass route: w chi, Simpson, |chi|, times
+    w, Simpson; returns (half, norm, residual)."""
+    half = simpson_integral(w * chi, h)
+    norm = 2.0 * simpson_integral(np.abs(chi) * w, h)
+    return half, norm, 0.0 if norm == 0.0 else (half - half) / norm
+
+
+def _same_or_both_nan(a, b):
+    return a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def residual_arguments(draw):
+    """(ground state, chi) of an odd length in [3, 101]: S with +inf in it
+    (exact zeros of w) and finite values wide enough for w to underflow;
+    chi with negative values, both zeros, both infinities and NaN."""
+    n = 2 * draw(st.integers(1, 50)) + 1
+    s = draw(arrays(np.float64, n, elements=st.one_of(
+        st.just(np.inf), st.floats(-400.0, 400.0))))
+    s[draw(st.integers(0, n - 1))] = 0.0          # one finite sample
+    chi = draw(arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+        st.floats(-1e6, 1e6))))
+    gs = GroundState(grid=Grid(1.0, n), s=s, s_prime=np.zeros(n), e_gd=0.0,
+                     potential=None)
+    return gs, chi
+
+
 class TestOrthogonality:
+    @given(residual_arguments())
+    def test_matches_the_five_pass_route(self, args):
+        # the two Simpson integrals and the value, bit for bit, with or
+        # without scratch; a NaN may differ only in its sign
+        gs, chi = args
+        integrals = []
+
+        def spy(values, h):
+            integrals.append(simpson_integral(values, h))
+            return integrals[-1]
+
+        with np.errstate(all="ignore"):
+            half, norm, expected = _five_pass_residual(
+                gs.scaled_weight[0], chi, gs.grid.h)
+        for scratch in (None, np.full(len(chi), np.nan)):
+            integrals.clear()
+            with pytest.MonkeyPatch.context() as mp, \
+                    np.errstate(all="ignore"):
+                mp.setattr(excite, "simpson_integral", spy)
+                value = orthogonality_residual(gs, chi, scratch)
+            assert _same_or_both_nan(integrals[0], half)
+            assert _same_or_both_nan(2.0 * integrals[1], norm)
+            assert _same_or_both_nan(value, expected)
+            assert value == 0.0 or math.isnan(value)
+
     def test_odd_extension_is_structural_zero(self, gs_soluble):
         report = run(gs_soluble, TrialFunction.linear(), max_iters=3)
         for r in report.orth_residuals:

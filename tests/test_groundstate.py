@@ -46,6 +46,14 @@ def test_grid_basics():
         grid.index_of(1.0 + 0.3 * grid.h)
 
 
+@pytest.mark.parametrize("n", [3, 5, 2001, 4001, 16001, 64001])
+def test_nodes_are_linspace_byte_for_byte(n):
+    # at x_max = 3.99, (n - 1) * h is not x_max: the last node is set apart
+    for x_max in (1.0, 3.99, *groundstate._EDGE_LADDER):
+        assert (Grid(x_max, n).nodes().tobytes()
+                == np.linspace(0.0, x_max, n).tobytes()), x_max
+
+
 @pytest.mark.parametrize("x_max,n", [(0.0, 11), (1.0, 10), (1.0, 1)])
 def test_grid_validation(x_max, n):
     with pytest.raises(ValueError):
