@@ -1,11 +1,15 @@
 /* Compiled kernels, loaded by excite_iter.kernels through ctypes: the
- * Riccati sweep of the quartic double well and the profile of one
- * iteration step, which knows nothing of the potential or of a wall.
- * Each has the same contract and performs the same floating-point
- * operations, in the same order, as its counterpart in
- * excite_iter._kernels_py; build with -ffp-contract=off so no a*b+c is
- * fused and the output stays bit-identical. */
+ * Riccati sweep of the quartic double well, the profile of one iteration
+ * step, which knows nothing of the potential or of a wall, and the CSV
+ * rows of the artifacts.  Each has the same contract as its counterpart in
+ * excite_iter._kernels_py.  The sweep and the profile perform the same
+ * floating-point operations in the same order; build with
+ * -ffp-contract=off so no a*b+c is fused and the output stays
+ * bit-identical.  The CSV rows hold the same characters as Python's. */
 #include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* s and sp hold n + 1 doubles each.  Returns the index at which |S'|
  * exceeded limit (entries after it are NaN), or -1. */
@@ -90,4 +94,152 @@ void excite_profile(long n, double h, const double *w, const double *winv,
         chihat[i + 2] = even * 2.0;
         y0 = y2;
     }
+}
+
+/* The longest %.17g of a double, as -4.9406564584124654e-324 */
+#define CSV_CELL_BYTES 24
+
+/* Python's '%.17g' % v through glibc's "%.17g", which is exact for every
+ * double; only inf, -inf and nan are spelled as Python spells them (glibc
+ * writes a NaN with its sign bit set as -nan).  Writes at most
+ * CSV_CELL_BYTES characters and a NUL; returns the count of characters. */
+static int format_printf(double v, char *p)
+{
+    const char *word = v != v ? "nan"
+                       : v == INFINITY ? "inf"
+                       : v == -INFINITY ? "-inf" : NULL;
+    if (word)
+        return snprintf(p, CSV_CELL_BYTES + 1, "%s", word);
+    return snprintf(p, CSV_CELL_BYTES + 1, "%.17g", v);
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233"
+    "34353637383940414243444546474849505152535455565758596061626364656667"
+    "6869707172737475767778798081828384858687888990919293949596979899";
+
+/* The same characters as format_printf, from integer arithmetic when v is
+ * normal and its decimal exponent E (that of v rounded to 17 digits) lies
+ * in [-16, 16].  With v = m 2^q and k = 16 - E, m 5^k is exact in 128
+ * bits and v 10^k = m 5^k 2^(q + k) lies in [10^16, 10^17).  The shift
+ * gives its integer part, and the bits shifted out the exact remainder,
+ * on which the 17 digits are rounded half to even, as printf rounds.  The
+ * digits are then laid out by %g's rules: the exponent form when E < -4
+ * or E >= 17, trailing zeros and a bare point dropped. */
+static int format_cell(double v, char *p)
+{
+    const uint64_t P16 = 10000000000000000u, P17 = 10 * P16;
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    if (biased == 0 || biased == 0x7ff)   /* zero, subnormal, inf, nan */
+        return format_printf(v, p);
+    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    int q = biased - 1075;
+    /* floor(log10 2^(q + 52)): E or one below it */
+    int e = (q + 52) * 78913 >> 18;
+    uint64_t digits;
+    for (;;) {
+        int k = 16 - e, shift;
+        if (k < 0 || k > 32)
+            return format_printf(v, p);
+        u128 scaled = m, whole, rem = 0, half = 0;
+        for (int j = 0; j < k; j++)
+            scaled *= 5;
+        shift = q + k;
+        if (shift >= 0) {
+            whole = scaled << shift;
+        } else {
+            whole = scaled >> -shift;
+            rem = scaled & (((u128)1 << -shift) - 1);
+            half = (u128)1 << (-shift - 1);
+        }
+        /* 10^16 and 10^17 are integers, so the unrounded value lies
+         * between them exactly when its integer part does */
+        if (whole < P16) {
+            e--;
+            continue;
+        }
+        if (whole >= P17) {
+            e++;
+            continue;
+        }
+        digits = (uint64_t)whole;
+        if (rem > half || (rem == half && half && digits & 1))
+            digits++;
+        if (digits == P17) {               /* rounded up to 10^17 */
+            digits = P16;
+            e++;
+        }
+        break;
+    }
+
+    char d[17];
+    d[0] = (char)('0' + digits / P16);
+    uint64_t low = digits % P16;
+    for (int j = 15; j > 0; j -= 2, low /= 100)
+        memcpy(d + j, DIGIT_PAIRS + 2 * (low % 100), 2);
+    int nd = 17;                  /* digits left when trailing zeros go */
+    while (nd > 1 && d[nd - 1] == '0')
+        nd--;
+
+    char *start = p;
+    if (bits >> 63)
+        *p++ = '-';
+    if (e < -4 || e >= 17) {
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, nd - 1);
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        memcpy(p, DIGIT_PAIRS + 2 * (e < 0 ? -e : e), 2);
+        p += 2;
+    } else if (e >= 0) {                 /* the integer part keeps its zeros */
+        memcpy(p, d, e + 1);
+        p += e + 1;
+        if (nd > e + 1) {
+            *p++ = '.';
+            memcpy(p, d + e + 1, nd - e - 1);
+            p += nd - e - 1;
+        }
+    } else {
+        memcpy(p, "0.000", 1 - e);
+        p += 1 - e;
+        memcpy(p, d, nd);
+        p += nd;
+    }
+    *p = '\0';
+    return (int)(p - start);
+}
+#else
+#define format_cell format_printf
+#endif
+
+/* Rows first to last - 1 of n_cols columns of doubles, each cell as
+ * Python's '%.17g' % v, cells joined by ',' and each row ended by '\n',
+ * into buf of cap bytes; no NUL ends them.  Returns the count of bytes
+ * written, or -1, having written nothing, when n_cols < 1 or cap is below
+ * CSV_CELL_BYTES + 1 bytes a cell. */
+long format_csv_rows(long n_cols, const double *const *cols, long first,
+                     long last, char *buf, long cap)
+{
+    if (n_cols < 1
+            || (last > first
+                && cap / (CSV_CELL_BYTES + 1) / (last - first) < n_cols))
+        return -1;
+    char *p = buf;
+    for (long i = first; i < last; i++) {
+        for (long j = 0; j < n_cols; j++) {
+            p += format_cell(cols[j][i], p);
+            *p++ = ',';
+        }
+        p[-1] = '\n';
+    }
+    return p - buf;
 }

@@ -2,18 +2,24 @@
 
 riccati_sweep integrates S'' = S'^2 - 2(V - E) for the quartic double well
 with classic RK4 at fixed step.  excite_profile composes one iteration
-step's profile from the NumPy quadrature in numerics.  The compiled
-kernels must perform the same floating-point operations in the same
-order, so that both give bit-identical output.
+step's profile from the NumPy quadrature in numerics.  write_csv_rows
+writes CSV rows with Python's '%.17g' % v.  The compiled kernels must
+perform the same floating-point operations in the same order, and write
+the same characters, so that both give bit-identical output.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
 from .numerics import cumulative_simpson, reverse_cumulative_simpson
 
 BLOWUP_LIMIT = 1e12
+
+#: rows that write_csv_rows formats and writes at a time, on both backends
+CSV_CHUNK_ROWS = 1024
 
 
 def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
@@ -98,3 +104,14 @@ def excite_profile(h: float, w, winv, chi_prev, tail: float,
     check_profile_out(out, len(chi_prev), w, winv, chi_prev)
     outer = winv * (reverse_cumulative_simpson(w * chi_prev, h) + tail)
     return np.multiply(cumulative_simpson(outer, h), 2.0, out=out)
+
+
+def write_csv_rows(f, columns) -> None:
+    """Write the rows of columns, 1-D float arrays of one length, to the
+    binary file f: each cell '%.17g' % v, which reads back to the same
+    float64, cells joined by ',' and rows ended by a newline.  Formats
+    CSV_CHUNK_ROWS rows at a time."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    while chunk := [row % values for values in islice(rows, CSV_CHUNK_ROWS)]:
+        f.write("".join(chunk).encode())

@@ -309,13 +309,17 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
 # serialization: CSV profile plus a JSON sidecar
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length columns under a header line, every value as
-    %.17g, which reads back to the same float64."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(row % values
-                     for values in zip(*(c.tolist() for c in columns)))
+    """Write equal-length 1-D columns under a header line, every value as
+    %.17g, which reads back to the same float64.  Raises ValueError, naming
+    the shapes, before the file is opened when a column is not 1-D or the
+    lengths differ."""
+    shapes = [np.shape(c) for c in columns]
+    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+        raise ValueError(f"CSV columns must be 1-D and of one length, got "
+                         f"shapes {shapes}")
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        kernels.write_csv_rows(f, columns)
 
 
 def save_groundstate(gs: GroundState, csv_path) -> None:

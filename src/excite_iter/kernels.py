@@ -1,23 +1,26 @@
 """Kernel backend selection.
 
-Two kernels have a compiled and a pure-Python implementation with
-bit-identical output: the Riccati sweep of the ground-state solve and the
+Three kernels have a compiled and a pure-Python implementation with
+bit-identical output: the Riccati sweep of the ground-state solve; the
 profile of one iteration step, whose two running integrals mirror
-numerics.cumulative_simpson's operation order: Simpson panel pairs, and
-the half-panel rule h/12 (5 y0 + 8 y1 - y2) at odd offsets.  The
-compiled ones are the plain C file ``_kernels.c``, built into the user
+numerics.cumulative_simpson's operation order (Simpson panel pairs, and
+the half-panel rule h/12 (5 y0 + 8 y1 - y2) at odd offsets); and the CSV
+writer of the artifacts, which writes every cell as Python's '%.17g' % v.
+The compiled ones are the plain C file ``_kernels.c``, built into the user
 cache, ``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/`` when
 unset), on the first import that finds no build for this source and these
-flags, and loaded from there through ctypes.  The Python kernels are used when
-there is no build and no C compiler, the cache directory cannot be
-written or the build fails; both kernels fall back together.
+flags, and loaded from there through ctypes.  The Python kernels are used
+when there is no build and no C compiler, the cache directory cannot be
+written or the build fails; all three kernels fall back together.
 
 The ctypes wrapper of the compiled profile passes array addresses.  It
 looks up those of a ground state's weights w and winv once per run: it
 keeps the last pair it was given that needed no conversion, with their
 addresses, and holds both arrays so that their memory stays theirs.  It
 still checks out and the shapes on every call, and converts on every call
-an array that needs it.
+an array that needs it.  The wrapper of the compiled CSV writer formats
+CSV_CHUNK_ROWS rows at a time into one buffer, CSV_CELL_BYTES a cell, and
+writes each chunk before it formats the next.
 
 ``BACKEND`` names the active backend and ``BACKEND_REASON`` says why.
 """
@@ -39,6 +42,10 @@ _FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 _SOURCE_NAME = "_kernels.c"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        _SOURCE_NAME)
+
+#: the longest '%.17g' of a float64, -4.9406564584124654e-324, and its
+#: separator: format_csv_rows needs this much buffer a cell
+CSV_CELL_BYTES = 25
 
 
 def _cache_dir() -> str:
@@ -109,6 +116,7 @@ def _load():
     try:
         lib = ctypes.CDLL(path)
         c_sweep, c_profile = lib.riccati_sweep, lib.excite_profile
+        c_rows = lib.format_csv_rows
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot load {path}: {exc}") from exc
     c_sweep.restype = ctypes.c_long
@@ -118,6 +126,10 @@ def _load():
     c_profile.argtypes = ([ctypes.c_long, ctypes.c_double]
                           + [ctypes.c_void_p] * 3
                           + [ctypes.c_double, ctypes.c_void_p])
+    c_rows.restype = ctypes.c_long
+    c_rows.argtypes = ([ctypes.c_long, ctypes.c_void_p]
+                       + [ctypes.c_long] * 2
+                       + [ctypes.c_void_p, ctypes.c_long])
 
     def riccati_sweep(x_start, h, n_steps, g, e, s_init, sp_init):
         """See _kernels_py.riccati_sweep."""
@@ -160,8 +172,28 @@ def _load():
                   out.ctypes.data)
         return out
 
+    def write_csv_rows(f, columns):
+        """See _kernels_py.write_csv_rows; the rows of a chunk go through
+        one buffer, reused for every chunk."""
+        columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
+        n = len(columns[0]) if columns else 0
+        if any(c.shape != (n,) for c in columns):
+            raise ValueError("CSV columns must be 1-D and of one length")
+        chunk = _kernels_py.CSV_CHUNK_ROWS
+        buf = np.empty(min(n, chunk) * len(columns) * CSV_CELL_BYTES,
+                       dtype=np.uint8)
+        addresses = (ctypes.c_void_p * len(columns))(
+            *(c.ctypes.data for c in columns))
+        for first in range(0, n, chunk):
+            used = c_rows(len(columns), addresses, first,
+                          min(n, first + chunk), buf.ctypes.data, len(buf))
+            if used < 0:
+                raise RuntimeError("CSV buffer too small for a chunk")
+            f.write(buf[:used])
+
     kernels = SimpleNamespace(riccati_sweep=riccati_sweep,
-                              excite_profile=excite_profile)
+                              excite_profile=excite_profile,
+                              write_csv_rows=write_csv_rows)
     return kernels, f"built from {_SOURCE_NAME}, loaded from {path}"
 
 
@@ -174,14 +206,15 @@ except ImportError as exc:
     BACKEND_REASON = f"no compiled kernel: {exc}"
 riccati_sweep = (_compiled or _kernels_py).riccati_sweep
 excite_profile = (_compiled or _kernels_py).excite_profile
+write_csv_rows = (_compiled or _kernels_py).write_csv_rows
 
 
 def get_backend(name: str):
     """Return the kernels for an explicit backend name, an object with
-    ``riccati_sweep`` and ``excite_profile`` attributes: 'cython' (the
-    compiled C kernels; the name predates them) or 'python'. Raises
-    ImportError, naming the cause, for 'cython' when no compiled kernels
-    could be had."""
+    ``riccati_sweep``, ``excite_profile`` and ``write_csv_rows``
+    attributes: 'cython' (the compiled C kernels; the name predates them)
+    or 'python'. Raises ImportError, naming the cause, for 'cython' when no
+    compiled kernels could be had."""
     if name == "python":
         return _kernels_py
     if name == "cython":

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import os
 import shlex
@@ -9,16 +10,18 @@ import sysconfig
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 import excite_iter
-from excite_iter import groundstate, kernels
+from excite_iter import _kernels_py, groundstate, kernels
 from excite_iter.errors import NoEigenvalueError, WrongParityError
 from excite_iter.groundstate import (Grid, default_bracket, default_x_max,
                                      load_groundstate, save_groundstate,
                                      solve_groundstate_numeric,
-                                     soluble_groundstate)
+                                     soluble_groundstate, write_csv)
 from excite_iter.potential import DeltaBox, Quartic
 
 
@@ -311,9 +314,9 @@ def test_negative_step_count_is_rejected(backend):
 
 def _backend_in_subprocess(env):
     """(BACKEND, BACKEND_REASON, get_backend('cython') error or '', and
-    whether kernels.riccati_sweep and kernels.excite_profile are the
-    Python kernels, as 'True True' etc.) of a fresh import of
-    excite_iter.kernels."""
+    whether kernels.riccati_sweep, kernels.excite_profile and
+    kernels.write_csv_rows are the Python kernels, as 'True True True'
+    etc.) of a fresh import of excite_iter.kernels."""
     code = ("from excite_iter import _kernels_py, kernels\n"
             "print(kernels.BACKEND)\n"
             "print(kernels.BACKEND_REASON)\n"
@@ -323,7 +326,8 @@ def _backend_in_subprocess(env):
             "except ImportError as exc:\n"
             "    print(exc)\n"
             "print(kernels.riccati_sweep is _kernels_py.riccati_sweep,\n"
-            "      kernels.excite_profile is _kernels_py.excite_profile)\n")
+            "      kernels.excite_profile is _kernels_py.excite_profile,\n"
+            "      kernels.write_csv_rows is _kernels_py.write_csv_rows)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -355,8 +359,8 @@ def test_failed_build_falls_back_to_python(tmp_path):
     assert backend == "python"
     assert "build of" in reason
     assert message == reason
-    # the sweep and the profile fall back together
-    assert python_kernels == "True True"
+    # the sweep, the profile and the CSV writer fall back together
+    assert python_kernels == "True True True"
     # the failed build leaves no temporary file behind
     assert os.listdir(tmp_path / "cache" / "excite-iter") == []
 
@@ -371,7 +375,7 @@ def test_cached_kernel_is_loaded_without_a_compiler(tmp_path):
     assert backend == "cython"
     assert f"loaded from {tmp_path}" in reason
     assert message == ""
-    assert python_kernels == "False False"
+    assert python_kernels == "False False False"
 
 
 @pytest.mark.skipif(not _can_build_kernel(),
@@ -516,3 +520,84 @@ def test_soluble_roundtrip_with_wall(tmp_path):
     back = load_groundstate(path)
     assert back.s[-1] == back.s_prime[-1] == np.inf
     assert np.array_equal(back.s[:-1], gs.s[:-1])
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"\[\(5,\), \(3,\)\]"):
+        write_csv(path, ["a", "b"], [np.arange(5.0), np.arange(3.0)])
+    assert not path.exists()
+
+
+def test_write_csv_rejects_a_column_that_is_not_1d(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"\[\(2, 2\)\]"):
+        write_csv(path, ["a"], [np.ones((2, 2))])
+    assert not path.exists()
+
+
+def _compiled_csv_rows():
+    try:
+        return kernels.get_backend("cython").write_csv_rows
+    except ImportError as exc:
+        pytest.skip(str(exc))
+
+
+def _assert_writes_17g(write_csv_rows, values):
+    """write_csv_rows writes values, one column, as '%.17g' % v does."""
+    values = np.asarray(values, dtype=float)
+    want = "".join(["%.17g\n" % v for v in values.tolist()]).encode()
+    f = io.BytesIO()
+    write_csv_rows(f, [values])
+    if f.getvalue() != want:
+        wrong = [(v, g, w) for v, g, w in zip(
+            values.tolist(), f.getvalue().splitlines(), want.splitlines())
+            if g != w]
+        pytest.fail(f"(value, written, '%.17g'): {wrong[:5]}")
+
+
+@given(st.floats())
+def test_formatters_agree_on_any_float(v):
+    for write_csv_rows in (_kernels_py.write_csv_rows, _compiled_csv_rows()):
+        _assert_writes_17g(write_csv_rows, [v])
+
+
+def _ulps_around(p, count):
+    """The 2 count + 1 floats from count ulps below p > 0 to count above."""
+    bits = np.array([p]).view(np.int64) + np.arange(-count, count + 1)
+    return bits.view(float)
+
+
+def test_formatters_agree_bit_for_bit():
+    rng = np.random.default_rng(20)
+    around_powers_of_ten = np.concatenate(
+        [_ulps_around(10.0 ** k, 2000) for k in range(-20, 21)])
+    powers_of_two = 2.0 ** np.arange(-1074, 1024)
+    # m / 2^j with a 53-bit m: the values whose 17 digits may end in a tie
+    ties = (rng.integers(2 ** 52, 2 ** 53, 200_000).astype(float)
+            / 2.0 ** rng.integers(0, 120, 200_000))
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64).view(float),
+        around_powers_of_ten, -around_powers_of_ten,
+        powers_of_two, -powers_of_two, ties,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]])
+    # the Python kernel formats with '%.17g' % v itself
+    _assert_writes_17g(_compiled_csv_rows(), values)
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_backends_write_the_same_csv_at_chunk_edges(tmp_path, monkeypatch,
+                                                    offset):
+    chunk = _kernels_py.CSV_CHUNK_ROWS
+    n = 1 if offset is None else chunk + offset
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+               for _ in range(3)]
+    files = []
+    for write_csv_rows in (_kernels_py.write_csv_rows, _compiled_csv_rows()):
+        monkeypatch.setattr(kernels, "write_csv_rows", write_csv_rows)
+        path = tmp_path / f"{len(files)}.csv"
+        write_csv(path, ["a", "b", "c"], columns)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert files[0].count(b"\n") == n + 1
