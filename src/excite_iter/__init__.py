@@ -15,7 +15,7 @@ _PUBLIC = {
     "excite": ("ConvergenceReport", "IterationState", "TrialFunction",
                "iterate_once", "orthogonality_residual", "run"),
     "groundstate": ("Grid", "GroundState", "default_bracket",
-                    "default_x_max", "load_groundstate", "save_groundstate",
+                    "default_x_max", "save_groundstate",
                     "solve_groundstate_numeric", "soluble_groundstate"),
     "potential": ("DeltaBox", "Potential", "Quartic", "eval_quartic"),
 }

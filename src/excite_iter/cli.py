@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Runs the two benchmark cases, persists ground states for reuse, and emits
-the convergence summary plus the curve data (chi iterates, wave functions)
-as round-trip-exact CSV.  ``python -m excite_iter.cli`` ends in the
-process entry, excite_iter._cli_process.
+Runs the two benchmark cases, each on the ground state that it solves
+itself, and emits the convergence summary plus the curve data (chi
+iterates, wave functions) and the ground-state profile as round-trip-exact
+CSV.  ``python -m excite_iter.cli`` ends in the process entry,
+excite_iter._cli_process.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import inspect
 import json
 import math
 import os
-import shutil
 import sys
 
 import numpy as np
@@ -26,9 +26,9 @@ import numpy as np
 from . import kernels, references, soluble
 from .errors import ExciteIterError
 from .excite import ConvergenceReport, TrialFunction, run
-from .groundstate import (Grid, GroundState, default_x_max, load_groundstate,
-                          save_groundstate, solve_groundstate_numeric,
-                          soluble_groundstate, write_csv)
+from .groundstate import (Grid, GroundState, default_x_max, save_groundstate,
+                          solve_groundstate_numeric, soluble_groundstate,
+                          write_csv)
 from .potential import DeltaBox, Potential, Quartic
 
 _RUN_PARAMS = inspect.signature(run).parameters
@@ -46,7 +46,6 @@ class RunConfig:
     max_iters: int = _RUN_PARAMS["max_iters"].default
     tol: float = _RUN_PARAMS["tol"].default
     out_dir: str = "."
-    gs_cache: str | None = None
 
     def __post_init__(self):
         if self.case == "soluble":
@@ -141,19 +140,6 @@ def _points_hint(grid: Grid, anchor: float, does: str) -> str:
     return "change --xmax or --anchor"
 
 
-def _check_cache(cache: str, gs: GroundState, potential: Potential,
-                 grid: Grid) -> None:
-    """Raise ValueError, naming the cache, the field and both values,
-    unless the cached ground state is for this potential and grid."""
-    have = {**gs.potential.to_dict(), **gs.grid.to_dict()}
-    want = {**potential.to_dict(), **grid.to_dict()}
-    for field, value in want.items():
-        if have.get(field) != value:
-            raise ValueError(
-                f"--gs-cache {cache} holds a ground state with {field} "
-                f"{have.get(field)!r}, but this run has {field} {value!r}")
-
-
 def _solve(potential: Potential, grid: Grid) -> GroundState:
     """The ground state on grid from the case's own provider."""
     if isinstance(potential, DeltaBox):
@@ -161,9 +147,9 @@ def _solve(potential: Potential, grid: Grid) -> GroundState:
     return solve_groundstate_numeric(potential, grid)
 
 
-def _obtain_groundstate(config: RunConfig) -> tuple[GroundState, bool]:
-    """Returns (ground state, loaded_from_cache).  A cache is used only if
-    it holds the configured potential and grid."""
+def _obtain_groundstate(config: RunConfig) -> GroundState:
+    """The configured case's ground state on the configured grid, once the
+    anchor is known to lie on one of its nodes."""
     if config.case == "soluble":
         potential = DeltaBox(config.delta)
         x_max = config.x_max or 1.0
@@ -172,12 +158,7 @@ def _obtain_groundstate(config: RunConfig) -> tuple[GroundState, bool]:
         x_max = config.x_max or default_x_max(config.g)
     grid = Grid(x_max=x_max, n_points=config.n_points)
     _check_anchor(grid, config.anchor_x0)
-    cache = config.gs_cache
-    if cache and os.path.exists(cache):
-        gs = load_groundstate(cache)
-        _check_cache(cache, gs, potential, grid)
-        return gs, True
-    return _solve(potential, grid), False
+    return _solve(potential, grid)
 
 
 def _half_grid_error(gs: GroundState, trial: TrialFunction,
@@ -222,14 +203,12 @@ def run_case(config: RunConfig) -> dict:
 
     Every result is computed before the first file is written, so a run
     that fails leaves no artifact.  The files are then written in turn:
-    summary.json, the chi iterates, the wave functions and, unless the
-    ground state came from the cache, groundstate.csv with its sidecar.
-    The cache is a copy of those two, made last, so only a run whose every
-    write succeeded leaves one.
+    summary.json, the chi iterates, the wave functions, and groundstate.csv
+    with its sidecar.
 
     Returns the summary dict (also written as summary.json).
     """
-    gs, cached = _obtain_groundstate(config)
+    gs = _obtain_groundstate(config)
 
     trial_kind = config.trial or (
         "linear" if config.case == "soluble" else "saturating")
@@ -248,8 +227,6 @@ def run_case(config: RunConfig) -> dict:
         "grid": gs.grid.to_dict(),
         "max_iters": config.max_iters,
         "tol": config.tol,
-        "gs_cache": config.gs_cache,
-        "gs_source": "cache" if cached else "solved",
         "kernel_backend": kernels.BACKEND,
         "kernel_backend_reason": kernels.BACKEND_REASON,
         "e_gd": gs.e_gd,
@@ -304,15 +281,7 @@ def run_case(config: RunConfig) -> dict:
     write_csv(os.path.join(out_dir, "chi_curves.csv"), header, columns)
     write_csv(os.path.join(out_dir, "wavefunctions.csv"),
               ["x", "psi_gd", "psi_ex"], [x, psi_gd, psi_ex])
-    if not cached:
-        gs_csv = os.path.join(out_dir, "groundstate.csv")
-        save_groundstate(gs, gs_csv)
-        if config.gs_cache:
-            try:
-                for suffix in ("", ".json"):
-                    shutil.copyfile(gs_csv + suffix, config.gs_cache + suffix)
-            except shutil.SameFileError:
-                pass    # the cache is the groundstate.csv just written
+    save_groundstate(gs, os.path.join(out_dir, "groundstate.csv"))
     return summary
 
 
@@ -352,10 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        type=int, help="grid node count (odd)")
         p.add_argument("--out", dest="out_dir", metavar="OUT",
                        help="output directory")
-        p.add_argument("--gs-cache",
-                       help="ground-state CSV cache path (loaded if "
-                            "present, written otherwise); a cache for "
-                            "another case, coupling or grid is an error")
         p.set_defaults(**defaults)
 
     c = sub.add_parser("compare",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NoEigenvalueError, WrongParityError
-from .potential import DeltaBox, Potential, Quartic, potential_from_dict
+from .potential import DeltaBox, Potential, Quartic
 
 #: mismatch value reported when a sweep blows up (wave-function node)
 _BLOWN = 1e15
@@ -306,7 +306,8 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV profile plus a JSON sidecar
+# serialization: the CSV profile, the run's S, S' artifact, plus a JSON
+# sidecar with its energy, potential and grid
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length 1-D columns under a header line, every value as
@@ -335,32 +336,3 @@ def save_groundstate(gs: GroundState, csv_path) -> None:
     with open(csv_path + ".json", "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def load_groundstate(csv_path) -> GroundState:
-    """Read what save_groundstate wrote to csv_path and csv_path.json."""
-    csv_path = str(csv_path)
-    sidecar_path = csv_path + ".json"
-    with open(sidecar_path) as f:
-        meta = json.load(f)
-    fields = {}
-    for key, build in (("e_gd", float), ("potential", potential_from_dict),
-                       ("grid", lambda d: Grid(**d))):
-        if key not in meta:
-            raise ValueError(f"sidecar {sidecar_path} has no {key!r} key")
-        try:
-            fields[key] = build(meta[key])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"sidecar {sidecar_path} has a malformed "
-                             f"{key!r} key: {meta[key]!r}") from None
-    n = fields["grid"].n_points
-    with open(csv_path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        if header != ["x", "S", "Sprime"]:
-            raise ValueError(f"unexpected ground-state CSV header {header}")
-        data = np.loadtxt(f, delimiter=",", usecols=(1, 2), ndmin=2)
-    if len(data) != n:
-        raise ValueError(f"{csv_path} has {len(data)} rows; its sidecar grid "
-                         f"has {n} nodes")
-    return GroundState(s=data[:, 0].copy(), s_prime=data[:, 1].copy(),
-                       **fields)

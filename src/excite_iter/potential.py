@@ -59,10 +59,3 @@ def eval_quartic(g: float, x):
     """V(x) = (g^2/2)(x^2 - 1)^2; even in x. Accepts scalars or arrays."""
     return 0.5 * g * g * (x * x - 1.0) ** 2
 
-
-def potential_from_dict(d: dict) -> Potential:
-    if d["variant"] == "quartic":
-        return Quartic(d["g"])
-    if d["variant"] == "delta_box":
-        return DeltaBox(d["delta"])
-    raise ValueError(f"unknown potential variant {d['variant']!r}")

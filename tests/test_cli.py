@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import excite_iter
-from excite_iter import cli, groundstate, kernels
+from excite_iter import cli, kernels
 from excite_iter.cli import main
 from excite_iter.errors import NoEigenvalueError
 from excite_iter.excite import TrialFunction, run
@@ -84,28 +84,6 @@ class TestSolubleRun:
 
 
 class TestQuarticRun:
-    def test_run_and_cache_reuse(self, tmp_path):
-        cache = tmp_path / "gs.csv"
-        out1 = tmp_path / "run1"
-        out2 = tmp_path / "run2"
-        code = run_cli(["quartic", "--g", "3.0", "--points", "4001",
-                        "--xmax", "4.0", "--out", str(out1),
-                        "--gs-cache", str(cache)])
-        assert code == 0
-        assert cache.exists()
-        mtime = cache.stat().st_mtime_ns
-        code = run_cli(["quartic", "--g", "3.0", "--points", "4001",
-                        "--xmax", "4.0", "--out", str(out2),
-                        "--gs-cache", str(cache)])
-        assert code == 0
-        # second run loads the cache instead of rewriting it
-        assert cache.stat().st_mtime_ns == mtime
-        # and does not emit its own groundstate.csv
-        assert not (out2 / "groundstate.csv").exists()
-        a = json.loads(read(out1 / "summary.json"))
-        b = json.loads(read(out2 / "summary.json"))
-        assert a["eps_sequence"] == b["eps_sequence"]
-
     def test_default_trial_is_saturating(self, tmp_path):
         code = run_cli(["quartic", "--g", "3.0", "--points", "2001",
                         "--xmax", "4.0", "--out", str(tmp_path)])
@@ -146,12 +124,10 @@ class TestOptionsReachTheConfig:
     def test_every_option_lands_on_its_field(self, configs):
         assert run_cli(["quartic", "--g", "3", "--anchor", "0.5",
                         "--trial", "linear", "--iters", "5", "--tol", "1e-7",
-                        "--xmax", "4", "--points", "2001", "--out", "o",
-                        "--gs-cache", "c.csv"]) == 0
+                        "--xmax", "4", "--points", "2001", "--out", "o"]) == 0
         assert configs == [cli.RunConfig(
             case="quartic", g=3.0, anchor_x0=0.5, trial="linear",
-            max_iters=5, tol=1e-7, x_max=4.0, n_points=2001, out_dir="o",
-            gs_cache="c.csv")]
+            max_iters=5, tol=1e-7, x_max=4.0, n_points=2001, out_dir="o")]
 
 
 class TestCompare:
@@ -313,152 +289,15 @@ def files_in(path):
     return sorted(p.name for p in path.iterdir()) if path.exists() else []
 
 
-class TestGroundStateCache:
-    @pytest.mark.parametrize("cached, args, field, have, want", [
-        (QUARTIC,
-         ["quartic", "--g", "8", "--points", "2001", "--xmax", "4.0"],
-         "g", "3.0", "8.0"),
-        (SOLUBLE, ["soluble", "--delta", "0.2", "--points", "2001"],
-         "delta", "0.1", "0.2"),
-        # the soluble run exits before exact_chi could fail on x > 1
-        (QUARTIC, ["soluble", "--delta", "0.1"],
-         "variant", "'quartic'", "'delta_box'"),
-        (QUARTIC,
-         ["quartic", "--g", "3", "--points", "4001", "--xmax", "4.0"],
-         "n_points", "2001", "4001"),
-        (QUARTIC,
-         ["quartic", "--g", "3", "--points", "2001", "--xmax", "5.0"],
-         "x_max", "4.0", "5.0"),
-    ], ids=["g", "delta", "case", "points", "xmax"])
-    def test_mismatch_exits_1_and_writes_nothing(self, tmp_path, capsys,
-                                                cached, args, field, have,
-                                                want):
-        cache = tmp_path / "gs.csv"
-        assert run_cli(cached + ["--out", str(tmp_path / "first"),
-                                 "--gs-cache", str(cache)]) == 0
-        before = read(cache)
-        out = tmp_path / "out"
-        code = run_cli(args + ["--out", str(out), "--gs-cache", str(cache)])
-        assert code == 1
-        assert (f"error: --gs-cache {cache} holds a ground state with "
-                f"{field} {have}, but this run has {field} {want}"
-                in capsys.readouterr().err)
-        assert files_in(out) == []
-        assert read(cache) == before
-
-    def test_default_xmax_is_resolved_before_the_comparison(self, tmp_path):
-        cache = tmp_path / "gs.csv"
-        args = ["quartic", "--g", "3", "--points", "2001"]
-        assert run_cli(args + ["--out", str(tmp_path / "a"),
-                               "--gs-cache", str(cache)]) == 0
-        # default_x_max(3) is 4.0
-        assert run_cli(args + ["--xmax", "4.0", "--out", str(tmp_path / "b"),
-                               "--gs-cache", str(cache)]) == 0
-        summary = json.loads(read(tmp_path / "b" / "summary.json"))
-        assert summary["gs_source"] == "cache"
-
-    def test_anchor_is_checked_on_a_hit(self, tmp_path, capsys):
-        cache = tmp_path / "gs.csv"
-        assert run_cli(QUARTIC + ["--out", str(tmp_path / "first"),
-                                  "--gs-cache", str(cache)]) == 0
-        out = tmp_path / "out"
-        code = run_cli(QUARTIC + ["--anchor", "1.0001", "--out", str(out),
-                                  "--gs-cache", str(cache)])
-        assert code == 1
-        assert "error: --anchor 1.0001 is not a node" in \
-            capsys.readouterr().err
-        assert files_in(out) == []
-
-    @pytest.mark.parametrize("args", [QUARTIC, SOLUBLE],
-                             ids=["quartic", "soluble"])
-    def test_matching_cache_gives_the_fresh_sequence(self, tmp_path, args):
-        cache = tmp_path / "gs.csv"
-        cold, warm = tmp_path / "cold", tmp_path / "warm"
-        for out in (cold, warm):
-            assert run_cli(args + ["--out", str(out),
-                                   "--gs-cache", str(cache)]) == 0
-        a = json.loads(read(cold / "summary.json"))
-        b = json.loads(read(warm / "summary.json"))
-        assert (a["gs_source"], b["gs_source"]) == ("solved", "cache")
-        assert b["eps_sequence"] == a["eps_sequence"]
-        assert b["e_gd"] == a["e_gd"]
-
-    @pytest.mark.parametrize("args, hard_wall", [(QUARTIC, False),
-                                                 (SOLUBLE, True)],
-                             ids=["quartic", "soluble"])
-    def test_sidecar_with_gauge_and_hard_wall_keys_loads(self, tmp_path,
-                                                         args, hard_wall):
-        # sidecars written while GroundState stored its gauge S(0) and a
-        # hard-wall flag carry those two keys as well
-        cache = tmp_path / "gs.csv"
-        sidecar = tmp_path / "gs.csv.json"
-        cold, warm = tmp_path / "cold", tmp_path / "warm"
-        assert run_cli(args + ["--out", str(cold),
-                               "--gs-cache", str(cache)]) == 0
-        meta = json.loads(read(sidecar))
-        assert sorted(meta) == ["e_gd", "grid", "potential"]
-        meta.update(gauge=float(groundstate.load_groundstate(cache).s[0]),
-                    hard_wall=hard_wall)
-        sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        assert run_cli(args + ["--out", str(warm),
-                               "--gs-cache", str(cache)]) == 0
-        a = json.loads(read(cold / "summary.json"))
-        b = json.loads(read(warm / "summary.json"))
-        assert (a.pop("gs_source"), b.pop("gs_source")) == ("solved", "cache")
-        assert b == a
-        for name in ("chi_curves.csv", "wavefunctions.csv"):
-            assert read(warm / name) == read(cold / name)
-
-    @pytest.mark.parametrize("key", ["e_gd", "potential", "grid"])
-    def test_sidecar_without_a_key_exits_1_and_writes_nothing(
-            self, tmp_path, capsys, key):
-        cache = tmp_path / "gs.csv"
-        sidecar = tmp_path / "gs.csv.json"
-        assert run_cli(QUARTIC + ["--out", str(tmp_path / "first"),
-                                  "--gs-cache", str(cache)]) == 0
-        meta = json.loads(read(sidecar))
-        del meta[key]
-        sidecar.write_text(json.dumps(meta))
-        out = tmp_path / "out"
-        code = run_cli(QUARTIC + ["--out", str(out), "--gs-cache", str(cache)])
-        assert code == 1
-        assert (f"error: sidecar {sidecar} has no {key!r} key\n"
-                == capsys.readouterr().err)
-        assert files_in(out) == []
-
-    @pytest.mark.parametrize("key, value", [
-        ("potential", {"variant": "quartic"}),
-        ("grid", [4.0, 2001]),
-        ("grid", {"x_max": 4.0}),
-    ], ids=["potential-without-g", "grid-list", "grid-without-n_points"])
-    def test_malformed_sidecar_key_exits_1_and_writes_nothing(
-            self, tmp_path, capsys, key, value):
-        cache = tmp_path / "gs.csv"
-        sidecar = tmp_path / "gs.csv.json"
-        assert run_cli(QUARTIC + ["--out", str(tmp_path / "first"),
-                                  "--gs-cache", str(cache)]) == 0
-        meta = json.loads(read(sidecar))
-        meta[key] = value
-        sidecar.write_text(json.dumps(meta))
-        out = tmp_path / "out"
-        code = run_cli(QUARTIC + ["--out", str(out), "--gs-cache", str(cache)])
-        assert code == 1
-        assert (f"error: sidecar {sidecar} has a malformed {key!r} key: "
-                f"{value!r}\n" == capsys.readouterr().err)
-        assert files_in(out) == []
-
-
 def test_failure_after_the_iteration_leaves_no_file(tmp_path, monkeypatch):
     def fail(*args):
         raise ValueError("exact_chi failed")
 
     monkeypatch.setattr("excite_iter.cli.soluble.exact_chi", fail)
-    cache = tmp_path / "gs.csv"
     out = tmp_path / "out"
-    code = run_cli(SOLUBLE + ["--out", str(out), "--gs-cache", str(cache)])
+    code = run_cli(SOLUBLE + ["--out", str(out)])
     assert code == 1
     assert files_in(out) == []
-    assert not cache.exists()
 
 
 ARTIFACTS = ["chi_curves.csv", "groundstate.csv", "groundstate.csv.json",
@@ -467,12 +306,11 @@ ARTIFACTS = ["chi_curves.csv", "groundstate.csv", "groundstate.csv.json",
 
 class TestArtifactWriting:
     @pytest.mark.parametrize("name", ARTIFACTS)
-    def test_write_failure_exits_1_naming_the_file_and_writes_no_cache(
-            self, tmp_path, capsys, name):
+    def test_write_failure_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                  name):
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
-        cache = tmp_path / "gs.csv"
-        code = run_cli(SOLUBLE + ["--out", str(out), "--gs-cache", str(cache)])
+        code = run_cli(SOLUBLE + ["--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -492,40 +330,42 @@ class TestArtifactWriting:
 
     @pytest.mark.parametrize("args", [QUARTIC, SOLUBLE],
                              ids=["quartic", "soluble"])
-    def test_files_of_a_solved_and_a_cached_run(self, tmp_path, args):
-        """A cache miss writes five files, a hit three, and a hit leaves
-        the cache as it was."""
-        cache = tmp_path / "gs.csv"
-        cold, warm = tmp_path / "cold", tmp_path / "warm"
-        assert run_cli(args + ["--out", str(cold),
-                               "--gs-cache", str(cache)]) == 0
-        cached = {p: read(p) for p in (cache, tmp_path / "gs.csv.json")}
-        assert run_cli(args + ["--out", str(warm),
-                               "--gs-cache", str(cache)]) == 0
-        for p, content in cached.items():
-            assert read(p) == content
-        assert files_in(cold) == ARTIFACTS
-        assert files_in(warm) == [
-            "chi_curves.csv", "summary.json", "wavefunctions.csv"]
+    def test_a_run_writes_the_five_artifacts(self, tmp_path, args):
+        assert run_cli(args + ["--out", str(tmp_path / "out")]) == 0
+        assert files_in(tmp_path) == ["out"]
+        assert files_in(tmp_path / "out") == ARTIFACTS
 
-    @pytest.mark.parametrize("args", [QUARTIC, SOLUBLE],
-                             ids=["quartic", "soluble"])
-    def test_cache_equals_the_runs_groundstate_files(self, tmp_path, args):
-        cache = tmp_path / "gs.csv"
-        out = tmp_path / "out"
-        assert run_cli(args + ["--out", str(out),
-                               "--gs-cache", str(cache)]) == 0
-        for suffix in ("", ".json"):
-            assert (read(f"{cache}{suffix}")
-                    == read(f"{out / 'groundstate.csv'}{suffix}")), suffix
+    def test_gs_cache_is_an_unrecognized_argument(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(SOLUBLE + ["--out", "out", "--gs-cache", "x.csv"])
+        assert exit_.value.code == 2
+        assert ("error: unrecognized arguments: --gs-cache x.csv"
+                in capsys.readouterr().err)
+        assert files_in(tmp_path) == []
 
-    def test_cache_that_is_the_runs_own_groundstate_csv(self, tmp_path):
-        out = tmp_path / "out"
-        assert run_cli(QUARTIC + ["--out", str(out), "--gs-cache",
-                                  str(out / "groundstate.csv")]) == 0
-        assert files_in(out) == ARTIFACTS
-        assert groundstate.load_groundstate(out / "groundstate.csv").grid \
-            == Grid(4.0, 2001)
+
+#: the keys of every summary.json, and those only one case adds
+SUMMARY_KEYS = [
+    "anchor_x0", "case", "delta", "delta_sequence", "e_gd", "e_mean",
+    "e_odd", "eps", "eps_disc_err", "eps_disc_err_reason", "eps_richardson",
+    "eps_sequence", "g", "grid", "kernel_backend", "kernel_backend_reason",
+    "max_iters", "orth_residuals", "status", "tol", "trial"]
+SOLUBLE_KEYS = ["chi_exact_rescaled_to_anchor", "eps_1_closed_form",
+                "eps_exact", "eps_series"]
+G8_KEYS = ["e_asymp", "eps_asymp"]
+
+
+@pytest.mark.parametrize("args, extra", [
+    (["soluble", "--delta", "0.1"], SOLUBLE_KEYS),
+    (["quartic", "--g", "3"], []),
+    (["quartic", "--g", "8"], G8_KEYS),
+], ids=["soluble", "quartic-g3", "quartic-g8"])
+def test_summary_keys_of_a_default_run(tmp_path, args, extra):
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
+    summary = json.loads(read(tmp_path / "summary.json"))
+    assert sorted(summary) == sorted(SUMMARY_KEYS + extra)
 
 
 class TestHalfGridEstimate:

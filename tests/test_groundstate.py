@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import os
 import shlex
@@ -19,7 +20,7 @@ import excite_iter
 from excite_iter import _kernels_py, groundstate, kernels
 from excite_iter.errors import NoEigenvalueError, WrongParityError
 from excite_iter.groundstate import (Grid, default_bracket, default_x_max,
-                                     load_groundstate, save_groundstate,
+                                     save_groundstate,
                                      solve_groundstate_numeric,
                                      soluble_groundstate, write_csv)
 from excite_iter.potential import DeltaBox, Quartic
@@ -491,35 +492,31 @@ def test_scaled_weight_is_not_shared_by_a_replaced_ground_state():
 
 # ---------------------------------------------------------- serialization
 
+def assert_saved_bit_for_bit(gs, path):
+    """save_groundstate's CSV reads back to the nodes, S and S' of gs, and
+    its sidecar holds exactly the energy, potential and grid of gs."""
+    save_groundstate(gs, path)
+    with open(path) as f:
+        assert f.readline() == "x,S,Sprime\n"
+        x, s, s_prime = np.loadtxt(f, delimiter=",", unpack=True)
+    for back, want in ((x, gs.grid.nodes()), (s, gs.s),
+                       (s_prime, gs.s_prime)):
+        assert back.tobytes() == want.tobytes()
+    with open(f"{path}.json") as f:
+        assert json.load(f) == {"e_gd": gs.e_gd,
+                                "potential": gs.potential.to_dict(),
+                                "grid": gs.grid.to_dict()}
+
+
 def test_groundstate_roundtrip(tmp_path):
     gs = solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001))
-    path = tmp_path / "gs.csv"
-    save_groundstate(gs, path)
-    back = load_groundstate(path)
-    assert back.e_gd == gs.e_gd
-    assert back.potential == gs.potential
-    assert back.grid == gs.grid
-    assert np.array_equal(back.s, gs.s)
-    assert np.array_equal(back.s_prime, gs.s_prime)
-
-
-def test_load_rejects_row_count_that_differs_from_the_grid(tmp_path):
-    gs = soluble_groundstate(0.1, Grid(1.0, 201))
-    path = tmp_path / "gs.csv"
-    save_groundstate(gs, path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]))
-    with pytest.raises(ValueError, match="200 rows.*201 nodes"):
-        load_groundstate(path)
+    assert_saved_bit_for_bit(gs, tmp_path / "gs.csv")
 
 
 def test_soluble_roundtrip_with_wall(tmp_path):
     gs = soluble_groundstate(0.1, Grid(1.0, 201))
-    path = tmp_path / "gs.csv"
-    save_groundstate(gs, path)
-    back = load_groundstate(path)
-    assert back.s[-1] == back.s_prime[-1] == np.inf
-    assert np.array_equal(back.s[:-1], gs.s[:-1])
+    assert gs.s[-1] == gs.s_prime[-1] == np.inf
+    assert_saved_bit_for_bit(gs, tmp_path / "gs.csv")
 
 
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):

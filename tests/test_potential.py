@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from excite_iter.potential import (DeltaBox, Quartic, eval_quartic,
-                                   potential_from_dict)
+from excite_iter.potential import DeltaBox, Quartic, eval_quartic
 
 
 def test_quartic_zero_of_double_well():
@@ -77,10 +76,3 @@ def test_delta_box_validation():
         DeltaBox(0.0)
     assert DeltaBox(0.3).p == pytest.approx(math.pi - 0.3)
     assert DeltaBox(0.3).spike_strength > 0
-
-
-def test_potential_roundtrip_via_dict():
-    for pot in (Quartic(3.0), DeltaBox(0.1)):
-        assert potential_from_dict(pot.to_dict()) == pot
-    with pytest.raises(ValueError):
-        potential_from_dict({"variant": "bogus"})
