@@ -2,9 +2,7 @@
 Schroedinger problems, with the quartic double well and an analytically
 soluble hard-wall benchmark.
 
-The public names load their submodule, and with it NumPy, on first use
-(PEP 562), so ``import excite_iter`` alone loads neither: the command
-line sets ``OPENBLAS_NUM_THREADS`` before NumPy first loads.
+The public names load their submodule on first use (PEP 562).
 """
 
 __version__ = "0.1.0"
@@ -38,20 +36,10 @@ def __dir__():
     return sorted(set(globals()) | set(_SUBMODULE))
 
 
-def _one_blas_thread():
-    """One OpenBLAS thread unless the caller set OPENBLAS_NUM_THREADS: the
-    package calls no BLAS, and the idle workers NumPy's OpenBLAS starts
-    at load cost every run CPU time.  Has effect only before NumPy first
-    loads."""
-    import os
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
 def _cli_process(main=None):
     """The entry of the excite-iter process; it does not return.  The
     ``excite-iter`` script calls it bare, ``python -m excite_iter.cli``
-    with that module's main, having called _one_blas_thread before
-    NumPy loaded.
+    with that module's main.
 
     After main returns, every artifact is closed, so the process ends
     without the interpreter's teardown: it runs the atexit callbacks and
@@ -65,7 +53,6 @@ def _cli_process(main=None):
     import sys
 
     if main is None:
-        _one_blas_thread()
         from .cli import main
     code = main()
     # the interpreter's own order: what a callback prints is flushed too

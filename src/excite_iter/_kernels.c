@@ -1,10 +1,10 @@
 /* Compiled kernels, loaded by excite_iter.kernels through ctypes: the
- * Riccati sweep of the quartic double well, the profile of one iteration
- * step, which knows nothing of the potential or of a wall, and the CSV
+ * Riccati sweep of the quartic double well, the grid passes of an
+ * iteration (which know nothing of the potential or of a wall) and the CSV
  * rows of the artifacts.  Each has the same contract as its counterpart in
- * excite_iter._kernels_py.  The sweep and the profile perform the same
- * floating-point operations in the same order; build with
- * -ffp-contract=off so no a*b+c is fused and the output stays
+ * excite_iter._kernels_py.  The numeric kernels perform the same
+ * floating-point operations in the same order, with the same libm exp;
+ * build with -ffp-contract=off so no a*b+c is fused and the output stays
  * bit-identical.  The CSV rows hold the same characters as Python's. */
 #include <math.h>
 #include <stdint.h>
@@ -60,7 +60,7 @@ long riccati_sweep(double x0, double h, long n, double g, double e,
  * a register and reads chihat[i + 1] and chihat[i + 2] before it writes
  * them, so each I is read before it is overwritten.  Both running
  * integrals are cumulative_simpson's: panel pairs (4 y1 + y0 + y2) * h/3
- * summed in order from the first pair, as np.cumsum sums, and odd offsets
+ * summed in order from the first pair (not from 0.0), and odd offsets
  * ((5 y0 + 8 y1) - y2) * h/12 plus the even offset before them. */
 void excite_profile(long n, double h, const double *w, const double *winv,
                     const double *chi, double tail, double *chihat)
@@ -94,6 +94,72 @@ void excite_profile(long n, double h, const double *w, const double *winv,
         chihat[i + 2] = even * 2.0;
         y0 = y2;
     }
+}
+
+/* w[i] = e^{u - u_ref} with u = -2 s[i] where u is finite, else 0, and
+ * winv[i] = e^{2 s[i] + u_ref} where that exponent is <= limit, else 0;
+ * u_ref is the largest finite u.  Returns u_ref, or -INFINITY, having
+ * written nothing, when no u is finite. */
+double scaled_weights(long n, const double *s, double limit, double *w,
+                      double *winv)
+{
+    double u_ref = -INFINITY;
+    for (long i = 0; i < n; i++) {
+        double u = -2.0 * s[i];
+        if (isfinite(u) && u > u_ref)
+            u_ref = u;
+    }
+    if (u_ref == -INFINITY)
+        return u_ref;
+    for (long i = 0; i < n; i++) {
+        double u = -2.0 * s[i], e = 2.0 * s[i] + u_ref;
+        w[i] = isfinite(u) ? exp(u - u_ref) : 0.0;
+        winv[i] = e <= limit ? exp(e) : 0.0;
+    }
+    return u_ref;
+}
+
+/* The nodes x_i = i h of a grid, the last set to x_max, or with
+ * saturating the trial y (2 - y) at them, y = min(x_i, 1). */
+void sample_nodes(long n, double h, double x_max, int saturating,
+                  double *out)
+{
+    for (long i = 0; i < n; i++) {
+        double x = i == n - 1 ? x_max : i * h;
+        double y = x < 1.0 ? x : 1.0;
+        out[i] = saturating ? (2.0 - y) * y : x;
+    }
+}
+
+/* x[i] *= factor for each of the n doubles of x. */
+void scale(long n, double factor, double *x)
+{
+    for (long i = 0; i < n; i++)
+        x[i] *= factor;
+}
+
+/* The composite Simpson integrals of y = w chi and of |y| over n nodes,
+ * n odd and >= 3, into sums[0] and sums[1]: h/3 (y0 + y_last + 4 odd +
+ * 2 even), the odd and even interior nodes each summed in order from
+ * 0.0. */
+void weighted_simpson(long n, double h, const double *w, const double *chi,
+                      double *sums)
+{
+    double odd = 0.0, odd_abs = 0.0, even = 0.0, even_abs = 0.0;
+    for (long i = 1; i < n - 1; i += 2) {
+        double y = w[i] * chi[i];
+        odd += y;
+        odd_abs += fabs(y);
+        if (i + 1 < n - 1) {
+            y = w[i + 1] * chi[i + 1];
+            even += y;
+            even_abs += fabs(y);
+        }
+    }
+    double first = w[0] * chi[0], last = w[n - 1] * chi[n - 1];
+    sums[0] = h / 3.0 * (first + last + 4.0 * odd + 2.0 * even);
+    sums[1] = h / 3.0 * (fabs(first) + fabs(last) + 4.0 * odd_abs
+                         + 2.0 * even_abs);
 }
 
 /* The longest %.17g of a double, as -4.9406564584124654e-324 */

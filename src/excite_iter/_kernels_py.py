@@ -1,40 +1,117 @@
-"""Pure-Python kernels, the fallback for the compiled ones in _kernels.c.
+"""Pure-Python kernels, the fallback for the compiled ones in _kernels.c,
+the quadrature they are composed from, and the array helpers both
+backends share.
 
 riccati_sweep integrates S'' = S'^2 - 2(V - E) for the quartic double well
-with classic RK4 at fixed step.  excite_profile composes one iteration
-step's profile from the NumPy quadrature in numerics.  write_csv_rows
-writes CSV rows with Python's '%.17g' % v.  The compiled kernels must
-perform the same floating-point operations in the same order, and write
-the same characters, so that both give bit-identical output.
+with classic RK4 at fixed step.  scaled_weights, sample_nodes and scale
+are the other grid passes of an iteration; excite_profile composes a
+step's profile from cumulative_simpson, and weighted_simpson the
+residual's two integrals from simpson_integral.  write_csv_rows writes CSV
+rows with Python's '%.17g' % v.  The compiled kernels perform the same
+floating-point operations in the same order, with the same libm exp, and
+write the same characters; the backend tests compare the two bit for bit.
+
+cumulative_simpson sums Simpson panel pairs (4 y1 + y0 + y2) * (h/3) in
+order from the first pair (not from 0.0) for the running integral at even
+offsets, and adds to the even offset before an odd one the half-panel
+rule ((5 y0 + 8 y1) - y2) * (h/12) (SciPy's cumulative_simpson on equal
+intervals): O(h^4) at every node.
+
+Grid arrays are array('d'), or rows of one: writable memoryviews of an
+array('d').  A kernel reads those in place (in_place) and converts any
+other 1-D sequence of reals first; it writes only into an array('d') or a
+writable view.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
+from array import array
 from itertools import islice
-
-import numpy as np
-
-from .numerics import cumulative_simpson, reverse_cumulative_simpson
 
 BLOWUP_LIMIT = 1e12
 
 #: rows that write_csv_rows formats and writes at a time, on both backends
 CSV_CHUNK_ROWS = 1024
 
+_ZERO = array("d", [0.0])
+
+
+def zeros(n: int) -> array:
+    """A new array('d') of n zeros."""
+    return _ZERO * n
+
+
+def simpson_integral(values, h: float) -> float:
+    """Composite Simpson integral of uniformly sampled values over all of
+    them, h/3 (y0 + y_last + 4 odd + 2 even), the odd and even interior
+    samples each summed in order from 0.0; the panel count must be even
+    (an odd node count)."""
+    y = values
+    if len(y) < 3 or len(y) % 2 == 0:
+        raise ValueError("composite Simpson needs an even panel count, "
+                         "at least 2")
+    odd = even = 0.0
+    for i in range(1, len(y) - 1, 2):
+        odd += y[i]
+    for i in range(2, len(y) - 1, 2):
+        even += y[i]
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * odd + 2.0 * even)
+
+
+def cumulative_simpson(values, h: float) -> array:
+    """Running integral from index 0 to each node, as a new array('d')."""
+    y = values
+    n = len(y)
+    if n < 3 or n % 2 == 0:
+        raise ValueError("need an odd number of nodes, at least 3")
+    h3, h12 = h / 3.0, h / 12.0
+    out = zeros(n)
+    even = 0.0
+    for i in range(0, n - 1, 2):
+        y0, y1, y2 = y[i], y[i + 1], y[i + 2]
+        out[i + 1] = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even
+        pair = (4.0 * y1 + y0 + y2) * h3
+        even = pair if i == 0 else even + pair
+        out[i + 2] = even
+    return out
+
+
+def reverse_cumulative_simpson(values, h: float) -> array:
+    """Running integral from each node to the last node, as a new
+    array('d')."""
+    return cumulative_simpson(values[::-1], h)[::-1]
+
+
+def as_doubles(values) -> array:
+    """values as an array('d'): values itself when it is one, else a new
+    array of its samples.  Raises ValueError, naming the shape, for a
+    buffer that is not 1-D."""
+    if isinstance(values, array) and values.typecode == "d":
+        return values
+    try:
+        shape = memoryview(values).shape
+    except TypeError:           # no buffer: a sequence of reals, or not
+        shape = None
+    if shape is not None and len(shape) != 1:
+        raise ValueError(f"samples must lie in a 1-D array, got shape "
+                         f"{shape}")
+    return array("d", values)
+
 
 def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
                   e: float, s_init: float, sp_init: float):
     """Integrate (S, S') over n_steps of signed step h from x_start.
 
-    Returns (s, sp, node_index): arrays of length n_steps + 1 and the step
-    index at which |S'| exceeded the blow-up limit (the integrated
+    Returns (s, sp, node_index): array('d')s of length n_steps + 1 and the
+    step index at which |S'| exceeded the blow-up limit (the integrated
     log-derivative diverges where the wave function has a node), or -1 if
     the sweep stayed regular.  Raises ValueError for n_steps < 0.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    s = np.empty(n_steps + 1)
-    sp = np.empty(n_steps + 1)
+    s, sp = zeros(n_steps + 1), zeros(n_steps + 1)
     s[0] = s_init
     sp[0] = sp_init
     gg = g * g
@@ -70,48 +147,151 @@ def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
         sp[i + 1] = b
         if abs(b) > BLOWUP_LIMIT:
             # leave a deterministic tail; entries past a node are meaningless
-            s[i + 2:] = np.nan
-            sp[i + 2:] = np.nan
+            tail = array("d", [math.nan]) * (n_steps - i - 1)
+            s[i + 2:] = tail
+            sp[i + 2:] = tail
             return s, sp, i + 1
     return s, sp, -1
 
 
-def check_profile_out(out, n: int, *others) -> None:
-    """The contract of excite_profile's out on both backends: a float,
-    C-contiguous, writable array of shape (n,) that shares no memory with
-    the call's other arrays.  Raises ValueError otherwise."""
-    if not (isinstance(out, np.ndarray) and out.shape == (n,)
-            and out.dtype == float and out.flags.c_contiguous
-            and out.flags.writeable):
-        raise ValueError(f"out must be a C-contiguous, writable float "
-                         f"array of shape ({n},)")
-    for other in others:
-        if np.shares_memory(out, other):
+def _address(a) -> int | None:
+    """The address of the first double of a when a kernel can use a in
+    place: an array('d'), a writable C-contiguous 1-D view of doubles (a
+    row of a block) or a read-only view of a whole array('d') (the
+    weights of a ground state); else None."""
+    if isinstance(a, array):
+        return a.buffer_info()[0] if a.typecode == "d" else None
+    if not (isinstance(a, memoryview) and a.format == "d" and a.ndim == 1
+            and a.c_contiguous and len(a)):
+        return None
+    if not a.readonly:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    base = a.obj
+    if isinstance(base, array) and base.typecode == "d" \
+            and len(base) == len(a):
+        return base.buffer_info()[0]
+    return None
+
+
+def in_place(values) -> tuple:
+    """(values, the address of their first double) when a kernel can use
+    them in place, else (as_doubles(values), its address)."""
+    at = _address(values)
+    if at is None:
+        values = as_doubles(values)
+        at = values.buffer_info()[0]
+    return values, at
+
+
+def check_out(out, n: int, *inputs) -> int:
+    """The contract of every kernel's out on both backends: an array('d')
+    or a writable C-contiguous view of n doubles that shares no memory
+    with the call's inputs, (values, address) pairs as in_place gives
+    them.  Returns the address of out; raises ValueError otherwise."""
+    at = _address(out)
+    if at is None or (isinstance(out, memoryview) and out.readonly) \
+            or len(out) != n:
+        raise ValueError(f"out must be an array('d') or a writable view "
+                         f"of {n} doubles")
+    for values, values_at in inputs:
+        if values_at < at + 8 * n and at < values_at + 8 * len(values):
             raise ValueError("out must not share memory with the "
-                             "profile's other arrays")
+                             "kernel's other arrays")
+    return at
+
+
+def odd_columns(n: int, *columns) -> list:
+    """(values, address) of each column as in_place gives them, each of
+    n >= 3 doubles, n odd; raises ValueError otherwise."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("need an odd number of nodes, at least 3")
+    columns = [in_place(c) for c in columns]
+    if any(len(c) != n for c, _ in columns):
+        raise ValueError(f"arrays must hold {n} doubles each")
+    return columns
+
+
+def scaled_weights(s, limit: float, w: array, winv: array) -> float:
+    """w = e^{u - u_ref} with u = -2 s where u is finite, else 0, and
+    winv = e^{2 s + u_ref} where that exponent is <= limit, else 0, into
+    w and winv; returns u_ref, the largest finite u, or -inf, having
+    written nothing, when no u is finite."""
+    s, s_at = in_place(s)
+    w_at = check_out(w, len(s), (s, s_at))
+    check_out(winv, len(s), (s, s_at), (w, w_at))
+    u_ref = -math.inf
+    for v in s:
+        u = -2.0 * v
+        if math.isfinite(u) and u > u_ref:
+            u_ref = u
+    if u_ref == -math.inf:
+        return u_ref
+    for i, v in enumerate(s):
+        u = -2.0 * v
+        e = 2.0 * v + u_ref
+        w[i] = math.exp(u - u_ref) if math.isfinite(u) else 0.0
+        winv[i] = math.exp(e) if e <= limit else 0.0
+    return u_ref
+
+
+def sample_nodes(n: int, h: float, x_max: float, saturating: bool,
+                 out: array) -> array:
+    """The nodes x_i = i h of a grid, the last set to x_max, or with
+    saturating the trial y (2 - y) at them, y = min(x_i, 1), into out;
+    returns out."""
+    check_out(out, n)
+    for i in range(n):
+        x = x_max if i == n - 1 else i * h
+        y = x if x < 1.0 else 1.0
+        out[i] = (2.0 - y) * y if saturating else x
+    return out
+
+
+def scale(x: array, factor: float) -> array:
+    """x[i] *= factor for every i, in place; returns x."""
+    check_out(x, len(x))
+    for i, v in enumerate(x):
+        x[i] = v * factor
+    return x
+
+
+def weighted_simpson(h: float, w, chi) -> tuple[float, float]:
+    """(Simpson integral of y = w chi, that of |y|) over an odd number of
+    nodes, at least 3, by simpson_integral."""
+    (w, _), (chi, _) = odd_columns(len(chi), w, chi)
+    y = array("d", (a * b for a, b in zip(w, chi)))
+    return (simpson_integral(y, h),
+            simpson_integral(array("d", map(abs, y)), h))
 
 
 def excite_profile(h: float, w, winv, chi_prev, tail: float,
-                   out: np.ndarray) -> np.ndarray:
+                   out: array) -> array:
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
     I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
 
     The caller's tail w * chi/(2S') at the last node is 0 at a hard wall,
     since w is 0 there; winv is 0 there too, so the outer integrand
-    vanishes.  Writes chihat into out (see check_profile_out) and returns
-    it; the quadrature's grid-sized temporaries are freed on return.
+    vanishes.  Writes chihat into out (see check_out) and returns it; the
+    quadrature's grid-sized temporaries are freed on return.
     """
-    check_profile_out(out, len(chi_prev), w, winv, chi_prev)
-    outer = winv * (reverse_cumulative_simpson(w * chi_prev, h) + tail)
-    return np.multiply(cumulative_simpson(outer, h), 2.0, out=out)
+    inputs = odd_columns(len(chi_prev), w, winv, chi_prev)
+    check_out(out, len(chi_prev), *inputs)
+    (w, _), (winv, _), (chi_prev, _) = inputs
+    inner = reverse_cumulative_simpson(
+        array("d", (a * b for a, b in zip(w, chi_prev))), h)
+    outer = cumulative_simpson(
+        array("d", (a * (i + tail) for a, i in zip(winv, inner))), h)
+    for i, v in enumerate(outer):
+        out[i] = v * 2.0
+    return out
 
 
 def write_csv_rows(f, columns) -> None:
-    """Write the rows of columns, 1-D float arrays of one length, to the
-    binary file f: each cell '%.17g' % v, which reads back to the same
+    """Write the rows of columns, 1-D sequences of reals of one length, to
+    the binary file f: each cell '%.17g' % v, which reads back to the same
     float64, cells joined by ',' and rows ended by a newline.  Formats
     CSV_CHUNK_ROWS rows at a time."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    rows = zip(*(as_doubles(c).tolist() for c in columns))
     while chunk := [row % values for values in islice(rows, CSV_CHUNK_ROWS)]:
         f.write("".join(chunk).encode())

@@ -9,10 +9,6 @@ excite_iter._cli_process.
 
 from __future__ import annotations
 
-if __name__ == "__main__":
-    from . import _one_blas_thread
-    _one_blas_thread()      # before the imports below load NumPy
-
 import argparse
 import dataclasses
 import inspect
@@ -20,8 +16,7 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
+from array import array
 
 from . import kernels, references, soluble
 from .errors import ExciteIterError
@@ -264,14 +259,14 @@ def run_case(config: RunConfig) -> dict:
         chi_ex = soluble.exact_chi(config.delta, x)
         i0 = gs.grid.index_of(config.anchor_x0)
         chi0 = report.states[0].chi
-        chi_ex *= chi0[i0] / chi_ex[i0]
+        kernels.scale(chi_ex, chi0[i0] / chi_ex[i0])
         header.append("chi_exact")
         columns.append(chi_ex)
 
     # ground and excited wave functions
-    with np.errstate(under="ignore"):
-        psi_gd = np.exp(-gs.s)
-    psi_ex = psi_gd * report.states[-1].chi
+    psi_gd = array("d", [math.exp(-s) for s in gs.s])
+    psi_ex = array("d", [a * b for a, b in
+                         zip(psi_gd, report.states[-1].chi)])
 
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -13,14 +13,14 @@ x >= 0 only; full-line integrals use the parity factor analytically.
 from __future__ import annotations
 
 import inspect
+import math
+from array import array
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernels
+from ._kernels_py import as_doubles, check_out, in_place, zeros
 from .errors import DegenerateAnchorError
 from .groundstate import GroundState
-from .numerics import simpson_integral
 
 TRIAL_KINDS = ("linear", "saturating", "tabulated")
 
@@ -35,17 +35,19 @@ class TrialFunction:
     """
 
     kind: str
-    values: np.ndarray | None = None
+    values: array | None = None
 
     def __post_init__(self):
         if self.kind not in TRIAL_KINDS:
             raise ValueError(f"unknown trial kind {self.kind!r}")
         if self.kind == "tabulated":
-            if np.ndim(self.values) != 1 or np.size(self.values) == 0:
+            values = as_doubles(self.values)
+            if not values:
                 raise ValueError("tabulated trial needs samples in a 1-D "
-                                 f"array, got shape {np.shape(self.values)}")
-            if not np.isfinite(self.values).all():
+                                 "array, got shape (0,)")
+            if not all(map(math.isfinite, values)):
                 raise ValueError("tabulated trial samples must be finite")
+            object.__setattr__(self, "values", values)
             if self.values[0] != 0.0:
                 raise ValueError("odd trial must vanish at x = 0")
         elif self.values is not None:
@@ -61,29 +63,23 @@ class TrialFunction:
 
     @classmethod
     def tabulated(cls, values):
-        return cls("tabulated", np.asarray(values, dtype=float))
+        return cls("tabulated", values)
 
-    def sample(self, grid, out: np.ndarray | None = None) -> np.ndarray:
-        """chi_0 at the grid nodes, in out when given, else in a new
-        array.  Besides out, it allocates at most the nodes."""
+    def sample(self, grid, out=None):
+        """chi_0 at the grid nodes, in out when given (see
+        _kernels_py.check_out), else in a new array('d')."""
         if out is None:
-            out = np.empty(grid.n_points)
+            out = zeros(grid.n_points)
         if self.kind == "tabulated":
             if len(self.values) != grid.n_points:
                 raise ValueError(
                     f"tabulated trial has {len(self.values)} samples for a "
                     f"{grid.n_points}-point grid")
-            out[...] = self.values
+            check_out(out, grid.n_points, in_place(self.values))
+            out[:] = self.values
             return out
-        x = grid.nodes()
-        if self.kind == "linear":
-            out[...] = x
-        else:
-            # y (2 - y) with y = min(x, 1): x (2 - x) below 1, 1 from 1 on
-            np.minimum(x, 1.0, out=x)
-            np.subtract(2.0, x, out=out)
-            out *= x
-        return out
+        return kernels.sample_nodes(grid.n_points, grid.h, grid.x_max,
+                                    self.kind == "saturating", out)
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,11 @@ class IterationState:
     """chi_n on x >= 0 plus the extracted eps_n.
 
     In the states of a run, chi is a row of a block that holds the run's
-    other iterates too, so keeping one chi keeps that block alive.
+    other iterates too: a writable memoryview of an array('d'), so keeping
+    one chi keeps that block alive.
     """
 
-    chi: np.ndarray
+    chi: array | memoryview
     eps: float | None = None
 
 
@@ -129,29 +126,28 @@ class ConvergenceReport:
         return self.e_gd + 0.5 * self.eps
 
 
-def _unnormalized_profile(gs: GroundState, chi_prev: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+def _unnormalized_profile(gs: GroundState, chi_prev, out=None):
     """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
     winv * (e^{-u_ref} I) (gs.scaled_weight), by the active kernel backend.
 
     The tail beyond x_max is closed with the first-order Watson estimate
     chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).  chihat goes
-    into out when given, under the contract of
-    _kernels_py.check_profile_out, else into a new array.
+    into out when given, under the contract of _kernels_py.check_out, else
+    into a new array('d').
     """
     if out is None:
-        out = np.empty(gs.grid.n_points)
+        out = zeros(gs.grid.n_points)
     w, _, winv = gs.scaled_weight
     tail = w[-1] * chi_prev[-1] / (2.0 * gs.s_prime[-1])
     return kernels.excite_profile(gs.grid.h, w, winv, chi_prev, tail, out)
 
 
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
-                 out: np.ndarray | None = None) -> IterationState:
+                 out=None) -> IterationState:
     """One step of the map, split by the rule chi_n(x0) = chi_{n-1}(x0).
 
     The returned chi is out when given (see _unnormalized_profile), else
-    a new array.  Given out, a step on the compiled kernel allocates
+    a new array('d').  Given out, a step on the compiled kernel allocates
     nothing of grid size; the Python kernel's quadrature temporaries are
     freed before it returns.
     """
@@ -162,27 +158,24 @@ def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
         raise DegenerateAnchorError(
             f"unnormalized iterate vanishes at the anchor x0={anchor_x0}")
     eps = pinned / chi[i0]
-    chi *= eps
+    kernels.scale(chi, eps)
     chi[i0] = pinned               # eq. fixed-point rule, exact by definition
     return IterationState(chi=chi, eps=float(eps))
 
 
-def orthogonality_residual(gs: GroundState, chi: np.ndarray,
-                           scratch: np.ndarray | None = None) -> float:
+def orthogonality_residual(gs: GroundState, chi) -> float:
     """Full-line int e^{-2S} chi, normalized by int e^{-2S} |chi|.
 
     The stored half-line samples are extended as an odd function, so the
     two half-line contributions cancel structurally: the value is exactly
     zero by construction (NaN only for a chi that is not finite), and it
-    checks nothing.  The weighted samples w chi go into scratch when it
-    is given, and the norm integrates |w chi| in place: w >= +0, so
-    |w chi| is w |chi| to the bit but for the sign of a NaN.
+    checks nothing.  Both Simpson integrals, of w chi and of |w chi|, come
+    from one kernel pass: w >= +0, so |w chi| is w |chi| to the bit but
+    for the sign of a NaN.
     """
-    chi = np.asarray(chi, dtype=float)
-    h = gs.grid.h
-    weighted = np.multiply(gs.scaled_weight[0], chi, out=scratch)
-    half = simpson_integral(weighted, h)
-    norm = 2.0 * simpson_integral(np.abs(weighted, out=weighted), h)
+    half, norm = kernels.weighted_simpson(gs.grid.h, gs.scaled_weight[0],
+                                          chi)
+    norm *= 2.0
     if norm == 0.0:
         return 0.0
     return (half - half) / norm
@@ -212,7 +205,6 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
             f"trial function vanishes at the anchor x0={anchor_x0}; the "
             "fixed-point normalization is undefined")
 
-    scratch = np.empty(gs.grid.n_points)    # the residual's, reused
     states = [IterationState(chi=chi0)]
     residuals: list[float] = []
     status = "max_iters"
@@ -221,7 +213,7 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
     for _ in range(max_iters):
         state = iterate_once(gs, states[-1], anchor_x0, out=next(rows))
         states.append(state)
-        residuals.append(orthogonality_residual(gs, state.chi, scratch))
+        residuals.append(orthogonality_residual(gs, state.chi))
         if len(states) == 2:
             continue
         delta = abs(state.eps - states[-2].eps)
@@ -248,10 +240,12 @@ BLOCK_ROWS = inspect.signature(run).parameters["max_iters"].default + 1
 
 
 def _rows(n_points: int, count: int):
-    """Yields count rows of n_points floats, in order, from blocks of at
-    most BLOCK_ROWS rows; each block is allocated when the one before it
-    is used up."""
+    """Yields count rows of n_points doubles, in order, as writable views
+    of blocks of at most BLOCK_ROWS rows; each block, one array('d'), is
+    allocated when the one before it is used up."""
     while count > 0:
-        block = np.empty((min(count, BLOCK_ROWS), n_points))
-        count -= len(block)
-        yield from block
+        rows = min(count, BLOCK_ROWS)
+        block = memoryview(zeros(rows * n_points))
+        count -= rows
+        for k in range(rows):
+            yield block[k * n_points:(k + 1) * n_points]

@@ -11,11 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
+from ._kernels_py import as_doubles, zeros
 from .errors import NoEigenvalueError, WrongParityError
 from .potential import DeltaBox, Potential, Quartic
 
@@ -47,14 +47,11 @@ class Grid:
     def h(self) -> float:
         return self.x_max / (self.n_points - 1)
 
-    def nodes(self) -> np.ndarray:
-        """x_i = i * h, with the last node set to x_max: the arithmetic of
-        np.linspace(0, x_max, n_points), so the same bytes, without its
-        generic overhead."""
-        x = np.arange(self.n_points, dtype=float)
-        x *= self.h
-        x[-1] = self.x_max
-        return x
+    def nodes(self) -> array:
+        """x_i = i * h, the last set to x_max, as a new array('d'): the
+        bytes of NumPy's linspace(0, x_max, n_points)."""
+        return kernels.sample_nodes(self.n_points, self.h, self.x_max,
+                                    False, zeros(self.n_points))
 
     def index_of(self, x: float) -> int:
         """Index of the node at coordinate x; x must lie on a node."""
@@ -75,36 +72,41 @@ class GroundState:
     S(0) is s[0].  A hard wall (compact support ending on the last node)
     is S = S' = +inf on the last node, where the weight is exactly zero.
 
-    Both weights of an iteration step (scaled_weight) are cached on the
-    instance; dataclasses.replace gives a copy with a fresh cache.
+    s and s_prime are array('d'); other sequences of reals are converted
+    on construction.  Both weights of an iteration step (scaled_weight)
+    are cached on the instance; dataclasses.replace gives a copy with a
+    fresh cache.
     """
 
     grid: Grid
-    s: np.ndarray
-    s_prime: np.ndarray
+    s: array
+    s_prime: array
     e_gd: float
     potential: Potential
 
+    def __post_init__(self):
+        object.__setattr__(self, "s", as_doubles(self.s))
+        object.__setattr__(self, "s_prime", as_doubles(self.s_prime))
+
     @functools.cached_property
-    def scaled_weight(self) -> tuple[np.ndarray, float, np.ndarray]:
-        """(w, u_ref, winv), the read-only weights of an iteration step:
-        w = e^{-2S - u_ref} at the nodes, with u_ref = max(-2S) over the
-        finite samples so every sample is representable, zero where -2S is
-        not finite; and the outer weight winv = e^{2S + u_ref}.
+    def scaled_weight(self) -> tuple[memoryview, float, memoryview]:
+        """(w, u_ref, winv), the weights of an iteration step as read-only
+        views of array('d')s: w = e^{-2S - u_ref} at the nodes, with
+        u_ref = max(-2S) over the finite samples so every sample is
+        representable, zero where -2S is not finite; and the outer weight
+        winv = e^{2S + u_ref}.
 
         winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
         OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
         the matching e^{-2S} decay, and chihat at the anchor does not read
-        them.  On the default grids 2(S - S_min) stays below 200."""
-        u = -2.0 * self.s
-        finite = np.isfinite(u)
-        u_ref = float(u[finite].max())
-        w = np.where(finite, np.exp(np.where(finite, u, 0.0) - u_ref), 0.0)
-        exponent = 2.0 * self.s + u_ref
-        winv = np.zeros(len(exponent))
-        np.exp(exponent, out=winv, where=exponent <= OVERFLOW_EXPONENT)
-        w.flags.writeable = winv.flags.writeable = False
-        return w, u_ref, winv
+        them.  On the default grids 2(S - S_min) stays below 200.  Raises
+        ValueError when no sample of S is finite."""
+        w, winv = zeros(len(self.s)), zeros(len(self.s))
+        u_ref = kernels.scaled_weights(self.s, OVERFLOW_EXPONENT, w, winv)
+        if u_ref == -math.inf:
+            raise ValueError("S has no finite sample")
+        return (memoryview(w).toreadonly(), u_ref,
+                memoryview(winv).toreadonly())
 
 
 def soluble_groundstate(delta: float, grid: Grid) -> GroundState:
@@ -118,13 +120,11 @@ def soluble_groundstate(delta: float, grid: Grid) -> GroundState:
         raise ValueError(
             f"DeltaBox support is [0, 1]; grid extends to {grid.x_max}")
     p = pot.p
-    x = grid.nodes()
-    arg = p * (1.0 - x)
-    with np.errstate(divide="ignore"):
-        s = -np.log(np.sin(arg))
-        s_prime = p / np.tan(arg)
-    s[-1] = np.inf
-    s_prime[-1] = np.inf
+    args = [p * (1.0 - x) for x in grid.nodes()[:-1]]
+    s = array("d", [-math.log(math.sin(arg)) for arg in args])
+    s_prime = array("d", [p / math.tan(arg) for arg in args])
+    s.append(math.inf)
+    s_prime.append(math.inf)
     return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=0.5 * p * p,
                        potential=pot)
 
@@ -233,6 +233,10 @@ def _brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
         f"(last E={x_cur!r})")
 
 
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
 def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
     """Shooting solver for the even, nodeless quartic ground state.
 
@@ -276,8 +280,8 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
             f"both bracket ends blew up: the shooting sweeps at E={lo:.6g} "
             f"and E={hi:.6g} develop a node on {n} nodes (h={h:.3g}), so "
             "the grid is too coarse to resolve the well; raise --points")
-    if not (np.isfinite(f_lo) and np.isfinite(f_hi)) \
-            or np.sign(f_lo) == np.sign(f_hi):
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)) \
+            or _sign(f_lo) == _sign(f_hi):
         raise NoEigenvalueError(
             f"--g {g}: the energy window (0.4g, 1.6g) = ({lo:.6g}, "
             f"{hi:.6g}) holds no ground state at this coupling (no sign "
@@ -293,14 +297,13 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
             "converged wave function develops a node inside the domain; "
             "the bracket does not isolate the even ground state")
 
-    s = np.empty(n)
-    s_prime = np.empty(n)
-    s[:i_match + 1] = s_out
-    s_prime[:i_match + 1] = sp_out
-    s_in_rev = s_in[::-1]          # now ordered x_match .. x_max
-    sp_in_rev = sp_in[::-1]
-    s[i_match:] = s_in_rev + (s_out[i_match] - s_in_rev[0])
-    s_prime[i_match + 1:] = sp_in_rev[1:]
+    # the inward sweep runs x_max .. x_match: reversed, and S shifted to
+    # meet the outward one, it takes over from x_match (S) and after it (S')
+    offset = s_out[i_match] - s_in[-1]
+    s = s_out[:i_match]
+    s.extend([v + offset for v in reversed(s_in)])
+    s_prime = sp_out
+    s_prime.extend(reversed(sp_in[:-1]))
     return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=float(e_star),
                        potential=potential)
 
@@ -309,12 +312,20 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
 # serialization: the CSV profile, the run's S, S' artifact, plus a JSON
 # sidecar with its energy, potential and grid
 
-def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length 1-D columns under a header line, every value as
-    %.17g, which reads back to the same float64.  Raises ValueError, naming
-    the shapes, before the file is opened when a column is not 1-D or the
-    lengths differ."""
-    shapes = [np.shape(c) for c in columns]
+def _shape(column) -> tuple:
+    """The shape of a buffer, else (len(column),)."""
+    try:
+        return memoryview(column).shape
+    except TypeError:
+        return (len(column),)
+
+
+def write_csv(path, header: list[str], columns: list) -> None:
+    """Write equal-length 1-D columns of reals under a header line, every
+    value as %.17g, which reads back to the same float64.  Raises
+    ValueError, naming the shapes, before the file is opened when a column
+    is not 1-D or the lengths differ."""
+    shapes = [_shape(c) for c in columns]
     if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
         raise ValueError(f"CSV columns must be 1-D and of one length, got "
                          f"shapes {shapes}")

@@ -63,18 +63,29 @@ REFERENCES = {
 }
 
 
-def _summary_value(summary: dict, key: str) -> float | None:
+def _summary_value(summary: dict, key: str, path) -> float | None:
+    """The summary's value of a reference key (eps_n is the nth entry of
+    eps_sequence), or None when it has none.  Raises ValueError, naming
+    the file and the key, when that value is not a real number."""
     if key.startswith("eps_"):
         idx = int(key.split("_")[1]) - 1
         seq = summary.get("eps_sequence", [])
-        return seq[idx] if idx < len(seq) else None
-    return summary.get(key)
+        if not isinstance(seq, list):
+            raise ValueError(f"{path}: eps_sequence is not a list")
+        value = seq[idx] if idx < len(seq) else None
+    else:
+        value = summary.get(key)
+    if value is not None and type(value) not in (int, float):
+        raise ValueError(f"{path}: {key} is not a number: {value!r}")
+    return value
 
 
 def compare_report(summary_path, reference_tag: str) -> tuple[str, bool]:
     """Compare a run summary against one reference table.
 
-    Returns the textual report and an overall pass flag.
+    Returns the textual report and an overall pass flag.  Raises
+    ValueError when the summary is not a JSON object or a compared value
+    in it is not a real number.
     """
     if reference_tag not in REFERENCES:
         raise KeyError(
@@ -82,13 +93,15 @@ def compare_report(summary_path, reference_tag: str) -> tuple[str, bool]:
             f"{', '.join(sorted(REFERENCES))}")
     with open(str(summary_path)) as f:
         summary = json.load(f)
+    if not isinstance(summary, dict):
+        raise ValueError(f"{summary_path}: not a JSON object")
     ref = REFERENCES[reference_tag]
     lines = [f"reference {reference_tag} (v{REFERENCES_VERSION}): "
              f"{ref['description']}"]
     all_ok = True
     for key, expected in ref["values"].items():
         tol = ref["tolerances"][key]
-        actual = _summary_value(summary, key)
+        actual = _summary_value(summary, key, summary_path)
         if actual is None:
             lines.append(f"  {key:8s} MISSING from summary")
             all_ok = False

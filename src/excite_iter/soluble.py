@@ -4,8 +4,7 @@ hand-derived first-iterate formulas used to validate the numeric engine."""
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from array import array
 
 from .potential import DeltaBox
 
@@ -17,20 +16,20 @@ def exact_epsilon(delta: float) -> float:
 
 
 def exact_chi(delta: float, x):
-    """chi(x) = sin(pi x) / sin(p (1-x)) on [0, 1], for a float or an
-    array of x (a float or an array back).
+    """chi(x) = sin(pi x) / sin(p (1-x)) on [0, 1], for a float x (a float
+    back) or a sequence of them (an array('d') back).
 
     The wall value is the removable-singularity limit pi/p.
     """
-    x = np.asarray(x, dtype=float)
-    inside = (0.0 <= x) & (x <= 1.0)
-    if not inside.all():
-        raise ValueError(f"x must lie in [0, 1], got {x[~inside].flat[0]}")
     p = DeltaBox(delta).p
-    denom = np.sin(p * (1.0 - x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chi = np.where(denom == 0.0, math.pi / p, np.sin(math.pi * x) / denom)
-    return chi if chi.ndim else float(chi)
+    xs = [x] if isinstance(x, (int, float)) else x
+    for v in xs:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"x must lie in [0, 1], got {v}")
+    denoms = [math.sin(p * (1.0 - v)) for v in xs]
+    chi = array("d", [math.sin(math.pi * v) / d if d else math.pi / p
+                      for v, d in zip(xs, denoms)])
+    return chi[0] if xs is not x else chi
 
 
 def chi1_closed_form(delta: float, x: float) -> float:

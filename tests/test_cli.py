@@ -153,6 +153,26 @@ class TestCompare:
         assert code == 1
         assert "FAIL" in captured
 
+    @pytest.mark.parametrize("summary, named", [
+        ([], "not a JSON object"),
+        ({"eps_sequence": ["a"]}, "eps_1 is not a number: 'a'"),
+        ({"eps_sequence": [True, 0.3, 0.3]}, "eps_1 is not a number: True"),
+        ({"eps_sequence": "0.5"}, "eps_sequence is not a list")],
+        ids=["list", "string", "bool", "not-a-list"])
+    def test_malformed_summary_exits_1_naming_the_key(self, tmp_path,
+                                                      summary, named):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        proc = subprocess.run(
+            [sys.executable, "-m", "excite_iter.cli", "compare",
+             "--summary", str(path), "--ref", "eq_3_17"],
+            env=TestProcessEntry.env(), capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert f"{path}: {named}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestErrors:
     def test_usage_error_exits_2(self):
@@ -506,8 +526,7 @@ class TestHalfGridEstimate:
         assert 1001 in checked
 
 
-# run at exit by every process entry test: the OpenBLAS setting and the
-# thread count at that point
+# run at exit by every process entry test: the thread count at that point
 ATEXIT_HOOK = """\
 import atexit, os
 
@@ -517,7 +536,7 @@ def report():
         with open("/proc/self/status") as f:
             threads = next(line.split()[1] for line in f
                            if line.startswith("Threads:"))
-    print("atexit", os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+    print("atexit", threads)
 
 atexit.register(report)
 """
@@ -529,9 +548,9 @@ runpy.run_module("excite_iter.cli", run_name="__main__")
 
 class TestProcessEntry:
     """python -m excite_iter.cli and the excite-iter script end in
-    excite_iter._cli_process: one OpenBLAS thread unless the caller set
-    another count, and no interpreter teardown after main, with the same
-    exit codes, the atexit callbacks run and stdout flushed."""
+    excite_iter._cli_process: one thread, and no interpreter teardown
+    after main, with the same exit codes, the atexit callbacks run and
+    stdout flushed."""
 
     @staticmethod
     def env(**extra):
@@ -569,12 +588,12 @@ class TestProcessEntry:
         assert proc.returncode == 0, proc.stderr
         assert read(tmp_path / "stdout") == expected
 
-    @pytest.mark.parametrize("caller, threads", [(None, "1"), ("2", None)])
+    @pytest.mark.parametrize("caller, threads", [(None, "1"), ("2", "1")])
     def test_atexit_hooks_run_and_blas_has_one_thread(self, tmp_path,
                                                       caller, threads):
-        """The hook runs after main's output; a count the caller set is
-        kept (its thread count depends on the cores, so it is not
-        checked)."""
+        """The hook runs after main's output, in a process of one thread:
+        no BLAS is loaded, so an OPENBLAS_NUM_THREADS the caller set
+        starts no thread either."""
         env = self.env(**({"OPENBLAS_NUM_THREADS": caller} if caller
                           else {}))
         proc = self.spawn(["-c", RUN_MODULE, *SOLUBLE, "--out",
@@ -582,9 +601,9 @@ class TestProcessEntry:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.decode().splitlines()
         assert lines[0].startswith("e_gd = ")
-        assert lines[-1].split()[:2] == ["atexit", caller or "1"]
-        if threads and sys.platform.startswith("linux"):
-            assert lines[-1].split()[2] == threads
+        assert lines[-1].split()[0] == "atexit"
+        if sys.platform.startswith("linux"):
+            assert lines[-1].split()[1] == threads
 
     def test_stdout_to_a_closed_pipe_exits_120_without_a_traceback(
             self, tmp_path):
@@ -636,9 +655,9 @@ class TestProcessEntry:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.decode().splitlines()
         assert lines[0].startswith("e_gd = ")
-        assert lines[-1].split()[:2] == ["atexit", "1"]
+        assert lines[-1].split()[0] == "atexit"
         if sys.platform.startswith("linux"):
-            assert lines[-1].split()[2] == "1"
+            assert lines[-1].split()[1] == "1"
         assert self.spawn([str(script), "soluble"]).returncode == 2
 
 

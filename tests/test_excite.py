@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from excite_iter.excite import (
 from excite_iter.groundstate import (OVERFLOW_EXPONENT, Grid, GroundState,
                                      default_x_max, soluble_groundstate,
                                      solve_groundstate_numeric)
-from excite_iter.numerics import (reverse_cumulative_simpson,
-                                  simpson_integral)
+from excite_iter._kernels_py import (reverse_cumulative_simpson,
+                                    simpson_integral, zeros)
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
 
@@ -57,7 +58,7 @@ def tail_integral(gs, chi_prev, x):
     the reverse running integral of the scaled weight times chi_prev
     that a step integrates first."""
     w, u_ref, _ = gs.scaled_weight
-    scaled = reverse_cumulative_simpson(w * chi_prev, gs.grid.h)
+    scaled = reverse_cumulative_simpson(np.asarray(w) * chi_prev, gs.grid.h)
     return float(scaled[gs.grid.index_of(x)] * np.exp(u_ref))
 
 
@@ -77,8 +78,8 @@ class TestTrialFunction:
         assert np.array_equal(TrialFunction.linear().sample(gs_soluble.grid), x)
 
     def test_saturating_samples(self, gs_quartic):
-        x = gs_quartic.grid.nodes()
-        v = TrialFunction.saturating().sample(gs_quartic.grid)
+        x = np.asarray(gs_quartic.grid.nodes())
+        v = np.asarray(TrialFunction.saturating().sample(gs_quartic.grid))
         inside = x < 1.0
         assert np.allclose(v[inside], x[inside] * (2.0 - x[inside]))
         assert np.all(v[~inside] == 1.0)
@@ -90,7 +91,7 @@ class TestTrialFunction:
         grid = gs_soluble.grid
         trial = (TrialFunction.tabulated(np.sin(grid.nodes()))
                  if kind == "tabulated" else TrialFunction(kind))
-        out = np.full(grid.n_points, np.nan)
+        out = array("d", [math.nan]) * grid.n_points
         assert trial.sample(grid, out=out) is out
         assert out.tobytes() == trial.sample(grid).tobytes()
 
@@ -124,21 +125,21 @@ class TestTrialFunction:
 class TestTailIntegral:
     def test_vanishes_at_wall(self, gs_soluble):
         x = gs_soluble.grid.nodes()
-        assert tail_integral(gs_soluble, x.copy(), 1.0) == 0.0
+        assert tail_integral(gs_soluble, x[:], 1.0) == 0.0
 
     def test_frozen_oracle(self, gs_soluble):
         x = gs_soluble.grid.nodes()
-        assert tail_integral(gs_soluble, x.copy(), 0.0) == pytest.approx(
+        assert tail_integral(gs_soluble, x[:], 0.0) == pytest.approx(
             TAIL_ORACLE_D01_X0, rel=1e-12
         )
-        assert tail_integral(gs_soluble, x.copy(), 0.5) == pytest.approx(
+        assert tail_integral(gs_soluble, x[:], 0.5) == pytest.approx(
             TAIL_ORACLE_D01_X05, rel=1e-12
         )
 
     def test_monotone_decreasing(self, gs_soluble):
         # For a nonnegative integrand the tail integral decreases in x.
         x = gs_soluble.grid.nodes()
-        vals = [tail_integral(gs_soluble, x.copy(), xi) for xi in (0.0, 0.25, 0.5, 0.75)]
+        vals = [tail_integral(gs_soluble, x[:], xi) for xi in (0.0, 0.25, 0.5, 0.75)]
         assert vals == sorted(vals, reverse=True)
 
 
@@ -173,7 +174,8 @@ class TestGaugeAndAnchor:
         # the outer factor e^{+2S} cancel any constant shift.
         base = run(gs_soluble, TrialFunction.linear(), max_iters=4).eps_sequence
         for shift in (+5.0, -5.0):
-            shifted = dataclasses.replace(gs_soluble, s=gs_soluble.s + shift)
+            shifted = dataclasses.replace(
+                gs_soluble, s=np.asarray(gs_soluble.s) + shift)
             moved = run(shifted, TrialFunction.linear(), max_iters=4).eps_sequence
             assert np.allclose(moved, base, rtol=1e-12, atol=0.0)
 
@@ -252,11 +254,11 @@ class TestRun:
         # OVERFLOW_EXPONENT, on a tail of ~3300 nodes that chihat at the
         # anchor never reads
         gs = solve_groundstate_numeric(Quartic(3.0), Grid(8.0, 32001))
-        exponent = 2.0 * gs.s + gs.scaled_weight[1]
+        exponent = 2.0 * np.asarray(gs.s) + gs.scaled_weight[1]
         beyond = exponent > OVERFLOW_EXPONENT
         n_beyond = int(beyond.sum())
         assert n_beyond > 3000 and beyond[-n_beyond:].all()
-        assert np.array_equal(gs.scaled_weight[2] == 0.0, beyond)
+        assert np.array_equal(np.asarray(gs.scaled_weight[2]) == 0.0, beyond)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run(gs, TrialFunction.saturating())
@@ -268,7 +270,7 @@ class TestRun:
         # It takes the Watson tail closure and winv without the Riccati
         # kernel; the iteration never reads the potential.
         grid = Grid(4.0, 16001)
-        x = grid.nodes()
+        x = np.asarray(grid.nodes())
         gs = GroundState(grid=grid, s=0.5 * x * x, s_prime=x.copy(),
                          e_gd=0.5, potential=None)
         report = run(gs, TrialFunction.linear(), max_iters=3, tol=0.0)
@@ -291,7 +293,7 @@ def profile_backend(request, monkeypatch):
 def _harmonic(x_max, n_points):
     """GroundState of S = x^2/2: a soft wall with a nonzero Watson tail."""
     grid = Grid(x_max, n_points)
-    x = grid.nodes()
+    x = np.asarray(grid.nodes())
     return GroundState(grid=grid, s=0.5 * x * x, s_prime=x.copy(),
                        e_gd=0.5, potential=None)
 
@@ -325,15 +327,15 @@ def test_profile_backends_agree_bit_for_bit(case):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "excite_profile", backend.excite_profile)
                 chihat = _unnormalized_profile(gs, chi)
-                # a row of a block, filled with NaN, as run passes it
-                out = np.full((3, n), np.nan)[1]
+                # an array filled with NaN, as a reused out may be
+                out = array("d", [math.nan]) * n
                 assert _unnormalized_profile(gs, chi, out=out) is out
             assert out.tobytes() == chihat.tobytes()
             results.append(chihat.tobytes())
             assert np.isfinite(chihat).all()
         assert results[0] == results[1]
     if case == "harmonic-winv-0-in-tail":
-        assert (gs.scaled_weight[2] == 0.0).sum() > n // 4
+        assert (np.asarray(gs.scaled_weight[2]) == 0.0).sum() > n // 4
     elif gs.s[-1] != np.inf:                  # no hard wall
         assert gs.scaled_weight[0][-1] != 0.0  # a nonzero Watson tail
 
@@ -360,15 +362,55 @@ def test_profile_backends_agree_on_random_arrays(args):
     except ImportError as exc:
         pytest.skip(str(exc))
     n = len(args[3])
-    python, cython = (backend.excite_profile(*args, np.empty(n)).tobytes()
+    python, cython = (backend.excite_profile(*args, zeros(n)).tobytes()
                       for backend in (kernels.get_backend("python"),
                                       compiled))
     assert python == cython
 
 
+def _backends():
+    """The kernels of every backend that imports."""
+    backends = [kernels.get_backend("python")]
+    try:
+        backends.append(kernels.get_backend("cython"))
+    except ImportError:
+        pass
+    return backends
+
+
+@given(st.integers(2, 400), st.floats(1e-3, 40.0), st.booleans())
+def test_node_backends_agree_bit_for_bit(n, x_max, saturating):
+    # the nodes are NumPy's linspace to the byte, and the saturating
+    # trial the bytes of its np.where form
+    h = x_max / (n - 1)
+    samples = {backend.sample_nodes(n, h, x_max, saturating,
+                                    zeros(n)).tobytes()
+               for backend in _backends()}
+    assert len(samples) == 1
+    x = np.linspace(0.0, x_max, n)
+    expected = np.where(x < 1.0, x * (2.0 - x), 1.0) if saturating else x
+    assert samples == {expected.tobytes()}
+
+
+@given(arrays(np.float64, st.integers(0, 50), elements=st.one_of(
+           st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+           st.floats())),
+       st.one_of(st.sampled_from([0.0, -0.0, np.inf, np.nan]), st.floats()))
+def test_scale_backends_agree_bit_for_bit(values, factor):
+    # the products NumPy forms, to the bit but for a NaN's payload
+    with np.errstate(all="ignore"):
+        expected = values * factor
+    nan = np.isnan(expected)
+    for backend in _backends():
+        x = array("d", values)
+        assert backend.scale(x, factor) is x
+        assert np.array_equal(np.isnan(x), nan)
+        assert x.tobytes() == np.where(nan, x, expected).tobytes()
+
+
 def test_compiled_profile_reads_each_calls_weights():
-    # the compiled wrapper keeps the addresses of the last weights it was
-    # given; it must give the Python kernel's bytes when ground states
+    # the compiled wrapper looks up the address of each array on every
+    # call; it must give the Python kernel's bytes when ground states
     # alternate, when w must be copied to be contiguous, and when w is
     # edited in place between calls
     try:
@@ -382,7 +424,7 @@ def test_compiled_profile_reads_each_calls_weights():
     def check(w, winv):
         python_bytes, compiled_bytes = (
             backend.excite_profile(0.005, w, winv, chi, 0.25,
-                                   np.empty(len(chi))).tobytes()
+                                   zeros(len(chi))).tobytes()
             for backend in (python, compiled))
         assert python_bytes == compiled_bytes
         return compiled_bytes
@@ -397,61 +439,67 @@ def test_compiled_profile_reads_each_calls_weights():
     source = np.zeros((len(w), 2))
     source[:, 0] = w
     strided = source[:, 0]                    # not contiguous: copied
-    writable = w.copy()
-    for given in (strided, writable):
+    for given in (strided, np.array(w), array("d", w)):
         before = check(given, winv)
         assert check(given, winv) == before
-        given *= 0.5                          # the same array, new values
+        np.asarray(given)[:] *= 0.5           # the same array, new values
         assert check(given, winv) != before
 
 
 def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     def profile(n, n_w=None):
         return kernels.excite_profile(
-            0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5,
-            np.empty(n))
+            0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5, zeros(n))
 
-    assert profile(5).shape == (5,)
-    assert profile(3).shape == (3,)
+    assert len(profile(5)) == 5
+    assert len(profile(3)) == 3
     for bad in (dict(n=4), dict(n=1), dict(n=5, n_w=7)):
         with pytest.raises(ValueError):
             profile(**bad)
 
-    # out: float, C-contiguous, writable, shape (n,), sharing no memory
-    # with the other arrays of the call
+    # out: an array('d') or a writable view of n doubles, sharing no memory
+    # with the arrays of the call that the kernel reads in place
     n = 5
-    w, winv, chi = (np.ones(n) for _ in range(3))
-    block = np.ones((2, n))
+    w, winv, chi = (array("d", [1.0]) * n for _ in range(3))
+    block = memoryview(array("d", [1.0]) * (2 * n))
 
     def profile_into(out, chi_prev=chi):
         return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, out)
 
-    out = np.empty(n)
+    out = zeros(n)
     assert profile_into(out) is out
-    row = block[1]
-    assert profile_into(row, chi_prev=block[0]) is row
+    row = block[n:]
+    assert profile_into(row, chi_prev=block[:n]) is row
     assert out.tobytes() == profile(n).tobytes() == row.tobytes()
-    read_only = np.empty(n)
-    read_only.flags.writeable = False
-    for bad in (np.empty(n - 2), np.empty(n + 2), np.empty((1, n)),
-                np.empty(n, dtype=np.float32), np.empty(n, dtype=np.int64),
-                np.empty(2 * n)[::2], np.empty(n).tolist(), read_only,
+    for bad in (zeros(n - 2), zeros(n + 2), np.empty(n), np.empty((1, n)),
+                array("f", [0.0]) * n, array("q", [0]) * n,
+                block[::2], [0.0] * n, memoryview(zeros(n)).toreadonly(),
                 w, winv, chi):
         with pytest.raises(ValueError):
             profile_into(bad)
     with pytest.raises(ValueError):     # overlaps chi_prev by one element
-        profile_into(block.ravel()[n - 1:2 * n - 1], chi_prev=block[0])
+        profile_into(block[n - 1:2 * n - 1], chi_prev=block[:n])
+    # a NumPy view of out is copied before out is written, so it gives
+    # the profile of out's values before the call
+    expected = profile_into(zeros(n), chi_prev=out[:])
+    assert profile_into(out, chi_prev=np.asarray(out)) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
-    # the residual's scratch array, run's one per-run buffer, moves no bit
+    # a step into a reused out that holds the last step's iterate writes
+    # the bits of a step into a new array, and so does its residual
     for gs in (gs_quartic, gs_soluble):
-        scratch = np.empty(gs.grid.n_points)
+        out = array("d", [math.nan]) * gs.grid.n_points
         prev = IterationState(chi=TrialFunction.linear().sample(gs.grid))
-        for _ in range(2):      # the second step reuses a dirty scratch
+        for _ in range(2):      # the second step reuses a dirty out
             fresh = iterate_once(gs, prev, 1.0)
+            into = iterate_once(gs, prev, 1.0, out=out)
+            assert into.chi is out
+            assert out.tobytes() == fresh.chi.tobytes()
+            assert into.eps == fresh.eps
             assert orthogonality_residual(gs, fresh.chi) \
-                == orthogonality_residual(gs, fresh.chi, scratch=scratch)
+                == orthogonality_residual(gs, np.asarray(out))
             prev = fresh
 
 
@@ -469,19 +517,20 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
                                          profile_backend):
     # once the ground state holds its weights, one step's only grid-sized
     # allocation is the chi it returns (8 B a node), and given out,
-    # nothing of grid size, but for the Python kernel's temporaries: at
-    # their peak the outer integrand, its running integral and three
-    # half-grid products, 3.5 grid arrays; 2 KB covers the small Python
-    # objects
+    # nothing of grid size, but for the Python kernel's temporaries, all
+    # array('d'): at their peak an integrand, its running integral and one
+    # more of the reversal or the inner integral, 24 B a node, and up to
+    # 2 B more for the integrand, an array grown from a generator; 2 KB
+    # covers the small Python objects
     for gs in (gs_quartic, gs_soluble):
         n = gs.grid.n_points
-        temporary = 28 * n if profile_backend == "python" else 0
+        temporary = 26 * n if profile_backend == "python" else 0
         prev = IterationState(chi=TrialFunction.saturating().sample(
             gs.grid))
         iterate_once(gs, prev, 1.0)   # caches the weights
         state, peak = _peak_bytes(lambda: iterate_once(gs, prev, 1.0))
         assert peak <= 8 * n + temporary + 2048
-        out = np.empty(n)
+        out = zeros(n)
         into, peak = _peak_bytes(
             lambda: iterate_once(gs, prev, 1.0, out=out))
         assert peak <= temporary + 2048
@@ -490,26 +539,27 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
         assert into.eps == state.eps
 
 
-def test_warm_run_allocates_its_block_and_one_scratch_array(gs_quartic,
-                                                           monkeypatch):
-    # on a ground state that holds its weights, a run's grid-sized
-    # allocations are its block of iterates and the residual's scratch
-    # array; the compiled kernel allocates nothing.  8 KB covers the small
-    # Python objects (the report, its states and their rows: 3.8-6 KB),
-    # and one more grid array at this size is 128 KB
+def test_warm_run_allocates_only_its_block(gs_quartic, monkeypatch):
+    # on a ground state that holds its weights, a run's one grid-sized
+    # allocation is its block of iterates; the compiled kernels allocate
+    # nothing.  8 KB covers the small Python objects (the report, its
+    # states and their rows: 3.8-6 KB), and one more grid array at this
+    # size is 128 KB
     try:
         compiled = kernels.get_backend("cython")
     except ImportError as exc:
         pytest.skip(str(exc))
-    monkeypatch.setattr(kernels, "excite_profile", compiled.excite_profile)
+    for name in ("excite_profile", "weighted_simpson", "scale",
+                 "sample_nodes"):
+        monkeypatch.setattr(kernels, name, getattr(compiled, name))
     n = gs_quartic.grid.n_points
     peaks = {}
     for trial in (TrialFunction.linear(), TrialFunction.saturating()):
         run(gs_quartic, trial)          # caches the weights
         report, peaks[trial.kind] = _peak_bytes(
             lambda: run(gs_quartic, trial))
-        assert len(report.states[0].chi.base) == BLOCK_ROWS
-        assert peaks[trial.kind] <= 8 * n * (BLOCK_ROWS + 1) + 8192
+        assert len(report.states[0].chi.obj) == BLOCK_ROWS * n
+        assert peaks[trial.kind] <= 8 * n * BLOCK_ROWS + 8192
     # chi_0 is written straight into its row, so the saturating trial
     # costs no grid array more than the linear one (it cost two when it
     # was built apart and copied in); the small Python objects of two
@@ -521,8 +571,10 @@ def test_run_writes_its_iterates_into_one_block(gs_quartic):
     report = run(gs_quartic, TrialFunction.saturating(), tol=0.0)
     chis = [s.chi for s in report.states]
     assert len(chis) == BLOCK_ROWS == 9
-    assert chis[0].base is not None
-    assert all(chi.base is chis[0].base for chi in chis)
+    # each a writable view of n doubles in one array('d')
+    assert type(chis[0].obj) is array and chis[0].obj.typecode == "d"
+    assert all(chi.obj is chis[0].obj and not chi.readonly
+               and len(chi) == gs_quartic.grid.n_points for chi in chis)
     # no iterate kept by the report is a view of another
     for i, a in enumerate(chis):
         for b in chis[i + 1:]:
@@ -539,14 +591,19 @@ def _allocating_eps(gs, trial, steps):
     return eps
 
 
+def _block_rows(report, n):
+    """Rows of each block that holds the report's iterates, in order."""
+    blocks = {id(s.chi.obj): s.chi.obj for s in report.states}
+    return [len(b) // n for b in blocks.values()]
+
+
 def test_run_past_one_block_changes_no_bit(profile_backend):
     # delta = 1.5 on 201 nodes neither converges nor stalls in 20 steps
     gs = soluble_groundstate(1.5, Grid(1.0, 201))
     trial = TrialFunction.saturating()
     report = run(gs, trial, max_iters=20, tol=0.0)
     assert report.status == "max_iters"
-    blocks = {id(s.chi.base): s.chi.base for s in report.states}
-    assert [len(b) for b in blocks.values()] == [BLOCK_ROWS, BLOCK_ROWS, 3]
+    assert _block_rows(report, 201) == [BLOCK_ROWS, BLOCK_ROWS, 3]
     assert [e.hex() for e in report.eps_sequence] \
         == [e.hex() for e in _allocating_eps(gs, trial, 20)]
 
@@ -561,8 +618,7 @@ def test_run_reserves_rows_as_it_goes():
     assert report.status == reference.status != "max_iters"
     assert report.eps_sequence == reference.eps_sequence
     assert report.delta_sequence == reference.delta_sequence
-    blocks = {id(s.chi.base): s.chi.base for s in report.states}
-    reserved = sum(len(b) for b in blocks.values())
+    reserved = sum(_block_rows(report, 2001))
     assert len(report.states) <= reserved < len(report.states) + BLOCK_ROWS
 
 
@@ -592,7 +648,7 @@ def test_run_stops_by_its_rule(case, monkeypatch):
     scripted = iter(script)
 
     def step(gs, prev, anchor_x0, out=None):
-        out[...] = prev.chi
+        out[:] = prev.chi
         return IterationState(chi=out, eps=next(scripted))
 
     monkeypatch.setattr(excite, "iterate_once", step)
@@ -642,26 +698,25 @@ def residual_arguments(draw):
 class TestOrthogonality:
     @given(residual_arguments())
     def test_matches_the_five_pass_route(self, args):
-        # the two Simpson integrals and the value, bit for bit, with or
-        # without scratch; a NaN may differ only in its sign
+        # the residual's kernel gives, on both backends, the two Simpson
+        # integrals of the five-pass route, and the residual its value,
+        # bit for bit; a NaN may differ only in its sign
         gs, chi = args
-        integrals = []
-
-        def spy(values, h):
-            integrals.append(simpson_integral(values, h))
-            return integrals[-1]
-
+        w = np.asarray(gs.scaled_weight[0])
         with np.errstate(all="ignore"):
-            half, norm, expected = _five_pass_residual(
-                gs.scaled_weight[0], chi, gs.grid.h)
-        for scratch in (None, np.full(len(chi), np.nan)):
-            integrals.clear()
-            with pytest.MonkeyPatch.context() as mp, \
-                    np.errstate(all="ignore"):
-                mp.setattr(excite, "simpson_integral", spy)
-                value = orthogonality_residual(gs, chi, scratch)
-            assert _same_or_both_nan(integrals[0], half)
-            assert _same_or_both_nan(2.0 * integrals[1], norm)
+            half, norm, expected = _five_pass_residual(w, chi, gs.grid.h)
+        for name in ("python", "cython"):
+            try:
+                backend = kernels.get_backend(name)
+            except ImportError:
+                continue
+            integral, absolute = backend.weighted_simpson(gs.grid.h, w, chi)
+            assert _same_or_both_nan(integral, half)
+            assert _same_or_both_nan(2.0 * absolute, norm)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "weighted_simpson",
+                           backend.weighted_simpson)
+                value = orthogonality_residual(gs, chi)
             assert _same_or_both_nan(value, expected)
             assert value == 0.0 or math.isnan(value)
 
@@ -681,8 +736,8 @@ class TestExcitedWavefunction:
         # e^{-S} chi for the converged soluble iterate is proportional to
         # sin(pi x): the spike drops out of the odd state entirely.
         report = run(gs_soluble, TrialFunction.linear(), max_iters=8, tol=1e-9)
-        psi = np.exp(-gs_soluble.s) * report.states[-1].chi
-        x = gs_soluble.grid.nodes()
+        psi = np.exp(-np.asarray(gs_soluble.s)) * report.states[-1].chi
+        x = np.asarray(gs_soluble.grid.nodes())
         target = np.sin(np.pi * x)
         i = gs_soluble.grid.index_of(0.5)
         scale = psi[i] / target[i]
@@ -690,10 +745,10 @@ class TestExcitedWavefunction:
 
     def test_quartic_tail_is_negligible(self, gs_quartic):
         report = run(gs_quartic, TrialFunction.linear(), max_iters=8, tol=1e-9)
-        psi = np.exp(-gs_quartic.s) * report.states[-1].chi
+        psi = np.exp(-np.asarray(gs_quartic.s)) * report.states[-1].chi
         assert abs(psi[-1]) <= 1e-18 * np.max(np.abs(psi))
 
     def test_node_at_origin(self, gs_quartic):
         report = run(gs_quartic, TrialFunction.linear(), max_iters=4)
-        psi = np.exp(-gs_quartic.s) * report.states[-1].chi
+        psi = np.exp(-np.asarray(gs_quartic.s)) * report.states[-1].chi
         assert psi[0] == 0.0

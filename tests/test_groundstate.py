@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -76,7 +77,7 @@ def test_soluble_groundstate_values():
     # hard wall: S = S' = +inf on the wall node, excluded from support
     assert gs.s[-1] == gs.s_prime[-1] == np.inf
     # interior nodelessness
-    assert np.all(np.exp(-gs.s[:-1]) > 0)
+    assert np.all(np.exp(-np.asarray(gs.s[:-1])) > 0)
 
 
 def test_soluble_groundstate_small_delta_limit():
@@ -116,16 +117,16 @@ def test_gauge_and_parity_conventions(gs_g3):
 
 def test_quartic_nodelessness(gs_g3):
     with np.errstate(under="ignore"):
-        psi = np.exp(-gs_g3.s)
+        psi = np.exp(-np.asarray(gs_g3.s))
     assert np.min(psi[:-1]) > 0
 
 
 def test_schroedinger_residual(gs_g3):
     # 7-point second derivative, O(h^6): the probe error stays below the
     # 1e-8 budget so the measured residual reflects the solution itself
-    s = gs_g3.s
+    s = np.asarray(gs_g3.s)
     h = gs_g3.grid.h
-    x = gs_g3.grid.nodes()
+    x = np.asarray(gs_g3.grid.nodes())
     with np.errstate(under="ignore"):
         psi = np.exp(-s)
     d2 = (2 * psi[:-6] - 27 * psi[1:-5] + 270 * psi[2:-4] - 490 * psi[3:-3]
@@ -139,8 +140,8 @@ def test_sprime_is_integrated_not_differenced(gs_g3):
     # S' must satisfy the Riccati identity S'' = S'^2 - 2(V - E) to much
     # better accuracy than a finite difference of S would give
     h = gs_g3.grid.h
-    x = gs_g3.grid.nodes()
-    sp = gs_g3.s_prime
+    x = np.asarray(gs_g3.grid.nodes())
+    sp = np.asarray(gs_g3.s_prime)
     d_sp = (sp[2:] - sp[:-2]) / (2 * h)
     v = 0.5 * 9.0 * (x * x - 1.0) ** 2
     rhs = sp[1:-1] ** 2 - 2 * (v[1:-1] - gs_g3.e_gd)
@@ -242,12 +243,14 @@ def test_known_bracket_ends_save_two_sweep_pairs(monkeypatch):
 
 
 def test_cli_run_imports_no_scipy(tmp_path):
+    # nor NumPy: full quartic and soluble runs load neither
     code = ("import sys\n"
             "import excite_iter.cli\n"
-            "code = excite_iter.cli.main(['quartic', '--g', '3', "
-            "'--points', '2001', '--out', sys.argv[1]])\n"
-            "print(code, sorted(m for m in sys.modules\n"
-            "                   if m.split('.')[0] == 'scipy'))\n")
+            "codes = [excite_iter.cli.main([*case, '--out', sys.argv[1]])\n"
+            "         for case in (['quartic', '--g', '3'],\n"
+            "                      ['soluble', '--delta', '0.1'])]\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m.split('.')[0] in ('scipy', 'numpy')))\n")
     src = os.path.dirname(os.path.dirname(excite_iter.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -255,7 +258,25 @@ def test_cli_run_imports_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_no_module_of_the_package_imports_numpy():
+    package = os.path.dirname(os.path.abspath(excite_iter.__file__))
+    imports = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [(name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((name, node.module))
+    assert len(imports) > 10
+    assert [(name, module) for name, module in imports
+            if module.split(".")[0] == "numpy"] == []
 
 
 def _can_build_kernel():
@@ -383,15 +404,16 @@ def test_cached_kernel_is_loaded_without_a_compiler(tmp_path):
                     reason="no C compiler: no build to cache")
 def test_cached_kernel_import_loads_no_build_or_error_modules(tmp_path):
     # subprocess, sysconfig and shlex are needed only to build the kernels,
-    # fractions only to word an off-grid anchor error, and hashlib by no
-    # code: the cached build is keyed by zlib.crc32
+    # fractions only to word an off-grid anchor error, and hashlib and
+    # numpy by no code: the cached build is keyed by zlib.crc32, and grid
+    # arrays are array('d')
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
     assert _backend_in_subprocess(env)[0] == "cython"     # primes the cache
     code = ("import sys\n"
             "import excite_iter.cli\n"
             "print(excite_iter.cli.kernels.BACKEND,\n"
             "      [m for m in ('fractions', 'subprocess', 'hashlib',\n"
-            "                   'shlex', 'sysconfig')\n"
+            "                   'shlex', 'sysconfig', 'numpy')\n"
             "       if m in sys.modules])\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -467,12 +489,15 @@ def test_scaled_weight_is_built_once_and_read_only():
     assert gs.scaled_weight is gs.scaled_weight
     assert gs.scaled_weight[0] is w and gs.scaled_weight[2] is winv
     for weight in (w, winv):
-        assert not weight.flags.writeable
-        with pytest.raises(ValueError):
+        # a read-only view: neither it nor a NumPy view of it writes
+        assert weight.readonly
+        with pytest.raises(TypeError):
             weight[0] = 1.0
+        assert not np.asarray(weight).flags.writeable
         # the wall node carries exactly zero weight, both ways
         assert weight[-1] == 0.0
     # the largest weight is 1, and winv is 1/w off the wall
+    w, winv = np.asarray(w), np.asarray(winv)
     assert w.max() == 1.0 and u_ref == -2.0 * gs.s[np.argmax(w)]
     assert winv[np.argmax(w)] == 1.0
     assert np.allclose(w[:-1] * winv[:-1], 1.0, rtol=1e-12, atol=0.0)
@@ -481,13 +506,64 @@ def test_scaled_weight_is_built_once_and_read_only():
 def test_scaled_weight_is_not_shared_by_a_replaced_ground_state():
     gs = solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001))
     w, _, winv = gs.scaled_weight
-    shifted = dataclasses.replace(gs, s=gs.s + 5)
+    shifted = dataclasses.replace(gs, s=np.asarray(gs.s) + 5)
     assert shifted.scaled_weight is not gs.scaled_weight
     assert shifted.scaled_weight[0] is not w
     assert shifted.scaled_weight[2] is not winv
     assert shifted.scaled_weight[1] == pytest.approx(
         gs.scaled_weight[1] - 10.0, abs=1e-12)
     assert gs.scaled_weight[0] is w and gs.scaled_weight[2] is winv
+
+
+@st.composite
+def log_profiles(draw):
+    """S of a length in [1, 60] with NaN, +-inf and finite values, some of
+    them where 2S + u_ref meets OVERFLOW_EXPONENT: S = 0 is the smallest
+    finite sample when all others are >= 0, and then S = 350 puts the
+    exponent on the cut and its neighbours either side of it."""
+    cut = groundstate.OVERFLOW_EXPONENT / 2.0
+    n = draw(st.integers(1, 60))
+    s = draw(st.lists(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, cut,
+                         math.nextafter(cut, 0.0),
+                         math.nextafter(cut, math.inf)]),
+        st.floats(-400.0, 400.0)), min_size=n, max_size=n))
+    return s
+
+
+@given(log_profiles())
+def test_weight_backends_agree_bit_for_bit(s):
+    # w, winv and u_ref of both backends, and the cut to 0: w where -2S
+    # is not finite, winv where 2S + u_ref is not <= OVERFLOW_EXPONENT
+    limit = groundstate.OVERFLOW_EXPONENT
+    results = []
+    for name in ("python", "cython"):
+        try:
+            backend = kernels.get_backend(name)
+        except ImportError:
+            continue
+        w, winv = _kernels_py.zeros(len(s)), _kernels_py.zeros(len(s))
+        u_ref = backend.scaled_weights(s, limit, w, winv)
+        results.append((u_ref.hex(), w.tobytes(), winv.tobytes()))
+        finite = [math.isfinite(-2.0 * v) for v in s]
+        if not any(finite):
+            assert u_ref == -math.inf and not any(w) and not any(winv)
+            continue
+        assert u_ref == max(-2.0 * v for v, ok in zip(s, finite) if ok)
+        assert [wi == 0.0 for wi, ok in zip(w, finite) if not ok] \
+            == [True] * finite.count(False)
+        assert max(w) == 1.0
+        for v, wi in zip(s, winv):
+            e = 2.0 * v + u_ref
+            assert wi == (math.exp(e) if e <= limit else 0.0)
+    assert len(set(results)) == 1
+
+
+def test_scaled_weight_of_a_profile_with_no_finite_sample_is_an_error():
+    gs = groundstate.GroundState(Grid(1.0, 3), [math.inf] * 3,
+                                 [0.0] * 3, 0.0, None)
+    with pytest.raises(ValueError, match="no finite sample"):
+        gs.scaled_weight
 
 
 # ---------------------------------------------------------- serialization

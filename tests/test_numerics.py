@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from excite_iter import kernels
 from excite_iter.excite import _unnormalized_profile
 from excite_iter.groundstate import Grid, soluble_groundstate
-from excite_iter.numerics import (cumulative_simpson,
-                                  reverse_cumulative_simpson,
-                                  simpson_integral)
+from excite_iter._kernels_py import (cumulative_simpson,
+                                    reverse_cumulative_simpson,
+                                    simpson_integral, zeros)
 
 # independent 30-digit quadrature of int_0^1 z sin^2(p(1-z)) dz, delta=0.1
 INNER_ORACLE_D01 = 0.2497306668710968321
@@ -140,5 +140,5 @@ def test_tail_closure_hard_wall_is_exactly_zero():
     chi = np.ones(101)
     chihat = _unnormalized_profile(gs, chi)
     no_tail = kernels.excite_profile(gs.grid.h, w, winv, chi, 0.0,
-                                     np.empty(101))
+                                     zeros(101))
     assert chihat.tobytes() == no_tail.tobytes()
