@@ -290,8 +290,12 @@ def write_csv_rows(f, columns) -> None:
     """Write the rows of columns, 1-D sequences of reals of one length, to
     the binary file f: each cell '%.17g' % v, which reads back to the same
     float64, cells joined by ',' and rows ended by a newline.  Formats
-    CSV_CHUNK_ROWS rows at a time."""
+    CSV_CHUNK_ROWS rows at a time; raises ValueError, having written
+    nothing, when the lengths differ."""
+    columns = [as_doubles(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("CSV columns must be 1-D and of one length")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(as_doubles(c).tolist() for c in columns))
+    rows = zip(*(c.tolist() for c in columns))
     while chunk := [row % values for values in islice(rows, CSV_CHUNK_ROWS)]:
         f.write("".join(chunk).encode())

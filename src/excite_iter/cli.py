@@ -3,13 +3,14 @@
 Runs the two benchmark cases, each on the ground state that it solves
 itself, and emits the convergence summary plus the curve data (chi
 iterates, wave functions) and the ground-state profile as round-trip-exact
-CSV.  ``python -m excite_iter.cli`` ends in the process entry,
-excite_iter._cli_process.
+CSV.  _cli_process, after main, is the process entry of the
+``excite-iter`` script and of ``python -m excite_iter.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import inspect
 import json
@@ -310,8 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if case == "quartic":      # the soluble box ends at x = 1
             p.add_argument("--xmax", dest="x_max", metavar="XMAX",
                            type=float,
-                           help="domain edge (default: 1 for soluble, "
-                                "weight-suppression rule for quartic)")
+                           help="domain edge (default: the smallest "
+                                "grid-commensurate edge where the WKB "
+                                "weight has fallen by e^-100 from x = 1)")
         p.add_argument("--points", dest="n_points", metavar="POINTS",
                        type=int, help="grid node count (odd)")
         p.add_argument("--out", dest="out_dir", metavar="OUT",
@@ -349,6 +351,30 @@ def main(argv=None) -> int:
     return 0
 
 
+def _cli_process():
+    """The entry of the excite-iter process, the script's and that of
+    ``python -m excite_iter.cli``; it does not return.
+
+    After main returns, every artifact is closed, so the process ends
+    without the interpreter's teardown: it runs the atexit callbacks and
+    flushes the standard streams, as that teardown would, and exits with
+    main's code, or with 120 when stdout cannot be flushed (a closed
+    pipe).  An exception from main, argparse's SystemExit(2) among them,
+    takes the interpreter's own exit path.
+    """
+    code = main()
+    # the interpreter's own order: what a callback prints is flushed too
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except (OSError, ValueError):
+        code = 120
+    try:
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    from . import _cli_process
-    _cli_process(main)
+    _cli_process()

@@ -160,11 +160,16 @@ def default_x_max(g: float) -> float:
 
 
 def _wkb_start(g: float, e: float, x_max: float) -> float:
-    """S' at x_max for the decaying WKB tail: k + k'/(2k)."""
+    """S' at x_max for the decaying WKB tail: k + k'/(2k).  Raises
+    ValueError, naming --xmax and --g, when x_max lies inside the
+    classically allowed region at energy e."""
     v = 0.5 * g * g * (x_max * x_max - 1.0) ** 2
     if v <= e:
         raise ValueError(
-            f"x_max={x_max} is inside the classically allowed region")
+            f"--xmax {x_max} is inside the classically allowed region of "
+            f"--g {g} at E={e:.6g} (V(x_max)={v:.6g}): the decaying WKB "
+            "tail starts only beyond it; raise --xmax, or keep --g in the "
+            "validated range [0.7, 12]")
     k = math.sqrt(2.0 * (v - e))
     v_prime = 2.0 * g * g * x_max * (x_max * x_max - 1.0)
     return k + v_prime / (2.0 * k * k)
@@ -258,6 +263,12 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
 
     # fixed matching node near the outer turning point of the bracket center
     e_mid = 0.5 * (lo + hi)
+    if not math.isfinite(e_mid):
+        raise NoEigenvalueError(
+            f"--g {g}: the energy window (0.4g, 1.6g) = ({lo:.6g}, "
+            f"{hi:.6g}) overflows the shooting solve, whose center "
+            "0.5(lo + hi) is not finite; default_bracket is validated for "
+            "g in [0.7, 12]")
     x_turn = math.sqrt(1.0 + math.sqrt(2.0 * abs(e_mid)) / g)
     i_match = min(max(int(round(x_turn / h)), 4), n - 5)
 

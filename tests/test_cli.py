@@ -262,15 +262,38 @@ class TestErrors:
 
     def test_coupling_below_the_bracket_exits_1_naming_g(self, tmp_path,
                                                          capsys):
+        """So does a coupling so large that the window's center
+        overflows."""
         out = tmp_path / "out"
-        code = run_cli(["quartic", "--g", "0.01", "--out", str(out)])
+        for g, window in [
+                ("0.01", "(0.004, 0.016) holds no ground state at this "
+                         "coupling"),
+                ("9e307", "(3.6e+307, 1.44e+308) overflows"),
+                ("1e308", "(4e+307, 1.6e+308) overflows")]:
+            code = run_cli(["quartic", "--g", g, "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --g {float(g)}: the energy "
+                                  f"window (0.4g, 1.6g) = {window}")
+            assert err.endswith("default_bracket is validated for g in "
+                                "[0.7, 12]\n")
+            assert files_in(out) == []
+
+    @pytest.mark.parametrize("args, edge", [
+        (["--g", "1e-10"], "--xmax 40.0 is inside the classically allowed "
+                           "region of --g 1e-10"),
+        (["--g", "3", "--xmax", "0.5", "--anchor", "0.5"],
+         "--xmax 0.5 is inside the classically allowed region of --g 3.0")],
+        ids=["default-xmax-tiny-g", "short-xmax"])
+    def test_edge_inside_the_allowed_region_exits_1_naming_xmax_and_g(
+            self, tmp_path, capsys, args, edge):
+        out = tmp_path / "out"
+        code = run_cli(["quartic", *args, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --g 0.01: the energy window "
-                              "(0.4g, 1.6g) = (0.004, 0.016) holds no "
-                              "ground state at this coupling")
-        assert err.endswith("default_bracket is validated for g in "
-                            "[0.7, 12]\n")
+        assert err.startswith(f"error: {edge} at E=")
+        assert err.endswith("raise --xmax, or keep --g in the validated "
+                            "range [0.7, 12]\n")
         assert files_in(out) == []
 
     @pytest.mark.parametrize("tol", ["-1", "0", "1", "inf"])
@@ -528,7 +551,7 @@ class TestHalfGridEstimate:
 
 # run at exit by every process entry test: the thread count at that point
 ATEXIT_HOOK = """\
-import atexit, os
+import atexit, os, sys
 
 def report():
     threads = "?"
@@ -536,7 +559,7 @@ def report():
         with open("/proc/self/status") as f:
             threads = next(line.split()[1] for line in f
                            if line.startswith("Threads:"))
-    print("atexit", threads)
+    print("atexit", threads, "excite_iter.cli" in sys.modules)
 
 atexit.register(report)
 """
@@ -548,7 +571,7 @@ runpy.run_module("excite_iter.cli", run_name="__main__")
 
 class TestProcessEntry:
     """python -m excite_iter.cli and the excite-iter script end in
-    excite_iter._cli_process: one thread, and no interpreter teardown
+    excite_iter.cli._cli_process: one thread, and no interpreter teardown
     after main, with the same exit codes, the atexit callbacks run and
     stdout flushed."""
 
@@ -593,7 +616,8 @@ class TestProcessEntry:
                                                       caller, threads):
         """The hook runs after main's output, in a process of one thread:
         no BLAS is loaded, so an OPENBLAS_NUM_THREADS the caller set
-        starts no thread either."""
+        starts no thread either.  No module excite_iter.cli is loaded:
+        cli.py ran once, as __main__."""
         env = self.env(**({"OPENBLAS_NUM_THREADS": caller} if caller
                           else {}))
         proc = self.spawn(["-c", RUN_MODULE, *SOLUBLE, "--out",
@@ -602,6 +626,7 @@ class TestProcessEntry:
         lines = proc.stdout.decode().splitlines()
         assert lines[0].startswith("e_gd = ")
         assert lines[-1].split()[0] == "atexit"
+        assert lines[-1].split()[2] == "False"
         if sys.platform.startswith("linux"):
             assert lines[-1].split()[1] == threads
 
@@ -640,7 +665,7 @@ class TestProcessEntry:
             target = tomllib.load(f)["project"]["scripts"]["excite-iter"]
         module, attr = target.split(":")
         assert (getattr(importlib.import_module(module), attr)
-                is excite_iter._cli_process)
+                is cli._cli_process)
         # the console-script wrapper pip writes, after the hook
         script = tmp_path / "excite-iter"
         script.write_text(ATEXIT_HOOK + (

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from array import array
 
 import numpy as np
 import pytest
@@ -262,6 +264,8 @@ def test_cli_run_imports_no_scipy(tmp_path):
 
 
 def test_no_module_of_the_package_imports_numpy():
+    """Nor anything else outside the standard library: the package has
+    no runtime dependency."""
     package = os.path.dirname(os.path.abspath(excite_iter.__file__))
     imports = []
     for name in sorted(os.listdir(package)):
@@ -276,7 +280,34 @@ def test_no_module_of_the_package_imports_numpy():
                 imports.append((name, node.module))
     assert len(imports) > 10
     assert [(name, module) for name, module in imports
-            if module.split(".")[0] == "numpy"] == []
+            if module.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+PUBLIC_NAMES = {
+    "errors": ("DegenerateAnchorError", "ExciteIterError",
+               "NoEigenvalueError", "WrongParityError"),
+    "excite": ("ConvergenceReport", "IterationState", "TrialFunction",
+               "iterate_once", "orthogonality_residual", "run"),
+    "groundstate": ("Grid", "GroundState", "default_bracket",
+                    "default_x_max", "save_groundstate",
+                    "solve_groundstate_numeric", "soluble_groundstate"),
+    "potential": ("DeltaBox", "Potential", "Quartic", "eval_quartic"),
+}
+
+
+def test_package_binds_the_public_names_of_its_submodules():
+    """excite_iter's names are its submodules' objects, bound on import:
+    the package module defines no function of its own."""
+    assert excite_iter.__all__ == sorted(
+        name for names in PUBLIC_NAMES.values() for name in names)
+    for module, names in PUBLIC_NAMES.items():
+        defined = vars(importlib.import_module(f"excite_iter.{module}"))
+        for name in names:
+            assert vars(excite_iter)[name] is defined[name], name
+    with open(excite_iter.__file__) as f:
+        tree = ast.parse(f.read())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.Lambda))]
 
 
 def _can_build_kernel():
@@ -600,6 +631,12 @@ def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match=r"\[\(5,\), \(3,\)\]"):
         write_csv(path, ["a", "b"], [np.arange(5.0), np.arange(3.0)])
     assert not path.exists()
+    # either backend's kernel, called directly, rejects them too
+    for write_csv_rows in (_kernels_py.write_csv_rows, _compiled_csv_rows()):
+        f = io.BytesIO()
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            write_csv_rows(f, [array("d", [1, 2, 3]), array("d", [4])])
+        assert f.getvalue() == b""
 
 
 def test_write_csv_rejects_a_column_that_is_not_1d(tmp_path):
