@@ -1,6 +1,7 @@
 """Pure-Python kernels, the fallback for the compiled ones in _kernels.c,
-the quadrature they are composed from, and the array helpers both
-backends share.
+and the quadrature they are composed from.  kernels.py imports this
+module only when it is the backend, or when get_backend('python') asks
+for it.
 
 riccati_sweep integrates S'' = S'^2 - 2(V - E) for the quartic double well
 with classic RK4 at fixed step.  scaled_weights, sample_nodes and scale
@@ -16,31 +17,16 @@ order from the first pair (not from 0.0) for the running integral at even
 offsets, and adds to the even offset before an odd one the half-panel
 rule ((5 y0 + 8 y1) - y2) * (h/12) (SciPy's cumulative_simpson on equal
 intervals): O(h^4) at every node.
-
-Grid arrays are array('d'), or rows of one: writable memoryviews of an
-array('d').  A kernel reads those in place (in_place) and converts any
-other 1-D sequence of reals first; it writes only into an array('d') or a
-writable view.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from array import array
 from itertools import islice
 
-BLOWUP_LIMIT = 1e12
-
-#: rows that write_csv_rows formats and writes at a time, on both backends
-CSV_CHUNK_ROWS = 1024
-
-_ZERO = array("d", [0.0])
-
-
-def zeros(n: int) -> array:
-    """A new array('d') of n zeros."""
-    return _ZERO * n
+from .kernels import (BLOWUP_LIMIT, CSV_CHUNK_ROWS, as_doubles, check_out,
+                      in_place, odd_columns, zeros)
 
 
 def simpson_integral(values, h: float) -> float:
@@ -82,22 +68,6 @@ def reverse_cumulative_simpson(values, h: float) -> array:
     """Running integral from each node to the last node, as a new
     array('d')."""
     return cumulative_simpson(values[::-1], h)[::-1]
-
-
-def as_doubles(values) -> array:
-    """values as an array('d'): values itself when it is one, else a new
-    array of its samples.  Raises ValueError, naming the shape, for a
-    buffer that is not 1-D."""
-    if isinstance(values, array) and values.typecode == "d":
-        return values
-    try:
-        shape = memoryview(values).shape
-    except TypeError:           # no buffer: a sequence of reals, or not
-        shape = None
-    if shape is not None and len(shape) != 1:
-        raise ValueError(f"samples must lie in a 1-D array, got shape "
-                         f"{shape}")
-    return array("d", values)
 
 
 def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
@@ -152,63 +122,6 @@ def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
             sp[i + 2:] = tail
             return s, sp, i + 1
     return s, sp, -1
-
-
-def _address(a) -> int | None:
-    """The address of the first double of a when a kernel can use a in
-    place: an array('d'), a writable C-contiguous 1-D view of doubles (a
-    row of a block) or a read-only view of a whole array('d') (the
-    weights of a ground state); else None."""
-    if isinstance(a, array):
-        return a.buffer_info()[0] if a.typecode == "d" else None
-    if not (isinstance(a, memoryview) and a.format == "d" and a.ndim == 1
-            and a.c_contiguous and len(a)):
-        return None
-    if not a.readonly:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    base = a.obj
-    if isinstance(base, array) and base.typecode == "d" \
-            and len(base) == len(a):
-        return base.buffer_info()[0]
-    return None
-
-
-def in_place(values) -> tuple:
-    """(values, the address of their first double) when a kernel can use
-    them in place, else (as_doubles(values), its address)."""
-    at = _address(values)
-    if at is None:
-        values = as_doubles(values)
-        at = values.buffer_info()[0]
-    return values, at
-
-
-def check_out(out, n: int, *inputs) -> int:
-    """The contract of every kernel's out on both backends: an array('d')
-    or a writable C-contiguous view of n doubles that shares no memory
-    with the call's inputs, (values, address) pairs as in_place gives
-    them.  Returns the address of out; raises ValueError otherwise."""
-    at = _address(out)
-    if at is None or (isinstance(out, memoryview) and out.readonly) \
-            or len(out) != n:
-        raise ValueError(f"out must be an array('d') or a writable view "
-                         f"of {n} doubles")
-    for values, values_at in inputs:
-        if values_at < at + 8 * n and at < values_at + 8 * len(values):
-            raise ValueError("out must not share memory with the "
-                             "kernel's other arrays")
-    return at
-
-
-def odd_columns(n: int, *columns) -> list:
-    """(values, address) of each column as in_place gives them, each of
-    n >= 3 doubles, n odd; raises ValueError otherwise."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("need an odd number of nodes, at least 3")
-    columns = [in_place(c) for c in columns]
-    if any(len(c) != n for c, _ in columns):
-        raise ValueError(f"arrays must hold {n} doubles each")
-    return columns
 
 
 def scaled_weights(s, limit: float, w: array, winv: array) -> float:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import dataclasses
-import inspect
 import json
 import math
 import os
@@ -21,47 +19,56 @@ from array import array
 
 from . import kernels, references, soluble
 from .errors import ExciteIterError
-from .excite import ConvergenceReport, TrialFunction, run
+from .excite import (DEFAULT_ANCHOR_X0, DEFAULT_MAX_ITERS, DEFAULT_TOL,
+                     ConvergenceReport, TrialFunction, run)
 from .groundstate import (Grid, GroundState, default_x_max, save_groundstate,
                           solve_groundstate_numeric, soluble_groundstate,
                           write_csv)
 from .potential import DeltaBox, Potential, Quartic
 
-_RUN_PARAMS = inspect.signature(run).parameters
-
-
-@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    case: str                      # "soluble" | "quartic"
-    delta: float | None = None
-    g: float | None = None
-    anchor_x0: float = _RUN_PARAMS["anchor_x0"].default
-    trial: str | None = None       # None: per-case default
-    x_max: float | None = None
-    n_points: int = 4001
-    max_iters: int = _RUN_PARAMS["max_iters"].default
-    tol: float = _RUN_PARAMS["tol"].default
-    out_dir: str = "."
+    """One run's settings, with the command line's defaults."""
 
-    def __post_init__(self):
-        if self.case == "soluble":
-            if self.delta is None or self.g is not None:
+    __slots__ = ("case", "delta", "g", "anchor_x0", "trial", "x_max",
+                 "n_points", "max_iters", "tol", "out_dir")
+
+    def __init__(self, case: str, delta: float | None = None,
+                 g: float | None = None,
+                 anchor_x0: float = DEFAULT_ANCHOR_X0,
+                 trial: str | None = None, x_max: float | None = None,
+                 n_points: int = 4001, max_iters: int = DEFAULT_MAX_ITERS,
+                 tol: float = DEFAULT_TOL, out_dir: str = "."):
+        if case == "soluble":
+            if delta is None or g is not None:
                 raise ValueError("soluble case takes --delta only")
-        elif self.case == "quartic":
-            if self.g is None or self.delta is not None:
+        elif case == "quartic":
+            if g is None or delta is not None:
                 raise ValueError("quartic case takes --g only")
         else:
-            raise ValueError(f"unknown case {self.case!r}")
-        if not 0 < self.tol < 1:
-            raise ValueError(f"--tol must be positive and < 1, got {self.tol}")
-        if not self.n_points >= 5:
-            raise ValueError(
-                f"--points must be at least 5, got {self.n_points}")
-        if self.n_points % 2 == 0:
-            raise ValueError(f"--points must be odd, got {self.n_points}")
-        if not self.max_iters >= 1:
-            raise ValueError(
-                f"--iters must be at least 1, got {self.max_iters}")
+            raise ValueError(f"unknown case {case!r}")
+        if not 0 < tol < 1:
+            raise ValueError(f"--tol must be positive and < 1, got {tol}")
+        if not n_points >= 5:
+            raise ValueError(f"--points must be at least 5, got {n_points}")
+        if n_points % 2 == 0:
+            raise ValueError(f"--points must be odd, got {n_points}")
+        if not max_iters >= 1:
+            raise ValueError(f"--iters must be at least 1, got {max_iters}")
+        self.case = case                # "soluble" | "quartic"
+        self.delta = delta
+        self.g = g
+        self.anchor_x0 = anchor_x0
+        self.trial = trial              # None: per-case default
+        self.x_max = x_max
+        self.n_points = n_points
+        self.max_iters = max_iters
+        self.tol = tol
+        self.out_dir = out_dir
+
+    def __eq__(self, other):
+        return type(other) is RunConfig and all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__)
 
 
 def _fmt(v: float) -> str:
@@ -288,10 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "symmetric 1D Schroedinger problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)
-                if f.default is not dataclasses.MISSING}
     for case in ("soluble", "quartic"):
-        p = sub.add_parser(case, help=f"run the {case} benchmark")
+        # an option that is not given is left out, and takes RunConfig's
+        # default
+        p = sub.add_parser(case, help=f"run the {case} benchmark",
+                           argument_default=argparse.SUPPRESS)
         if case == "soluble":
             p.add_argument("--delta", type=float, required=True,
                            help="spike parameter in (0, pi/2)")
@@ -318,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        type=int, help="grid node count (odd)")
         p.add_argument("--out", dest="out_dir", metavar="OUT",
                        help="output directory")
-        p.set_defaults(**defaults)
 
     c = sub.add_parser("compare",
                        help="gate a summary against a reference table")

@@ -12,20 +12,22 @@ x >= 0 only; full-line integrals use the parity factor analytically.
 
 from __future__ import annotations
 
-import inspect
 import math
 from array import array
-from dataclasses import dataclass, field
 
 from . import kernels
-from ._kernels_py import as_doubles, check_out, in_place, zeros
 from .errors import DegenerateAnchorError
 from .groundstate import GroundState
+from .kernels import as_doubles, check_out, in_place, zeros
 
 TRIAL_KINDS = ("linear", "saturating", "tabulated")
 
+#: run's defaults: the anchor x0, the step limit and the relative tolerance
+DEFAULT_ANCHOR_X0 = 1.0
+DEFAULT_MAX_ITERS = 8
+DEFAULT_TOL = 1e-9
 
-@dataclass(frozen=True)
+
 class TrialFunction:
     """Odd seed function chi_0, represented on x >= 0.
 
@@ -34,24 +36,24 @@ class TrialFunction:
     tabulated:  grid-aligned finite samples (must vanish at x = 0)
     """
 
-    kind: str
-    values: array | None = None
+    __slots__ = ("kind", "values")
 
-    def __post_init__(self):
-        if self.kind not in TRIAL_KINDS:
-            raise ValueError(f"unknown trial kind {self.kind!r}")
-        if self.kind == "tabulated":
-            values = as_doubles(self.values)
+    def __init__(self, kind: str, values=None):
+        if kind not in TRIAL_KINDS:
+            raise ValueError(f"unknown trial kind {kind!r}")
+        if kind == "tabulated":
+            values = as_doubles(values)
             if not values:
                 raise ValueError("tabulated trial needs samples in a 1-D "
                                  "array, got shape (0,)")
             if not all(map(math.isfinite, values)):
                 raise ValueError("tabulated trial samples must be finite")
-            object.__setattr__(self, "values", values)
-            if self.values[0] != 0.0:
+            if values[0] != 0.0:
                 raise ValueError("odd trial must vanish at x = 0")
-        elif self.values is not None:
-            raise ValueError(f"{self.kind} trial takes no samples")
+        elif values is not None:
+            raise ValueError(f"{kind} trial takes no samples")
+        self.kind = kind
+        self.values = values
 
     @classmethod
     def linear(cls):
@@ -67,7 +69,7 @@ class TrialFunction:
 
     def sample(self, grid, out=None):
         """chi_0 at the grid nodes, in out when given (see
-        _kernels_py.check_out), else in a new array('d')."""
+        kernels.check_out), else in a new array('d')."""
         if out is None:
             out = zeros(grid.n_points)
         if self.kind == "tabulated":
@@ -82,7 +84,6 @@ class TrialFunction:
                                     self.kind == "saturating", out)
 
 
-@dataclass(frozen=True)
 class IterationState:
     """chi_n on x >= 0 plus the extracted eps_n.
 
@@ -91,18 +92,24 @@ class IterationState:
     one chi keeps that block alive.
     """
 
-    chi: array | memoryview
-    eps: float | None = None
+    __slots__ = ("chi", "eps")
+
+    def __init__(self, chi: array | memoryview, eps: float | None = None):
+        self.chi = chi
+        self.eps = eps
 
 
-@dataclass(frozen=True)
 class ConvergenceReport:
     """A run's iterates; the eps, delta and energies are read off them."""
 
-    states: list[IterationState] = field(repr=False)
-    orth_residuals: list[float]
-    status: str                      # converged | max_iters | stalled
-    e_gd: float
+    __slots__ = ("states", "orth_residuals", "status", "e_gd")
+
+    def __init__(self, states: list[IterationState],
+                 orth_residuals: list[float], status: str, e_gd: float):
+        self.states = states
+        self.orth_residuals = orth_residuals
+        self.status = status           # converged | max_iters | stalled
+        self.e_gd = e_gd
 
     @property
     def eps_sequence(self) -> list[float]:
@@ -132,7 +139,7 @@ def _unnormalized_profile(gs: GroundState, chi_prev, out=None):
 
     The tail beyond x_max is closed with the first-order Watson estimate
     chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).  chihat goes
-    into out when given, under the contract of _kernels_py.check_out, else
+    into out when given, under the contract of kernels.check_out, else
     into a new array('d').
     """
     if out is None:
@@ -181,8 +188,10 @@ def orthogonality_residual(gs: GroundState, chi) -> float:
     return (half - half) / norm
 
 
-def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
-        max_iters: int = 8, tol: float = 1e-9) -> ConvergenceReport:
+def run(gs: GroundState, trial: TrialFunction,
+        anchor_x0: float = DEFAULT_ANCHOR_X0,
+        max_iters: int = DEFAULT_MAX_ITERS,
+        tol: float = DEFAULT_TOL) -> ConvergenceReport:
     """Drive iterate_once to convergence of the eps sequence.
 
     Stops when |eps_n - eps_{n-1}| <= tol * |eps_n|, with 0 <= tol < 1,
@@ -236,7 +245,7 @@ def run(gs: GroundState, trial: TrialFunction, anchor_x0: float = 1.0,
 
 # rows per block of iterates in run: max_iters + 1 at the default
 # max_iters, so a default run allocates its iterates at once
-BLOCK_ROWS = inspect.signature(run).parameters["max_iters"].default + 1
+BLOCK_ROWS = DEFAULT_MAX_ITERS + 1
 
 
 def _rows(n_points: int, count: int):

@@ -12,11 +12,10 @@ import functools
 import json
 import math
 from array import array
-from dataclasses import dataclass
 
 from . import kernels
-from ._kernels_py import as_doubles, zeros
 from .errors import NoEigenvalueError, WrongParityError
+from .kernels import as_doubles, zeros
 from .potential import DeltaBox, Potential, Quartic
 
 #: mismatch value reported when a sweep blows up (wave-function node)
@@ -26,22 +25,21 @@ _BLOWN = 1e15
 OVERFLOW_EXPONENT = 700.0
 
 
-@dataclass(frozen=True)
 class Grid:
     """Uniform nodes x_i = i*h on [0, x_max] with an odd node count, so the
     composite Simpson rule applies without a remainder panel."""
 
-    x_max: float
-    n_points: int
+    __slots__ = ("x_max", "n_points")
 
-    def __post_init__(self):
-        if not self.x_max > 0:
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
-        if not math.isfinite(self.x_max):
-            raise ValueError(f"x_max must be finite, got {self.x_max}")
-        if self.n_points < 3 or self.n_points % 2 == 0:
-            raise ValueError(
-                f"n_points must be odd and >= 3, got {self.n_points}")
+    def __init__(self, x_max: float, n_points: int):
+        if not x_max > 0:
+            raise ValueError(f"x_max must be positive, got {x_max}")
+        if not math.isfinite(x_max):
+            raise ValueError(f"x_max must be finite, got {x_max}")
+        if n_points < 3 or n_points % 2 == 0:
+            raise ValueError(f"n_points must be odd and >= 3, got {n_points}")
+        self.x_max = x_max
+        self.n_points = n_points
 
     @property
     def h(self) -> float:
@@ -64,7 +62,6 @@ class Grid:
         return {"x_max": self.x_max, "n_points": self.n_points}
 
 
-@dataclass(frozen=True)
 class GroundState:
     """Samples of S(x_i), S'(x_i) and the ground-state energy.
 
@@ -74,19 +71,18 @@ class GroundState:
 
     s and s_prime are array('d'); other sequences of reals are converted
     on construction.  Both weights of an iteration step (scaled_weight)
-    are cached on the instance; dataclasses.replace gives a copy with a
-    fresh cache.
+    are computed on first use and cached on the instance, so a ground
+    state with other samples is a new GroundState, with a cache of its
+    own.
     """
 
-    grid: Grid
-    s: array
-    s_prime: array
-    e_gd: float
-    potential: Potential
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_doubles(self.s))
-        object.__setattr__(self, "s_prime", as_doubles(self.s_prime))
+    def __init__(self, grid: Grid, s, s_prime, e_gd: float,
+                 potential: Potential):
+        self.grid = grid
+        self.s = as_doubles(s)
+        self.s_prime = as_doubles(s_prime)
+        self.e_gd = e_gd
+        self.potential = potential
 
     @functools.cached_property
     def scaled_weight(self) -> tuple[memoryview, float, memoryview]:
@@ -287,10 +283,16 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
 
     f_lo, f_hi = mismatch(lo), mismatch(hi)
     if f_lo == _BLOWN and f_hi == _BLOWN:
-        raise NoEigenvalueError(
-            f"both bracket ends blew up: the shooting sweeps at E={lo:.6g} "
-            f"and E={hi:.6g} develop a node on {n} nodes (h={h:.3g}), so "
-            "the grid is too coarse to resolve the well; raise --points")
+        blew_up = (f"both bracket ends blew up: the shooting sweeps at "
+                   f"E={lo:.6g} and E={hi:.6g} develop a node on {n} nodes "
+                   f"(h={h:.3g})")
+        if not 0.7 <= g <= 12.0:
+            # no grid helps a coupling the window was not made for
+            raise NoEigenvalueError(
+                f"--g {g}: {blew_up}; default_bracket is validated for g "
+                "in [0.7, 12], so keep --g in that range")
+        raise NoEigenvalueError(f"{blew_up}, so the grid is too coarse to "
+                                "resolve the well; raise --points")
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)) \
             or _sign(f_lo) == _sign(f_hi):
         raise NoEigenvalueError(

@@ -13,12 +13,18 @@ file ``_kernels.c``, built into the user cache,
 on the first import that finds no build for this source and these flags,
 and loaded from there through ctypes.  The Python kernels are used when
 there is no build and no C compiler, the cache directory cannot be
-written or the build fails; all kernels fall back together.
+written or the build fails; all kernels fall back together.  Their
+module, _kernels_py, is imported only then, or when get_backend('python')
+asks for it.
 
-The ctypes wrappers pass the addresses _kernels_py.in_place gives.  The
-wrapper of the compiled CSV writer formats CSV_CHUNK_ROWS rows at a time
-into one buffer, CSV_CELL_BYTES a cell, and writes each chunk before it
-formats the next.
+Grid arrays are array('d'), or rows of one: writable memoryviews of an
+array('d').  A kernel reads those in place (in_place) and converts any
+other 1-D sequence of reals first; it writes only into an array('d') or a
+writable view (check_out).  These array helpers are defined here, for
+both backends and their callers.  The ctypes wrappers pass the addresses
+in_place gives.  The wrapper of the compiled CSV writer formats
+CSV_CHUNK_ROWS rows at a time into one buffer, CSV_CELL_BYTES a cell, and
+writes each chunk before it formats the next.
 
 ``BACKEND`` names the active backend and ``BACKEND_REASON`` says why.
 """
@@ -28,10 +34,8 @@ from __future__ import annotations
 import ctypes
 import os
 import zlib
+from array import array
 from types import SimpleNamespace
-
-from . import _kernels_py
-from ._kernels_py import check_out, in_place, odd_columns, zeros
 
 # -ffp-contract=off keeps the compiler from fusing a*b+c into one rounding,
 # which would break bit-identity with the Python kernels; -lm, after the
@@ -42,9 +46,96 @@ _SOURCE_NAME = "_kernels.c"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        _SOURCE_NAME)
 
+#: |S'| above which a Riccati sweep has blown up (a node of the wave
+#: function)
+BLOWUP_LIMIT = 1e12
+
+#: rows that write_csv_rows formats and writes at a time, on both backends
+CSV_CHUNK_ROWS = 1024
+
 #: the longest '%.17g' of a float64, -4.9406564584124654e-324, and its
 #: separator: format_csv_rows needs this much buffer a cell
 CSV_CELL_BYTES = 25
+
+_ZERO = array("d", [0.0])
+
+
+def zeros(n: int) -> array:
+    """A new array('d') of n zeros."""
+    return _ZERO * n
+
+
+def as_doubles(values) -> array:
+    """values as an array('d'): values itself when it is one, else a new
+    array of its samples.  Raises ValueError, naming the shape, for a
+    buffer that is not 1-D."""
+    if isinstance(values, array) and values.typecode == "d":
+        return values
+    try:
+        shape = memoryview(values).shape
+    except TypeError:           # no buffer: a sequence of reals, or not
+        shape = None
+    if shape is not None and len(shape) != 1:
+        raise ValueError(f"samples must lie in a 1-D array, got shape "
+                         f"{shape}")
+    return array("d", values)
+
+
+def _address(a) -> int | None:
+    """The address of the first double of a when a kernel can use a in
+    place: an array('d'), a writable C-contiguous 1-D view of doubles (a
+    row of a block) or a read-only view of a whole array('d') (the
+    weights of a ground state); else None."""
+    if isinstance(a, array):
+        return a.buffer_info()[0] if a.typecode == "d" else None
+    if not (isinstance(a, memoryview) and a.format == "d" and a.ndim == 1
+            and a.c_contiguous and len(a)):
+        return None
+    if not a.readonly:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    base = a.obj
+    if isinstance(base, array) and base.typecode == "d" \
+            and len(base) == len(a):
+        return base.buffer_info()[0]
+    return None
+
+
+def in_place(values) -> tuple:
+    """(values, the address of their first double) when a kernel can use
+    them in place, else (as_doubles(values), its address)."""
+    at = _address(values)
+    if at is None:
+        values = as_doubles(values)
+        at = values.buffer_info()[0]
+    return values, at
+
+
+def check_out(out, n: int, *inputs) -> int:
+    """The contract of every kernel's out on both backends: an array('d')
+    or a writable C-contiguous view of n doubles that shares no memory
+    with the call's inputs, (values, address) pairs as in_place gives
+    them.  Returns the address of out; raises ValueError otherwise."""
+    at = _address(out)
+    if at is None or (isinstance(out, memoryview) and out.readonly) \
+            or len(out) != n:
+        raise ValueError(f"out must be an array('d') or a writable view "
+                         f"of {n} doubles")
+    for values, values_at in inputs:
+        if values_at < at + 8 * n and at < values_at + 8 * len(values):
+            raise ValueError("out must not share memory with the "
+                             "kernel's other arrays")
+    return at
+
+
+def odd_columns(n: int, *columns) -> list:
+    """(values, address) of each column as in_place gives them, each of
+    n >= 3 doubles, n odd; raises ValueError otherwise."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("need an odd number of nodes, at least 3")
+    columns = [in_place(c) for c in columns]
+    if any(len(c) != n for c, _ in columns):
+        raise ValueError(f"arrays must hold {n} doubles each")
+    return columns
 
 
 def _cache_dir() -> str:
@@ -139,7 +230,7 @@ def _load():
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
         s, sp = zeros(n_steps + 1), zeros(n_steps + 1)
         node = lib.riccati_sweep(x_start, h, n_steps, g, e, s_init,
-                                 sp_init, _kernels_py.BLOWUP_LIMIT,
+                                 sp_init, BLOWUP_LIMIT,
                                  s.buffer_info()[0], sp.buffer_info()[0])
         return s, sp, node
 
@@ -182,7 +273,7 @@ def _load():
         n = len(columns[0][0]) if columns else 0
         if any(len(c) != n for c, _ in columns):
             raise ValueError("CSV columns must be 1-D and of one length")
-        chunk = _kernels_py.CSV_CHUNK_ROWS
+        chunk = CSV_CHUNK_ROWS
         buf = bytearray(min(n, chunk) * len(columns) * CSV_CELL_BYTES)
         buf_at = ctypes.addressof(ctypes.c_char.from_buffer(buf)) \
             if buf else None
@@ -211,13 +302,17 @@ except ImportError as exc:
     _compiled = None
     BACKEND = "python"
     BACKEND_REASON = f"no compiled kernel: {exc}"
-riccati_sweep = (_compiled or _kernels_py).riccati_sweep
-scaled_weights = (_compiled or _kernels_py).scaled_weights
-sample_nodes = (_compiled or _kernels_py).sample_nodes
-scale = (_compiled or _kernels_py).scale
-weighted_simpson = (_compiled or _kernels_py).weighted_simpson
-excite_profile = (_compiled or _kernels_py).excite_profile
-write_csv_rows = (_compiled or _kernels_py).write_csv_rows
+if _compiled is None:
+    from . import _kernels_py as _active
+else:
+    _active = _compiled
+riccati_sweep = _active.riccati_sweep
+scaled_weights = _active.scaled_weights
+sample_nodes = _active.sample_nodes
+scale = _active.scale
+weighted_simpson = _active.weighted_simpson
+excite_profile = _active.excite_profile
+write_csv_rows = _active.write_csv_rows
 
 
 def get_backend(name: str):
@@ -226,6 +321,7 @@ def get_backend(name: str):
     name predates them) or 'python'. Raises ImportError, naming the cause,
     for 'cython' when no compiled kernels could be had."""
     if name == "python":
+        from . import _kernels_py
         return _kernels_py
     if name == "cython":
         if _compiled is None:

@@ -4,26 +4,24 @@ delta-spike-in-a-box soluble benchmark."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Quartic:
     """Double-well potential V(x) = (g^2/2)(x^2 - 1)^2 with coupling g > 0."""
 
-    g: float
+    __slots__ = ("g",)
 
-    def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError(f"coupling g must be positive, got {self.g}")
-        if not math.isfinite(self.g):
-            raise ValueError(f"coupling g must be finite, got {self.g}")
+    def __init__(self, g: float):
+        if not g > 0:
+            raise ValueError(f"coupling g must be positive, got {g}")
+        if not math.isfinite(g):
+            raise ValueError(f"coupling g must be finite, got {g}")
+        self.g = g
 
     def to_dict(self):
         return {"variant": "quartic", "g": self.g}
 
 
-@dataclass(frozen=True)
 class DeltaBox:
     """Infinite square well on [-1, 1] with a delta spike at the origin.
 
@@ -33,12 +31,12 @@ class DeltaBox:
     matching condition behind the analytic ground state.
     """
 
-    delta: float
+    __slots__ = ("delta",)
 
-    def __post_init__(self):
-        if not 0.0 < self.delta < math.pi / 2:
-            raise ValueError(
-                f"delta must lie in (0, pi/2), got {self.delta}")
+    def __init__(self, delta: float):
+        if not 0.0 < delta < math.pi / 2:
+            raise ValueError(f"delta must lie in (0, pi/2), got {delta}")
+        self.delta = delta
 
     @property
     def p(self) -> float:

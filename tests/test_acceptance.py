@@ -14,6 +14,7 @@ import pytest
 from excite_iter.excite import IterationState, TrialFunction, iterate_once, run
 from excite_iter.groundstate import (
     Grid,
+    GroundState,
     default_x_max,
     soluble_groundstate,
     solve_groundstate_numeric,
@@ -154,15 +155,14 @@ def test_criterion_5_closed_form_oracles():
 
 
 def test_criterion_6_property_suite(quartic_g3):
-    import dataclasses
-
     from scipy.linalg import eigh_tridiagonal
 
     checks = []
     gs3, report3, _ = quartic_g3
 
     # gauge invariance of the eps sequence under S -> S + c
-    gs_shift = dataclasses.replace(gs3, s=np.asarray(gs3.s) + 3.0)
+    gs_shift = GroundState(gs3.grid, np.asarray(gs3.s) + 3.0, gs3.s_prime,
+                           gs3.e_gd, gs3.potential)
     shifted = run(gs_shift, TrialFunction.saturating(), anchor_x0=1.0,
                   max_iters=8, tol=1e-9)
     rel = max(abs(a - b) / abs(a) for a, b in

@@ -259,6 +259,24 @@ class TestErrors:
         assert "both bracket ends blew up" in err
         assert "on 7 nodes (h=0.667)" in err
         assert "raise --points" in err
+        assert "--g" not in err
+
+    @pytest.mark.parametrize("points", ["4001", "16001"])
+    def test_coupling_above_the_range_blows_up_naming_g(self, tmp_path,
+                                                        capsys, points):
+        """More points do not help a coupling the window was not made
+        for, so the message names --g and its range, not --points."""
+        out = tmp_path / "out"
+        code = run_cli(["quartic", "--g", "1e20", "--points", points,
+                        "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --g 1e+20: both bracket ends blew up")
+        assert f"on {points} nodes" in err
+        assert err.endswith("default_bracket is validated for g in "
+                            "[0.7, 12], so keep --g in that range\n")
+        assert "--points" not in err
+        assert files_in(out) == []
 
     def test_coupling_below_the_bracket_exits_1_naming_g(self, tmp_path,
                                                          capsys):

@@ -1,6 +1,5 @@
 """Tests for the excitation-energy iteration engine."""
 
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -174,8 +173,9 @@ class TestGaugeAndAnchor:
         # the outer factor e^{+2S} cancel any constant shift.
         base = run(gs_soluble, TrialFunction.linear(), max_iters=4).eps_sequence
         for shift in (+5.0, -5.0):
-            shifted = dataclasses.replace(
-                gs_soluble, s=np.asarray(gs_soluble.s) + shift)
+            shifted = GroundState(
+                gs_soluble.grid, np.asarray(gs_soluble.s) + shift,
+                gs_soluble.s_prime, gs_soluble.e_gd, gs_soluble.potential)
             moved = run(shifted, TrialFunction.linear(), max_iters=4).eps_sequence
             assert np.allclose(moved, base, rtol=1e-12, atol=0.0)
 

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import io
 import json
@@ -22,8 +21,8 @@ from scipy.optimize import brentq
 import excite_iter
 from excite_iter import _kernels_py, groundstate, kernels
 from excite_iter.errors import NoEigenvalueError, WrongParityError
-from excite_iter.groundstate import (Grid, default_bracket, default_x_max,
-                                     save_groundstate,
+from excite_iter.groundstate import (Grid, GroundState, default_bracket,
+                                     default_x_max, save_groundstate,
                                      solve_groundstate_numeric,
                                      soluble_groundstate, write_csv)
 from excite_iter.potential import DeltaBox, Quartic
@@ -244,23 +243,52 @@ def test_known_bracket_ends_save_two_sweep_pairs(monkeypatch):
     assert e_after == e_before
 
 
-def test_cli_run_imports_no_scipy(tmp_path):
-    # nor NumPy: full quartic and soluble runs load neither
-    code = ("import sys\n"
+def _cli_runs_in_a_fresh_process(tmp_path, **env):
+    """Full quartic and soluble CLI runs in a fresh process with env added
+    to the environment: (their exit codes, its kernel backend, the
+    modules it has loaded)."""
+    code = ("import json, sys\n"
             "import excite_iter.cli\n"
             "codes = [excite_iter.cli.main([*case, '--out', sys.argv[1]])\n"
             "         for case in (['quartic', '--g', '3'],\n"
             "                      ['soluble', '--delta', '0.1'])]\n"
-            "print(codes, sorted(m for m in sys.modules\n"
-            "                    if m.split('.')[0] in ('scipy', 'numpy')))\n")
+            "print(json.dumps([codes, excite_iter.cli.kernels.BACKEND,\n"
+            "                  sorted(sys.modules)]))\n")
     src = os.path.dirname(os.path.dirname(excite_iter.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    # nor NumPy: full quartic and soluble runs load neither
+    codes, _, modules = _cli_runs_in_a_fresh_process(tmp_path)
+    assert codes == [0, 0]
+    assert [m for m in modules if m.split(".")[0] in ("scipy", "numpy")] \
+        == []
+
+
+@pytest.mark.parametrize("unwritable_cache", [False, True],
+                         ids=["active-backend", "python-fallback"])
+def test_cli_run_imports_only_the_code_it_runs(tmp_path, unwritable_cache):
+    """Full quartic and soluble runs load no reflection machinery, and the
+    Python kernels only when they are the backend."""
+    env = {}
+    if unwritable_cache:
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        env["XDG_CACHE_HOME"] = str(blocker)
+    codes, backend, modules = _cli_runs_in_a_fresh_process(tmp_path, **env)
+    assert codes == [0, 0]
+    assert [m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                        "excite_iter._kernels_py") if m in modules] \
+        == {"cython": [], "python": ["excite_iter._kernels_py"]}[backend]
+    if unwritable_cache:
+        assert backend == "python"
 
 
 def test_no_module_of_the_package_imports_numpy():
@@ -537,7 +565,8 @@ def test_scaled_weight_is_built_once_and_read_only():
 def test_scaled_weight_is_not_shared_by_a_replaced_ground_state():
     gs = solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001))
     w, _, winv = gs.scaled_weight
-    shifted = dataclasses.replace(gs, s=np.asarray(gs.s) + 5)
+    shifted = GroundState(gs.grid, np.asarray(gs.s) + 5, gs.s_prime,
+                          gs.e_gd, gs.potential)
     assert shifted.scaled_weight is not gs.scaled_weight
     assert shifted.scaled_weight[0] is not w
     assert shifted.scaled_weight[2] is not winv
