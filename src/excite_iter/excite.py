@@ -135,7 +135,8 @@ class ConvergenceReport:
 
 def _unnormalized_profile(gs: GroundState, chi_prev, out=None):
     """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
-    winv * (e^{-u_ref} I) (gs.scaled_weight), by the active kernel backend.
+    winv * (e^{-u_ref} I), by the active kernel backend, with the weights
+    w and winv that gs.scaled_weight holds from its construction.
 
     The tail beyond x_max is closed with the first-order Watson estimate
     chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).  chihat goes

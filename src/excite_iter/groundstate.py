@@ -8,7 +8,6 @@ origin and inward from a WKB tail, root-finding on the matching mismatch.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from array import array
@@ -63,18 +62,29 @@ class Grid:
 
 
 class GroundState:
-    """Samples of S(x_i), S'(x_i) and the ground-state energy.
+    """Samples of S(x_i), S'(x_i) and the ground-state energy, with the
+    weights of an iteration step that they fix.
 
     The iteration is invariant under S -> S + c, so no gauge is stored:
     S(0) is s[0].  A hard wall (compact support ending on the last node)
     is S = S' = +inf on the last node, where the weight is exactly zero.
 
     s and s_prime are array('d'); other sequences of reals are converted
-    on construction.  Both weights of an iteration step (scaled_weight)
-    are computed on first use and cached on the instance, so a ground
-    state with other samples is a new GroundState, with a cache of its
-    own.
+    on construction.  scaled_weight, both weights of an iteration step,
+    is computed then too, as the read-only (w, u_ref, winv): w =
+    e^{-2S - u_ref} at the nodes, with u_ref = max(-2S) over the finite
+    samples so every sample is representable, zero where -2S is not
+    finite; and the outer weight winv = e^{2S + u_ref}.
+
+    winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
+    OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
+    the matching e^{-2S} decay, and chihat at the anchor does not read
+    them.  On the default grids 2(S - S_min) stays below 200.  Raises
+    ValueError when no sample of S is finite.
     """
+
+    __slots__ = ("grid", "s", "s_prime", "e_gd", "potential",
+                 "scaled_weight")
 
     def __init__(self, grid: Grid, s, s_prime, e_gd: float,
                  potential: Potential):
@@ -83,26 +93,12 @@ class GroundState:
         self.s_prime = as_doubles(s_prime)
         self.e_gd = e_gd
         self.potential = potential
-
-    @functools.cached_property
-    def scaled_weight(self) -> tuple[memoryview, float, memoryview]:
-        """(w, u_ref, winv), the weights of an iteration step as read-only
-        views of array('d')s: w = e^{-2S - u_ref} at the nodes, with
-        u_ref = max(-2S) over the finite samples so every sample is
-        representable, zero where -2S is not finite; and the outer weight
-        winv = e^{2S + u_ref}.
-
-        winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
-        OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
-        the matching e^{-2S} decay, and chihat at the anchor does not read
-        them.  On the default grids 2(S - S_min) stays below 200.  Raises
-        ValueError when no sample of S is finite."""
         w, winv = zeros(len(self.s)), zeros(len(self.s))
         u_ref = kernels.scaled_weights(self.s, OVERFLOW_EXPONENT, w, winv)
         if u_ref == -math.inf:
             raise ValueError("S has no finite sample")
-        return (memoryview(w).toreadonly(), u_ref,
-                memoryview(winv).toreadonly())
+        self.scaled_weight = (memoryview(w).toreadonly(), u_ref,
+                              memoryview(winv).toreadonly())
 
 
 def soluble_groundstate(delta: float, grid: Grid) -> GroundState:

@@ -29,6 +29,7 @@ from excite_iter._kernels_py import (reverse_cumulative_simpson,
                                     simpson_integral, zeros)
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
+from wells import harmonic
 
 # 30-digit quadrature of int_x^1 sin(p(1-z))^2 * z dz at delta = 0.1,
 # frozen from an independent arbitrary-precision evaluation.
@@ -269,11 +270,8 @@ class TestRun:
         # S = x^2/2 is the harmonic oscillator: eps = 1 and chi = x exactly.
         # It takes the Watson tail closure and winv without the Riccati
         # kernel; the iteration never reads the potential.
-        grid = Grid(4.0, 16001)
-        x = np.asarray(grid.nodes())
-        gs = GroundState(grid=grid, s=0.5 * x * x, s_prime=x.copy(),
-                         e_gd=0.5, potential=None)
-        report = run(gs, TrialFunction.linear(), max_iters=3, tol=0.0)
+        report = run(harmonic(4.0, 16001), TrialFunction.linear(),
+                     max_iters=3, tol=0.0)
         assert len(report.eps_sequence) == 3
         for eps in report.eps_sequence:
             assert abs(eps - 1.0) <= 1e-11
@@ -290,23 +288,15 @@ def profile_backend(request, monkeypatch):
     return request.param
 
 
-def _harmonic(x_max, n_points):
-    """GroundState of S = x^2/2: a soft wall with a nonzero Watson tail."""
-    grid = Grid(x_max, n_points)
-    x = np.asarray(grid.nodes())
-    return GroundState(grid=grid, s=0.5 * x * x, s_prime=x.copy(),
-                       e_gd=0.5, potential=None)
-
-
 # x_max 40 puts 2S above OVERFLOW_EXPONENT beyond x = 26.5: winv is 0 there
 PROFILE_CASES = {
     "soluble-hard-wall": lambda: soluble_groundstate(DELTA, Grid(1.0, 2001)),
     "quartic-g3": lambda: solve_groundstate_numeric(
         Quartic(3.0), Grid(default_x_max(3.0), 2001)),
-    "harmonic": lambda: _harmonic(4.0, 2001),
-    "harmonic-winv-0-in-tail": lambda: _harmonic(40.0, 2001),
+    "harmonic": lambda: harmonic(4.0, 2001),
+    "harmonic-winv-0-in-tail": lambda: harmonic(40.0, 2001),
     "soluble-5-nodes": lambda: soluble_groundstate(DELTA, Grid(1.0, 5)),
-    "harmonic-5-nodes": lambda: _harmonic(4.0, 5),
+    "harmonic-5-nodes": lambda: harmonic(4.0, 5),
 }
 
 
@@ -418,7 +408,7 @@ def test_compiled_profile_reads_each_calls_weights():
     except ImportError as exc:
         pytest.skip(str(exc))
     python = kernels.get_backend("python")
-    states = [soluble_groundstate(DELTA, Grid(1.0, 201)), _harmonic(4.0, 201)]
+    states = [soluble_groundstate(DELTA, Grid(1.0, 201)), harmonic(4.0, 201)]
     chi = TrialFunction.saturating().sample(states[0].grid)
 
     def check(w, winv):
@@ -515,7 +505,7 @@ def _peak_bytes(step):
 
 def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
                                          profile_backend):
-    # once the ground state holds its weights, one step's only grid-sized
+    # a ground state holds its weights, so one step's only grid-sized
     # allocation is the chi it returns (8 B a node), and given out,
     # nothing of grid size, but for the Python kernel's temporaries, all
     # array('d'): at their peak an integrand, its running integral and one
@@ -527,7 +517,6 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
         temporary = 26 * n if profile_backend == "python" else 0
         prev = IterationState(chi=TrialFunction.saturating().sample(
             gs.grid))
-        iterate_once(gs, prev, 1.0)   # caches the weights
         state, peak = _peak_bytes(lambda: iterate_once(gs, prev, 1.0))
         assert peak <= 8 * n + temporary + 2048
         out = zeros(n)
@@ -540,7 +529,7 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
 
 
 def test_warm_run_allocates_only_its_block(gs_quartic, monkeypatch):
-    # on a ground state that holds its weights, a run's one grid-sized
+    # a ground state holds its weights, so a run's one grid-sized
     # allocation is its block of iterates; the compiled kernels allocate
     # nothing.  8 KB covers the small Python objects (the report, its
     # states and their rows: 3.8-6 KB), and one more grid array at this
@@ -555,7 +544,6 @@ def test_warm_run_allocates_only_its_block(gs_quartic, monkeypatch):
     n = gs_quartic.grid.n_points
     peaks = {}
     for trial in (TrialFunction.linear(), TrialFunction.saturating()):
-        run(gs_quartic, trial)          # caches the weights
         report, peaks[trial.kind] = _peak_bytes(
             lambda: run(gs_quartic, trial))
         assert len(report.states[0].chi.obj) == BLOCK_ROWS * n

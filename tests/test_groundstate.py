@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 import excite_iter
@@ -26,18 +25,7 @@ from excite_iter.groundstate import (Grid, GroundState, default_bracket,
                                      solve_groundstate_numeric,
                                      soluble_groundstate, write_csv)
 from excite_iter.potential import DeltaBox, Quartic
-
-
-def dense_eigenvalues(g, x_max, n_half, k=2):
-    """Brute-force oracle: full-line central-difference diagonalization on
-    the mirrored grid (independent of the shooting path)."""
-    n = 2 * n_half - 1
-    x = np.linspace(-x_max, x_max, n)
-    h = x[1] - x[0]
-    v = 0.5 * g * g * (x * x - 1.0) ** 2
-    return eigh_tridiagonal(1.0 / h ** 2 + v, -0.5 / h ** 2 * np.ones(n - 1),
-                            select="i", select_range=(0, k - 1),
-                            eigvals_only=True)
+from wells import dense_eigenvalues
 
 
 # ---------------------------------------------------------------- grid
@@ -620,10 +608,11 @@ def test_weight_backends_agree_bit_for_bit(s):
 
 
 def test_scaled_weight_of_a_profile_with_no_finite_sample_is_an_error():
-    gs = groundstate.GroundState(Grid(1.0, 3), [math.inf] * 3,
-                                 [0.0] * 3, 0.0, None)
+    # the weights are built with the ground state, so the bad S is
+    # refused where it is given
     with pytest.raises(ValueError, match="no finite sample"):
-        gs.scaled_weight
+        groundstate.GroundState(Grid(1.0, 3), [math.inf] * 3, [0.0] * 3,
+                                0.0, None)
 
 
 # ---------------------------------------------------------- serialization
