@@ -25,6 +25,7 @@ from excite_iter.groundstate import (Grid, default_x_max,  # noqa: E402
                                      solve_groundstate_numeric,
                                      soluble_groundstate)
 from excite_iter.potential import Quartic  # noqa: E402
+from excite_iter.soluble import exact_epsilon  # noqa: E402
 from wells import dense_eigenvalues, harmonic, settled_ratio  # noqa: E402
 
 N_POINTS = 2001
@@ -42,7 +43,7 @@ def cases():
         p = math.pi - delta
         yield (f"soluble δ={delta:g}",
                soluble_groundstate(delta, Grid(1.0, N_POINTS)),
-               TrialFunction.linear(), math.pi * delta - 0.5 * delta ** 2,
+               TrialFunction.linear(), exact_epsilon(delta),
                2.0 * math.pi ** 2 - 0.5 * p * p)
     yield ("harmonic wall", harmonic(8.0, N_POINTS),
            TrialFunction.saturating(), 1.0, 3.0)

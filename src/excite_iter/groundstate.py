@@ -23,6 +23,13 @@ _BLOWN = 1e15
 # exp() overflows just above 709; leave headroom for the product with I
 OVERFLOW_EXPONENT = 700.0
 
+#: default_bracket's window factors, and the couplings it is validated for
+BRACKET_FACTORS = (0.4, 1.6)
+VALIDATED_COUPLINGS = (0.7, 12.0)
+_WINDOW = "the energy window ({:g}g, {:g}g)".format(*BRACKET_FACTORS)
+_VALIDATED = "[{:g}, {:g}]".format(*VALIDATED_COUPLINGS)
+_IN_RANGE = f"default_bracket is validated for g in {_VALIDATED}"
+
 
 class Grid:
     """Uniform nodes x_i = i*h on [0, x_max] with an odd node count, so the
@@ -122,9 +129,9 @@ def soluble_groundstate(delta: float, grid: Grid) -> GroundState:
 
 
 def default_bracket(g: float) -> tuple[float, float]:
-    """Energy interval containing the even ground state and no other even
-    level, validated for couplings g in [0.7, 12]."""
-    return 0.4 * g, 1.6 * g
+    """Window (a*g, b*g), (a, b) = BRACKET_FACTORS, validated to hold the even
+    ground state and no other even level for g in VALIDATED_COUPLINGS."""
+    return BRACKET_FACTORS[0] * g, BRACKET_FACTORS[1] * g
 
 
 # Domain edges of the form 2^a * 5^b with a <= 3 and b <= 3: these divide
@@ -161,7 +168,7 @@ def _wkb_start(g: float, e: float, x_max: float) -> float:
             f"--xmax {x_max} is inside the classically allowed region of "
             f"--g {g} at E={e:.6g} (V(x_max)={v:.6g}): the decaying WKB "
             "tail starts only beyond it; raise --xmax, or keep --g in the "
-            "validated range [0.7, 12]")
+            f"validated range {_VALIDATED}")
     k = math.sqrt(2.0 * (v - e))
     v_prime = 2.0 * g * g * x_max * (x_max * x_max - 1.0)
     return k + v_prime / (2.0 * k * k)
@@ -249,18 +256,15 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
     g = potential.g
     lo, hi = default_bracket(g)
     sweep = kernels.riccati_sweep
-    h = grid.h
-    n = grid.n_points
-    x_max = grid.x_max
+    h, n, x_max = grid.h, grid.n_points, grid.x_max
 
     # fixed matching node near the outer turning point of the bracket center
     e_mid = 0.5 * (lo + hi)
     if not math.isfinite(e_mid):
         raise NoEigenvalueError(
-            f"--g {g}: the energy window (0.4g, 1.6g) = ({lo:.6g}, "
-            f"{hi:.6g}) overflows the shooting solve, whose center "
-            "0.5(lo + hi) is not finite; default_bracket is validated for "
-            "g in [0.7, 12]")
+            f"--g {g}: {_WINDOW} = ({lo:.6g}, {hi:.6g}) overflows the "
+            "shooting solve, whose center 0.5(lo + hi) is not finite; "
+            f"{_IN_RANGE}")
     x_turn = math.sqrt(1.0 + math.sqrt(2.0 * abs(e_mid)) / g)
     i_match = min(max(int(round(x_turn / h)), 4), n - 5)
 
@@ -282,21 +286,18 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
         blew_up = (f"both bracket ends blew up: the shooting sweeps at "
                    f"E={lo:.6g} and E={hi:.6g} develop a node on {n} nodes "
                    f"(h={h:.3g})")
-        if not 0.7 <= g <= 12.0:
+        if not VALIDATED_COUPLINGS[0] <= g <= VALIDATED_COUPLINGS[1]:
             # no grid helps a coupling the window was not made for
-            raise NoEigenvalueError(
-                f"--g {g}: {blew_up}; default_bracket is validated for g "
-                "in [0.7, 12], so keep --g in that range")
+            raise NoEigenvalueError(f"--g {g}: {blew_up}; {_IN_RANGE}, "
+                                    "so keep --g in that range")
         raise NoEigenvalueError(f"{blew_up}, so the grid is too coarse to "
                                 "resolve the well; raise --points")
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)) \
             or _sign(f_lo) == _sign(f_hi):
         raise NoEigenvalueError(
-            f"--g {g}: the energy window (0.4g, 1.6g) = ({lo:.6g}, "
-            f"{hi:.6g}) holds no ground state at this coupling (no sign "
-            f"change of the shooting mismatch: f(lo)={f_lo:.3g}, "
-            f"f(hi)={f_hi:.3g}); default_bracket is validated for g in "
-            "[0.7, 12]")
+            f"--g {g}: {_WINDOW} = ({lo:.6g}, {hi:.6g}) holds no ground "
+            "state at this coupling (no sign change of the shooting "
+            f"mismatch: f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}); {_IN_RANGE}")
     e_star = _brent(mismatch, lo, hi, f_lo, f_hi,
                     xtol=_E_TOL * max(1.0, e_mid), rtol=8.9e-16)
 
@@ -311,9 +312,8 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
     offset = s_out[i_match] - s_in[-1]
     s = s_out[:i_match]
     s.extend([v + offset for v in reversed(s_in)])
-    s_prime = sp_out
-    s_prime.extend(reversed(sp_in[:-1]))
-    return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=float(e_star),
+    sp_out.extend(reversed(sp_in[:-1]))
+    return GroundState(grid=grid, s=s, s_prime=sp_out, e_gd=float(e_star),
                        potential=potential)
 
 

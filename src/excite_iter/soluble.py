@@ -10,9 +10,9 @@ from .potential import DeltaBox
 
 
 def exact_epsilon(delta: float) -> float:
-    """Exact excitation energy (pi^2 - p^2)/2 = pi*delta - delta^2/2."""
-    p = DeltaBox(delta).p
-    return 0.5 * (math.pi ** 2 - p * p)
+    """Exact excitation energy (pi^2 - p^2)/2, as pi*delta - delta^2/2."""
+    d = DeltaBox(delta).delta
+    return math.pi * d - 0.5 * d * d
 
 
 def exact_chi(delta: float, x):

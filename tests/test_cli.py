@@ -153,6 +153,48 @@ class TestCompare:
         assert code == 1
         assert "FAIL" in captured
 
+    def test_published_g3_ground_energy_is_outside_its_tolerance(
+            self, tmp_path, capsys):
+        # the program's E_gd(3) sits 2.1e-4 below eq. (4.5)'s 2.48291,
+        # just outside its 2e-4 (ROADMAP, the three acceptance failures)
+        out = tmp_path / "run"
+        assert run_cli(["quartic", "--g", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = run_cli(["compare", "--summary", str(out / "summary.json"),
+                        "--ref", "eq_4_5"])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  e_gd     actual=2.482696853 expected=2.48291 "
+            "abs_dev=2.131e-04 rel_dev=8.585e-05 tol=2.0e-04 FAIL",
+            "overall: FAIL"]
+
+    def test_published_g8_ground_energy_passes(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["quartic", "--g", "8", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = run_cli(["compare", "--summary", str(out / "summary.json"),
+                        "--ref", "eq_A_5"])
+        captured = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert captured[1].startswith("  e_gd     actual=7.727338559 ")
+        assert captured[1].endswith(" PASS")
+        assert captured[2] == "overall: PASS"
+
+    def test_value_missing_from_the_summary_fails(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["soluble", "--delta", "0.1", "--iters", "2",
+                        "--out", str(out)]) == 0
+        assert len(json.loads(read(out / "summary.json"))
+                   ["eps_sequence"]) == 2
+        capsys.readouterr()
+        code = run_cli(["compare", "--summary", str(out / "summary.json"),
+                        "--ref", "eq_3_17"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line.split()[-1] for line in lines[1:3]] == ["PASS", "PASS"]
+        assert lines[3:] == ["  eps_3    MISSING from summary",
+                             "overall: FAIL"]
+
     @pytest.mark.parametrize("summary, named", [
         ([], "not a JSON object"),
         ({"eps_sequence": ["a"]}, "eps_1 is not a number: 'a'"),

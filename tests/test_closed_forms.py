@@ -1,17 +1,19 @@
 """The iteration on wells with closed-form answers: exact eps and chi on
-soft walls, the true error of the half-grid estimate, and the rate at
-which eps_n converges."""
+soft walls, the true error of the half-grid estimate, the rate at which
+eps_n converges, and the geometric tail as the error of eps_n."""
 
 import math
 
 import numpy as np
 import pytest
 
+from excite_iter import cli
 from excite_iter.excite import TrialFunction, run
 from excite_iter.groundstate import (Grid, default_x_max,
                                      solve_groundstate_numeric,
                                      soluble_groundstate)
 from excite_iter.potential import Quartic
+from excite_iter.soluble import exact_epsilon
 from wells import cosh_well, dense_eigenvalues, harmonic, settled_ratio
 
 # (a, x_max) of the cosh well: each x_max puts the weight e^{-2(S - S_min)}
@@ -81,9 +83,9 @@ def _soluble(delta):
     """The spike in a box on 2001 nodes, with eps/eps_2: the box's odd
     levels above the ground state p^2/2 are pi^2/2 and 2 pi^2."""
     p = math.pi - delta
-    eps = math.pi * delta - 0.5 * delta * delta
     return (soluble_groundstate(delta, Grid(1.0, 2001)),
-            TrialFunction.linear(), eps / (2.0 * math.pi ** 2 - 0.5 * p * p))
+            TrialFunction.linear(),
+            exact_epsilon(delta) / (2.0 * math.pi ** 2 - 0.5 * p * p))
 
 
 def _quartic(g):
@@ -124,3 +126,35 @@ def test_eps_n_converges_at_the_rate_eps_over_eps2(case):
     n, ratio = settled_ratio(report)
     assert n >= 5
     assert abs(ratio / r - 1.0) <= tolerance, (n, ratio, r)
+
+
+TAIL_CASES = ([("quartic", g) for g in (0.7, 1.0, 2.0, 3.0, 5.0, 8.0)]
+              + [("soluble", d) for d in (0.05, 0.1, 0.3, 0.77, 1.0, 1.5)])
+
+
+@pytest.mark.parametrize("case, param", TAIL_CASES,
+                         ids=[f"{c}-{p:g}" for c, p in TAIL_CASES])
+def test_geometric_tail_estimates_the_iteration_error(case, param):
+    # once delta_n/delta_{n-1} has settled at rho, the error of eps_n is
+    # the tail delta_n rho/(1 - rho).  On the CLI's defaults (4001 nodes,
+    # 8 steps, tol 1e-9) the tail is within 0.958-1.039 of |eps_inf -
+    # eps_n|, eps_inf the tol-1e-15 eps on the same grid, wherever that is
+    # above 1e-14 eps
+    config = cli.RunConfig(case, **{"delta" if case == "soluble" else "g":
+                                    param})
+    gs = cli._obtain_groundstate(config)
+    trial = (TrialFunction.linear() if case == "soluble"
+             else TrialFunction.saturating())
+    checked = 0
+    for anchor in (1.0, 0.5):
+        report = run(gs, trial, anchor_x0=anchor,
+                     max_iters=config.max_iters, tol=config.tol)
+        limit = run(gs, trial, anchor_x0=anchor, max_iters=60,
+                    tol=1e-15).eps
+        *_, before, last = report.delta_sequence
+        rho = last / before
+        true = abs(limit - report.eps)
+        if true > 1e-14 * limit:
+            assert 0.9 <= last * rho / (1.0 - rho) / true <= 1.1
+            checked += 1
+    assert checked >= 1

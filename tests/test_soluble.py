@@ -1,5 +1,6 @@
 """Tests for the analytically soluble box-with-spike benchmark."""
 
+import decimal
 import math
 
 import numpy as np
@@ -22,15 +23,22 @@ from excite_iter.soluble import (
     exact_epsilon,
 )
 
+DECIMAL_PI = decimal.Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459")
+
 
 class TestExactEpsilon:
     def test_formula(self):
-        # (pi^2 - p^2) / 2 with p = pi - delta.
-        for delta in (0.02, 0.05, 0.1, 0.3):
-            p = math.pi - delta
-            assert exact_epsilon(delta) == pytest.approx(
-                (math.pi**2 - p * p) / 2.0, rel=1e-15
-            )
+        # pi*delta - delta^2/2 against its 60-digit decimal value.  The
+        # form (pi^2 - p^2)/2 with p = pi - delta rounded first loses
+        # digits to cancellation: 4.2e-15 at delta = 0.05, 2.5e-4 at
+        # 1e-12, and all of them below 1e-16.
+        with decimal.localcontext(prec=60):
+            for delta in (1e-300, 1e-12, 1e-8, 0.02, 0.05, 0.1, 0.3):
+                d = decimal.Decimal(delta)
+                exact = DECIMAL_PI * d - d * d / 2
+                got = decimal.Decimal(exact_epsilon(delta))
+                assert abs(got - exact) <= decimal.Decimal(2e-16) * exact
 
     def test_vanishes_with_spike(self):
         # No spike means ground state and first odd state are degenerate
