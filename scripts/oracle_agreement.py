@@ -30,7 +30,7 @@ from oracles import (ground_energy, groundstate_gaps,  # noqa: E402
                      richardson)
 from wells import dense_eigenvalues  # noqa: E402
 
-COUPLINGS = (0.7, 1.0, 3.0, 8.0, 20.0, 40.0, 120.0)
+COUPLINGS = (0.7, 1.0, 3.0, 8.0, 20.0, 40.0, 80.0, 120.0)
 PAIRS = (4001, 8001, 16001)     # the fine grid of each pair
 
 

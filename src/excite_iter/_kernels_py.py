@@ -1,22 +1,15 @@
-"""Pure-Python kernels, the fallback for the compiled ones in _kernels.c,
-and the quadrature they are composed from.  kernels.py imports this
-module only when it is the backend, or when get_backend('python') asks
-for it.
+"""Pure-Python kernels, the fallback for the compiled ones in _kernels.c.
+kernels.py imports this module only when it is the backend, or when
+get_backend('python') asks for it.
 
 riccati_sweep integrates S'' = S'^2 - 2(V - E) for the quartic double well
-with classic RK4 at fixed step.  scaled_weights, sample_nodes and scale
-are the other grid passes of an iteration; excite_profile composes a
-step's profile from cumulative_simpson, and weighted_simpson the
-residual's two integrals from simpson_integral.  write_csv_rows writes CSV
-rows with Python's '%.17g' % v.  The compiled kernels perform the same
-floating-point operations in the same order, with the same libm exp, and
-write the same characters; the backend tests compare the two bit for bit.
-
-cumulative_simpson sums Simpson panel pairs (4 y1 + y0 + y2) * (h/3) in
-order from the first pair (not from 0.0) for the running integral at even
-offsets, and adds to the even offset before an odd one the half-panel
-rule ((5 y0 + 8 y1) - y2) * (h/12) (SciPy's cumulative_simpson on equal
-intervals): O(h^4) at every node.
+with classic RK4 at fixed step.  scaled_weights, sample_nodes, scale and
+excite_profile are the grid passes of an iteration, and weighted_simpson
+the residual's two integrals from simpson_integral.  write_csv_rows writes
+CSV rows with Python's '%.17g' % v.  Each kernel is its C loop written in
+Python: the same floating-point operations in the same order, with the
+same libm exp, writing the same characters; the backend tests compare the
+two bit for bit.
 """
 
 from __future__ import annotations
@@ -44,30 +37,6 @@ def simpson_integral(values, h: float) -> float:
     for i in range(2, len(y) - 1, 2):
         even += y[i]
     return h / 3.0 * (y[0] + y[-1] + 4.0 * odd + 2.0 * even)
-
-
-def cumulative_simpson(values, h: float) -> array:
-    """Running integral from index 0 to each node, as a new array('d')."""
-    y = values
-    n = len(y)
-    if n < 3 or n % 2 == 0:
-        raise ValueError("need an odd number of nodes, at least 3")
-    h3, h12 = h / 3.0, h / 12.0
-    out = zeros(n)
-    even = 0.0
-    for i in range(0, n - 1, 2):
-        y0, y1, y2 = y[i], y[i + 1], y[i + 2]
-        out[i + 1] = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even
-        pair = (4.0 * y1 + y0 + y2) * h3
-        even = pair if i == 0 else even + pair
-        out[i + 2] = even
-    return out
-
-
-def reverse_cumulative_simpson(values, h: float) -> array:
-    """Running integral from each node to the last node, as a new
-    array('d')."""
-    return cumulative_simpson(values[::-1], h)[::-1]
 
 
 def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
@@ -180,22 +149,50 @@ def weighted_simpson(h: float, w, chi) -> tuple[float, float]:
 def excite_profile(h: float, w, winv, chi_prev, tail: float,
                    out: array) -> array:
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
-    I(y) = int_y^{x_end} w chi_prev, both by cumulative_simpson.
+    I(y) = int_y^{x_end} w chi_prev, into out (see check_out); returns out.
 
-    The caller's tail w * chi/(2S') at the last node is 0 at a hard wall,
+    The loops of _kernels.c: a reverse pass writes I + tail into out, and
+    a forward pass reads each I + tail from out and overwrites it with
+    chihat.  Both running integrals sum Simpson panel pairs
+    (4 y1 + y0 + y2) * (h/3) in order from the first pair (not from 0.0)
+    for even offsets, and add the half-panel rule ((5 y0 + 8 y1) - y2) *
+    (h/12) to the even offset before an odd one (SciPy's
+    cumulative_simpson on equal intervals): O(h^4) at every node.  The
+    caller's tail w * chi/(2S') at the last node is 0 at a hard wall,
     since w is 0 there; winv is 0 there too, so the outer integrand
-    vanishes.  Writes chihat into out (see check_out) and returns it; the
-    quadrature's grid-sized temporaries are freed on return.
+    vanishes.
     """
-    inputs = odd_columns(len(chi_prev), w, winv, chi_prev)
-    check_out(out, len(chi_prev), *inputs)
-    (w, _), (winv, _), (chi_prev, _) = inputs
-    inner = reverse_cumulative_simpson(
-        array("d", (a * b for a, b in zip(w, chi_prev))), h)
-    outer = cumulative_simpson(
-        array("d", (a * (i + tail) for a, i in zip(winv, inner))), h)
-    for i, v in enumerate(outer):
-        out[i] = v * 2.0
+    n = len(chi_prev)
+    inputs = odd_columns(n, w, winv, chi_prev)
+    check_out(out, n, *inputs)
+    (w, _), (winv, _), (chi, _) = inputs
+    h3, h12 = h / 3.0, h / 12.0
+
+    even = 0.0
+    y0 = w[n - 1] * chi[n - 1]
+    out[n - 1] = 0.0 + tail
+    for i in range(n - 1, 0, -2):
+        y1 = w[i - 1] * chi[i - 1]
+        y2 = w[i - 2] * chi[i - 2]
+        odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even
+        pair = (4.0 * y1 + y0 + y2) * h3
+        even = pair if i == n - 1 else even + pair
+        out[i - 1] = odd + tail
+        out[i - 2] = even + tail
+        y0 = y2
+
+    even = 0.0
+    y0 = winv[0] * out[0]
+    out[0] = 0.0
+    for i in range(0, n - 1, 2):
+        y1 = winv[i + 1] * out[i + 1]
+        y2 = winv[i + 2] * out[i + 2]
+        odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even
+        pair = (4.0 * y1 + y0 + y2) * h3
+        even = pair if i == 0 else even + pair
+        out[i + 1] = odd * 2.0
+        out[i + 2] = even * 2.0
+        y0 = y2
     return out
 
 

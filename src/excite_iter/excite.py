@@ -155,9 +155,7 @@ def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
     """One step of the map, split by the rule chi_n(x0) = chi_{n-1}(x0).
 
     The returned chi is out when given (see _unnormalized_profile), else
-    a new array('d').  Given out, a step on the compiled kernel allocates
-    nothing of grid size; the Python kernel's quadrature temporaries are
-    freed before it returns.
+    a new array('d').  Given out, a step allocates nothing of grid size.
     """
     i0 = gs.grid.index_of(anchor_x0)
     pinned = prev.chi[i0]

@@ -4,8 +4,8 @@ Every kernel has a compiled and a pure-Python implementation with
 bit-identical output: the Riccati sweep of the ground-state solve; the
 grid passes of an iteration, which are the weights of a ground state
 (scaled_weights), the trial samples (sample_nodes), the profile of one
-step (excite_profile, in _kernels_py.cumulative_simpson's operation
-order), its scaling (scale) and the residual's two Simpson integrals
+step (excite_profile, two running Simpson integrals), its scaling
+(scale) and the residual's two Simpson integrals
 (weighted_simpson); and the CSV writer of the artifacts, which writes
 every cell as Python's '%.17g' % v.  The compiled ones are the plain C
 file ``_kernels.c``, built into the user cache,

@@ -83,9 +83,10 @@ def _summary_value(summary: dict, key: str, path) -> float | None:
 def compare_report(summary_path, reference_tag: str) -> tuple[str, bool]:
     """Compare a run summary against one reference table.
 
-    Returns the textual report and an overall pass flag.  Raises
-    ValueError when the summary is not a JSON object or a compared value
-    in it is not a real number.
+    Returns the textual report and an overall pass flag; a summary of
+    another case than the table's, or of none, fails.  Raises ValueError
+    when the summary is not a JSON object or a compared value in it is
+    not a real number.
     """
     if reference_tag not in REFERENCES:
         raise KeyError(
@@ -98,7 +99,10 @@ def compare_report(summary_path, reference_tag: str) -> tuple[str, bool]:
     ref = REFERENCES[reference_tag]
     lines = [f"reference {reference_tag} (v{REFERENCES_VERSION}): "
              f"{ref['description']}"]
-    all_ok = True
+    all_ok = summary.get("case") == ref["case"]
+    if not all_ok:
+        lines.append(f"  case     actual={summary.get('case', 'MISSING')} "
+                     f"expected={ref['case']} FAIL")
     for key, expected in ref["values"].items():
         tol = ref["tolerances"][key]
         actual = _summary_value(summary, key, summary_path)

@@ -1,0 +1,40 @@
+"""The running Simpson integrals of an iteration step in NumPy, written
+from the formula: the tests' reference for kernels.excite_profile, on
+every backend that backends() gives."""
+
+import numpy as np
+
+from excite_iter import kernels
+
+
+def backends():
+    """The kernels of every backend that imports."""
+    found = [kernels.get_backend("python")]
+    try:
+        found.append(kernels.get_backend("cython"))
+    except ImportError:
+        pass
+    return found
+
+
+def reference_cumulative(y, h):
+    """Running integral of y from index 0 to each node: panel pairs
+    summed by np.cumsum at even offsets, the half-panel rule
+    h/12 (5 y0 + 8 y1 - y2) added to the even offset before an odd one.
+    The formula in textbook order; the kernels' operands come in another
+    order, which moves no bit."""
+    out = np.empty(len(y))
+    out[0] = 0.0
+    out[2::2] = np.cumsum(h / 3.0 * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
+    out[1::2] = (out[0:-1:2]
+                 + (5.0 * y[0:-2:2] + 8.0 * y[1::2] - y[2::2]) * (h / 12.0))
+    return out
+
+
+def reference_profile(h, w, winv, chi, tail):
+    """2 int_0^x winv (I + tail) with I = int_x^{x_end} w chi, as the
+    kernel's two passes: reference_cumulative of the reversed w chi,
+    reversed back, then of winv (I + tail)."""
+    w, winv, chi = (np.asarray(a, dtype=np.float64) for a in (w, winv, chi))
+    inner = reference_cumulative((w * chi)[::-1], h)[::-1]
+    return reference_cumulative(winv * (inner + tail), h) * 2.0

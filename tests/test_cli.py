@@ -180,6 +180,29 @@ class TestCompare:
         assert captured[1].endswith(" PASS")
         assert captured[2] == "overall: PASS"
 
+    def test_summary_of_another_case_fails(self, tmp_path, capsys):
+        # a soluble run whose e_gd lies within eq_4_5's tolerance of the
+        # quartic g=3 value: the table's case, not its values, fails it
+        out = tmp_path / "run"
+        assert run_cli(["soluble", "--delta", "0.9132", "--out",
+                        str(out)]) == 0
+        capsys.readouterr()
+        path = out / "summary.json"
+        code = run_cli(["compare", "--summary", str(path), "--ref", "eq_4_5"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[1] == "  case     actual=soluble expected=quartic FAIL"
+        assert lines[2].startswith("  e_gd     actual=2.482866")
+        assert lines[2].endswith(" PASS")
+        assert lines[3] == "overall: FAIL"
+        summary = json.loads(read(path))
+        del summary["case"]
+        path.write_text(json.dumps(summary))
+        assert run_cli(["compare", "--summary", str(path),
+                        "--ref", "eq_4_5"]) == 1
+        assert capsys.readouterr().out.splitlines()[1] \
+            == "  case     actual=MISSING expected=quartic FAIL"
+
     def test_value_missing_from_the_summary_fails(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli(["soluble", "--delta", "0.1", "--iters", "2",

@@ -25,10 +25,10 @@ from excite_iter.excite import (
 from excite_iter.groundstate import (OVERFLOW_EXPONENT, Grid, GroundState,
                                      default_x_max, soluble_groundstate,
                                      solve_groundstate_numeric)
-from excite_iter._kernels_py import (reverse_cumulative_simpson,
-                                    simpson_integral, zeros)
+from excite_iter._kernels_py import simpson_integral, zeros
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
+from quadrature import backends, reference_cumulative
 from wells import harmonic
 
 # 30-digit quadrature of int_x^1 sin(p(1-z))^2 * z dz at delta = 0.1,
@@ -56,9 +56,11 @@ PINNED_EPS_QUARTIC_G3 = (
 def tail_integral(gs, chi_prev, x):
     """I(x) = int_x^inf e^{-2S(z)} chi_prev(z) dz at a grid node, from
     the reverse running integral of the scaled weight times chi_prev
-    that a step integrates first."""
+    that a step's first pass computes (test_numerics checks the kernels
+    against reference_cumulative bit for bit)."""
     w, u_ref, _ = gs.scaled_weight
-    scaled = reverse_cumulative_simpson(np.asarray(w) * chi_prev, gs.grid.h)
+    y = np.asarray(w) * chi_prev
+    scaled = reference_cumulative(y[::-1], gs.grid.h)[::-1]
     return float(scaled[gs.grid.index_of(x)] * np.exp(u_ref))
 
 
@@ -358,14 +360,41 @@ def test_profile_backends_agree_on_random_arrays(args):
     assert python == cython
 
 
-def _backends():
-    """The kernels of every backend that imports."""
-    backends = [kernels.get_backend("python")]
+# the drawn NaN is math.nan alone: where NaNs of both signs meet in a
+# commutative operation, which one comes out is the C compiler's choice of
+# operand order, not the source's, and inputs holding a NaN of each sign
+# gave different bytes.  The NaNs that inf - inf and 0 * inf make agreed
+# in every draw tried
+EXTREMES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308]
+
+
+@st.composite
+def extreme_profile_arguments(draw):
+    """profile_arguments with up to a fifth of each array, and the tail
+    one time in two, drawn from EXTREMES: NaN, +-inf, -0.0, the least
+    subnormal and +-1e308."""
+    h, *columns, tail = draw(profile_arguments())
+    n = len(columns[0])
+    extreme = st.sampled_from(EXTREMES)
+    for column in columns:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n // 5 + 1)):
+            column[i] = draw(extreme)
+    return (h, *columns, draw(st.one_of(st.just(tail), extreme)))
+
+
+@given(extreme_profile_arguments())
+def test_profile_backends_agree_on_extreme_arrays(args):
+    # NaN, inf and overflow propagate through both passes by the same
+    # operations on both backends, to the byte, NaN payloads included
     try:
-        backends.append(kernels.get_backend("cython"))
-    except ImportError:
-        pass
-    return backends
+        compiled = kernels.get_backend("cython")
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    n = len(args[3])
+    python, cython = (backend.excite_profile(*args, zeros(n)).tobytes()
+                      for backend in (kernels.get_backend("python"),
+                                      compiled))
+    assert python == cython
 
 
 @given(st.integers(2, 400), st.floats(1e-3, 40.0), st.booleans())
@@ -375,7 +404,7 @@ def test_node_backends_agree_bit_for_bit(n, x_max, saturating):
     h = x_max / (n - 1)
     samples = {backend.sample_nodes(n, h, x_max, saturating,
                                     zeros(n)).tobytes()
-               for backend in _backends()}
+               for backend in backends()}
     assert len(samples) == 1
     x = np.linspace(0.0, x_max, n)
     expected = np.where(x < 1.0, x * (2.0 - x), 1.0) if saturating else x
@@ -391,7 +420,7 @@ def test_scale_backends_agree_bit_for_bit(values, factor):
     with np.errstate(all="ignore"):
         expected = values * factor
     nan = np.isnan(expected)
-    for backend in _backends():
+    for backend in backends():
         x = array("d", values)
         assert backend.scale(x, factor) is x
         assert np.array_equal(np.isnan(x), nan)
@@ -507,22 +536,18 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
                                          profile_backend):
     # a ground state holds its weights, so one step's only grid-sized
     # allocation is the chi it returns (8 B a node), and given out,
-    # nothing of grid size, but for the Python kernel's temporaries, all
-    # array('d'): at their peak an integrand, its running integral and one
-    # more of the reversal or the inner integral, 24 B a node, and up to
-    # 2 B more for the integrand, an array grown from a generator; 2 KB
-    # covers the small Python objects
+    # nothing of grid size on either backend: both passes of the profile
+    # run in out; 2 KB covers the small Python objects
     for gs in (gs_quartic, gs_soluble):
         n = gs.grid.n_points
-        temporary = 26 * n if profile_backend == "python" else 0
         prev = IterationState(chi=TrialFunction.saturating().sample(
             gs.grid))
         state, peak = _peak_bytes(lambda: iterate_once(gs, prev, 1.0))
-        assert peak <= 8 * n + temporary + 2048
+        assert peak <= 8 * n + 2048
         out = zeros(n)
         into, peak = _peak_bytes(
             lambda: iterate_once(gs, prev, 1.0, out=out))
-        assert peak <= temporary + 2048
+        assert peak <= 2048
         assert into.chi is out
         assert into.chi.tobytes() == state.chi.tobytes()
         assert into.eps == state.eps

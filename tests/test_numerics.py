@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 from excite_iter import kernels
 from excite_iter.excite import _unnormalized_profile
 from excite_iter.groundstate import Grid, soluble_groundstate
-from excite_iter._kernels_py import (cumulative_simpson,
-                                    reverse_cumulative_simpson,
-                                    simpson_integral, zeros)
+from excite_iter._kernels_py import simpson_integral, zeros
+from quadrature import backends, reference_profile
 
 # independent 30-digit quadrature of int_0^1 z sin^2(p(1-z)) dz, delta=0.1
 INNER_ORACLE_D01 = 0.2497306668710968321
@@ -63,73 +62,111 @@ def test_simpson_rejects_bad_ranges():
             simpson_integral(np.ones(n), 0.1)
 
 
+# The running integrals of a step are the two passes of excite_profile.
+# With w = 0 and tail 1, I is 0 and a profile is twice the forward running
+# integral of winv, exactly.
+
+
 def test_cumulative_matches_full_integral():
     x = np.linspace(0, 1, 1001)
     y = np.exp(-x) * np.sin(3 * x)
-    cum = cumulative_simpson(y, x[1])
-    assert cum[0] == 0.0
-    assert cum[-1] == pytest.approx(simpson_integral(y, x[1]), rel=1e-12)
+    for backend in backends():
+        chihat = backend.excite_profile(x[1], np.zeros(1001), y,
+                                        np.ones(1001), 1.0, zeros(1001))
+        assert chihat[0] == 0.0
+        assert chihat[-1] == pytest.approx(2.0 * simpson_integral(y, x[1]),
+                                           rel=1e-12)
 
 
 def test_cumulative_odd_offsets_are_consistent():
     # the pair rule and the half-panel rule both integrate a quadratic
-    # exactly, so the running integral is exact at every offset
+    # exactly, so the profile is exact at every offset: the forward pass
+    # alone on winv = x^2, and both passes on chi = x, whose
+    # I = (1 - y^2)/2 gives the forward pass a quadratic
     x = np.linspace(0, 1, 201)
-    cum = cumulative_simpson(x ** 2, x[1])
-    assert np.max(np.abs(cum - x ** 3 / 3)) < 1e-15
+    n, h, ones = len(x), x[1], np.ones(201)
+    for backend in backends():
+        forward = backend.excite_profile(h, np.zeros(n), x ** 2, ones, 1.0,
+                                         zeros(n))
+        assert np.max(np.abs(np.asarray(forward) - 2.0 * x ** 3 / 3)) \
+            < 1e-15
+        both = backend.excite_profile(h, ones, ones, x, 0.0, zeros(n))
+        assert np.max(np.abs(np.asarray(both) - (x - x ** 3 / 3))) < 1e-15
 
 
 def test_cumulative_is_fourth_order_at_odd_offsets():
-    # the half-panel rule at odd offsets is O(h^4) like the panel pairs:
-    # halving h divides the largest odd-offset error by about 16
-    def err(n):
-        x = np.linspace(0, 1, n)
-        cum = cumulative_simpson(np.cos(3 * x), x[1])
-        return np.max(np.abs(cum - np.sin(3 * x) / 3)[1::2])
+    # w = e^{-x}, winv = e^x and chi = cos 3x on [0, 1]:
+    # I(y) = F(1) - F(y) with F(z) = e^{-z} (3 sin 3z - cos 3z)/10, and
+    # chihat = 2 (G(x) - G(0)) with G(y) = e^y F(1) + (cos 3y + sin 3y/3)/10;
+    # the half-panel rule at odd offsets is O(h^4) like the panel pairs at
+    # even ones: halving h divides the largest error of each by about 16
+    def f(z):
+        return np.exp(-z) * (3 * np.sin(3 * z) - np.cos(3 * z)) / 10
 
-    assert 14 <= err(81) / err(161) <= 18
+    def g(y):
+        return np.exp(y) * f(1.0) + (np.cos(3 * y) + np.sin(3 * y) / 3) / 10
+
+    def err(backend, n, offsets):
+        x = np.linspace(0, 1, n)
+        chihat = backend.excite_profile(x[1], np.exp(-x), np.exp(x),
+                                        np.cos(3 * x), 0.0, zeros(n))
+        error = np.abs(np.asarray(chihat) - 2.0 * (g(x) - g(0.0)))
+        return np.max(error[offsets])
+
+    for backend in backends():
+        for offsets in (slice(1, None, 2), slice(2, None, 2)):
+            assert 14 <= err(backend, 81, offsets) \
+                / err(backend, 161, offsets) <= 18
 
 
 def test_reverse_cumulative_mirrors_forward():
+    # the reverse pass is the forward pass on the reversed samples: a
+    # profile equals the forward pass alone on that mirrored integral
     x = np.linspace(0, 1, 101)
     y = np.cos(2 * x)
-    rev = reverse_cumulative_simpson(y, x[1])
-    fwd = cumulative_simpson(y[::-1], x[1])
-    assert np.allclose(rev, fwd[::-1], rtol=0, atol=0)
-    assert rev[-1] == 0.0
+    n, h, ones = len(x), x[1], np.ones(101)
+    for backend in backends():
+        forward = backend.excite_profile(h, np.zeros(n), y[::-1], ones, 1.0,
+                                         zeros(n))
+        rev = np.asarray(forward)[::-1] * 0.5
+        assert rev[-1] == 0.0
+        profile = backend.excite_profile(h, ones, ones, y, 0.0, zeros(n))
+        via_forward = backend.excite_profile(h, np.zeros(n), rev, ones, 1.0,
+                                             zeros(n))
+        assert profile.tobytes() == via_forward.tobytes()
 
 
-def _reference_cumulative(y, h):
-    """The formula in textbook order; cumulative_simpson's operands come in
-    another order, which moves no bit."""
-    out = np.empty(len(y))
-    out[0] = 0.0
-    out[2::2] = np.cumsum(h / 3.0 * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
-    out[1::2] = (out[0:-1:2]
-                 + (5.0 * y[0:-2:2] + 8.0 * y[1::2] - y[2::2]) * (h / 12.0))
-    return out
+def _samples(n):
+    return arrays(np.float64, n,
+                  elements=st.floats(-1e6, 1e6, allow_subnormal=False))
 
 
-odd_length_samples = st.integers(1, 60).flatmap(
-    lambda k: arrays(np.float64, 2 * k + 1,
-                     elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+@st.composite
+def profile_samples(draw):
+    """(h, w, winv, chi, tail): finite samples of an odd length in
+    [3, 121]."""
+    n = 2 * draw(st.integers(1, 60)) + 1
+    return (draw(st.floats(1e-4, 10.0)), draw(_samples(n)),
+            draw(_samples(n)), draw(_samples(n)),
+            draw(st.floats(-1e6, 1e6, allow_subnormal=False)))
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@given(odd_length_samples, st.floats(1e-4, 10.0), st.booleans(),
-       st.booleans())
-def test_cumulative_matches_reference_formula(y, h, reverse, reversed_in):
-    values = y[::-1] if reversed_in else y
-    if reverse:
-        result = reverse_cumulative_simpson(values, h)
-        reference = _reference_cumulative(values[::-1], h)[::-1]
-    else:
-        result = cumulative_simpson(values, h)
-        reference = _reference_cumulative(values, h)
-    assert np.array_equal(_bits(result), _bits(reference))
+@given(profile_samples(), st.booleans())
+def test_cumulative_matches_reference_formula(args, reversed_in):
+    # reference_profile's two passes to the bit, also for inputs that are
+    # reversed views, which the kernels copy
+    h, w, winv, chi, tail = args
+    if reversed_in:
+        w, winv, chi = w[::-1], winv[::-1], chi[::-1]
+    reference = reference_profile(h, w, winv, chi, tail)
+    for backend in backends():
+        result = backend.excite_profile(h, w, winv, chi, tail,
+                                        zeros(len(chi)))
+        assert np.array_equal(_bits(result), _bits(reference))
 
 
 def test_tail_closure_hard_wall_is_exactly_zero():

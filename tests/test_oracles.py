@@ -22,14 +22,16 @@ ORACLE_POINTS = 8001
 
 # g: (tolerance on eps, tolerance on E_0), both relative.  Measured with
 # scripts/oracle_agreement.py: eps within 3.1e-14 (g = 0.7), 2.3e-15 (1),
-# 5.4e-15 (3), 6.5e-13 (8), 1.3e-11 (20), 1.0e-10 (40) and 4.9e-9 (120);
-# E_0 within 3.4e-13 up to g = 40 and 1.4e-12 at 120.  Up to g = 20 the
-# gap is mostly the oracle's own h^4 error.  At 40 and 120 it falls only
-# to 2.7e-11 and 2.1e-9 on 16001/8001 oracle nodes: there the error of
-# eps_richardson itself limits it.
+# 5.4e-15 (3), 6.5e-13 (8), 1.3e-11 (20), 1.0e-10 (40), 2.1e-9 (80) and
+# 4.9e-9 (120); E_0 within 3.4e-13 up to g = 40, 1.5e-12 at 80 and
+# 1.4e-12 at 120.  Up to g = 20 the gap is mostly the oracle's own h^4
+# error.  At 40, 80 and 120 it falls only to 2.7e-11, 8.4e-10 and 2.1e-9
+# on 16001/8001 oracle nodes: there the error of eps_richardson itself
+# limits it.
 QUARTIC = {0.7: (2e-13, 1e-12), 1.0: (2e-13, 1e-12), 3.0: (2e-13, 1e-12),
            8.0: (5e-12, 1e-12), 20.0: (1e-10, 1e-12),
-           40.0: (8e-10, 1e-12), 120.0: (3e-8, 5e-12)}
+           40.0: (8e-10, 1e-12), 80.0: (1.5e-8, 5e-12),
+           120.0: (3e-8, 5e-12)}
 
 #: the couplings at which eps_2 is checked as well
 EPS2_COUPLINGS = (1.0, 3.0, 8.0)
