@@ -1,15 +1,45 @@
 /* Compiled kernels, loaded by excite_iter.kernels through ctypes: the
- * Riccati sweep of the quartic double well, the grid passes of an
- * iteration (which know nothing of the potential or of a wall) and the CSV
- * rows of the artifacts.  Each has the same contract as its counterpart in
- * excite_iter._kernels_py.  The numeric kernels perform the same
- * floating-point operations in the same order, with the same libm exp;
- * build with -ffp-contract=off so no a*b+c is fused and the output stays
+ * Riccati sweeps of the quartic double well and the box's closed-form
+ * profile, the grid passes of an iteration (which know nothing of the
+ * potential or of a wall) and the CSV rows of the artifacts.  Each has
+ * the same contract as its counterpart in excite_iter._kernels_py.  The
+ * numeric kernels perform the same floating-point operations in the same
+ * order, with the same libm exp, log, sin and tan; build with
+ * -ffp-contract=off so no a*b+c is fused and the output stays
  * bit-identical.  The CSV rows hold the same characters as Python's. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
+
+/* One classic RK4 step of the Riccati equation S'' = S'^2 - 2(V - E),
+ * V = g^2 (t^2 - 1)^2 / 2 and gg = g^2, over the signed step h from t:
+ * advances (*a, *b) = (S, S') in place. */
+static inline void rk4_step(double t, double h, double gg, double e,
+                            double *a, double *b)
+{
+    double b1 = *b;
+    double t2 = t * t - 1.0;
+    double k1a = b1;
+    double k1b = b1 * b1 - gg * t2 * t2 + 2.0 * e;
+
+    double tm = t + 0.5 * h;
+    t2 = tm * tm - 1.0;
+    double vm = gg * t2 * t2 - 2.0 * e;
+    double b2 = b1 + 0.5 * h * k1b;
+    double k2a = b2, k2b = b2 * b2 - vm;
+
+    double b3 = b1 + 0.5 * h * k2b;
+    double k3a = b3, k3b = b3 * b3 - vm;
+
+    double tp = t + h;
+    t2 = tp * tp - 1.0;
+    double b4 = b1 + h * k3b;
+    double k4a = b4, k4b = b4 * b4 - gg * t2 * t2 + 2.0 * e;
+
+    *a += h / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a);
+    *b = b1 + h / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b);
+}
 
 /* s and sp hold n + 1 doubles each.  Returns the index at which |S'|
  * exceeded limit (entries after it are NaN), or -1. */
@@ -21,27 +51,7 @@ long riccati_sweep(double x0, double h, long n, double g, double e,
     s[0] = s0;
     sp[0] = sp0;
     for (long i = 0; i < n; i++) {
-        double t = x0 + i * h;
-        double t2 = t * t - 1.0;
-        double k1a = b;
-        double k1b = b * b - gg * t2 * t2 + 2.0 * e;
-
-        double tm = t + 0.5 * h;
-        t2 = tm * tm - 1.0;
-        double vm = gg * t2 * t2 - 2.0 * e;
-        double b2 = b + 0.5 * h * k1b;
-        double k2a = b2, k2b = b2 * b2 - vm;
-
-        double b3 = b + 0.5 * h * k2b;
-        double k3a = b3, k3b = b3 * b3 - vm;
-
-        double tp = t + h;
-        t2 = tp * tp - 1.0;
-        double b4 = b + h * k3b;
-        double k4a = b4, k4b = b4 * b4 - gg * t2 * t2 + 2.0 * e;
-
-        a += h / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a);
-        b += h / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b);
+        rk4_step(x0 + i * h, h, gg, e, &a, &b);
         s[i + 1] = a;
         sp[i + 1] = b;
         if (b > limit || b < -limit) {
@@ -51,6 +61,80 @@ long riccati_sweep(double x0, double h, long n, double g, double e,
         }
     }
     return -1;
+}
+
+/* The two sweeps of a shooting solve on the n nodes x_i = i h, the last
+ * at x_max, 0 <= m < n: outward from (S, S') = (0, 0) at node 0 over m
+ * steps, and inward from (0, sp_end) at x_max over n - 1 - m steps of
+ * -h, in one loop, each step by riccati_sweep's rk4_step.  Writes the
+ * S' of each sweep at node m into ends and returns 0; returns 1, with
+ * ends NaN, as soon as a sweep's |S'| exceeds limit.  With s and sp,
+ * which then hold n doubles each, it also writes the joined profile:
+ * S from the outward sweep below node m and from the inward one, plus
+ * the offset that meets the outward S there, from node m on; S' from
+ * the outward sweep up to node m and from the inward one after it.  A
+ * blow-up fills both with NaN. */
+long shoot(double x_max, double h, long n, long m, double g, double e,
+           double sp_end, double limit, double *s, double *sp,
+           double *ends)
+{
+    double gg = g * g, a_out = 0.0, b_out = 0.0, a_in = 0.0, b_in = sp_end;
+    long n_in = n - 1 - m;
+    if (s) {
+        s[0] = sp[0] = 0.0;
+        s[n - 1] = 0.0;
+        sp[n - 1] = sp_end;
+    }
+    for (long i = 0; i < m || i < n_in; i++) {
+        if (i < m) {
+            rk4_step(0.0 + i * h, h, gg, e, &a_out, &b_out);
+            if (s) {
+                s[i + 1] = a_out;
+                sp[i + 1] = b_out;
+            }
+            if (b_out > limit || b_out < -limit)
+                goto blown;
+        }
+        if (i < n_in) {
+            rk4_step(x_max + i * -h, -h, gg, e, &a_in, &b_in);
+            if (s) {
+                s[n - 2 - i] = a_in;
+                sp[n - 2 - i] = b_in;
+            }
+            if (b_in > limit || b_in < -limit)
+                goto blown;
+        }
+    }
+    ends[0] = b_out;
+    ends[1] = b_in;
+    if (s) {
+        /* node m: both sweeps wrote it; S' is the outward one's */
+        double offset = a_out - a_in;
+        s[m] = a_in;
+        sp[m] = b_out;
+        for (long i = m; i < n; i++)
+            s[i] = s[i] + offset;
+    }
+    return 0;
+blown:
+    ends[0] = ends[1] = NAN;
+    for (long i = 0; s && i < n; i++)
+        s[i] = sp[i] = NAN;
+    return 1;
+}
+
+/* The analytic box ground state on the n nodes x_i = i h:
+ * s = -log(sin(p (1 - x_i))) and sp = p / tan(p (1 - x_i)) below the
+ * last node, and +inf on it, the wall. */
+void soluble_profile(long n, double h, double p, double *s, double *sp)
+{
+    for (long i = 0; i < n - 1; i++) {
+        double arg = p * (1.0 - i * h);
+        s[i] = -log(sin(arg));
+        sp[i] = p / tan(arg);
+    }
+    if (n > 0)
+        s[n - 1] = sp[n - 1] = INFINITY;
 }
 
 /* Every array holds n doubles, n odd and >= 3.  A reverse pass writes

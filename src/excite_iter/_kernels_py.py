@@ -3,12 +3,15 @@ kernels.py imports this module only when it is the backend, or when
 get_backend('python') asks for it.
 
 riccati_sweep integrates S'' = S'^2 - 2(V - E) for the quartic double well
-with classic RK4 at fixed step.  scaled_weights, sample_nodes, scale and
-excite_profile are the grid passes of an iteration, and weighted_simpson
-the residual's two integrals from simpson_integral.  write_csv_rows writes
-CSV rows with Python's '%.17g' % v.  Each kernel is its C loop written in
-Python: the same floating-point operations in the same order, with the
-same libm exp, writing the same characters; the backend tests compare the
+with classic RK4 at fixed step; shoot runs a shooting solve's two sweeps
+by it, one after the other where the C loop interleaves them, and joins
+them.  soluble_profile is the box's closed-form S and S'.  scaled_weights,
+sample_nodes, scale and excite_profile are the grid passes of an
+iteration, and weighted_simpson the residual's two integrals from
+simpson_integral.  write_csv_rows writes CSV rows with Python's
+'%.17g' % v.  Each kernel is its C loop written in Python: the same
+floating-point operations in the same order, with the same libm exp, log,
+sin and tan, writing the same characters; the backend tests compare the
 two bit for bit.
 """
 
@@ -91,6 +94,55 @@ def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,
             sp[i + 2:] = tail
             return s, sp, i + 1
     return s, sp, -1
+
+
+def shoot(x_max: float, h: float, n: int, m: int, g: float, e: float,
+          sp_end: float, s=None, sp=None) -> tuple[bool, float, float]:
+    """The two sweeps of a shooting solve on the n nodes x_i = i h, the
+    last at x_max, 0 <= m < n: outward from (S, S') = (0, 0) at node 0
+    over m steps, and inward from (0, sp_end) at x_max over n - 1 - m
+    steps of -h.  Returns (False, the outward S' at node m, the inward
+    one), or (True, nan, nan) when a sweep blew up.
+
+    With s and sp (see check_out) it also writes the joined profile into
+    them: S from the outward sweep below node m, and from node m on the
+    inward one shifted to meet it there; S' from the outward sweep up to
+    node m and from the inward one after it.  A blow-up fills both with
+    NaN.  Raises ValueError unless 0 <= m < n.
+    """
+    if not 0 <= m < n:
+        raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
+    if s is not None or sp is not None:
+        check_out(sp, n, (s, check_out(s, n)))
+    s_out, sp_out, node_out = riccati_sweep(0.0, h, m, g, e, 0.0, 0.0)
+    s_in, sp_in, node_in = riccati_sweep(x_max, -h, n - 1 - m, g, e,
+                                         0.0, sp_end)
+    if node_out >= 0 or node_in >= 0:
+        if s is not None:
+            s[:] = sp[:] = array("d", [math.nan]) * n
+        return True, math.nan, math.nan
+    if s is not None:
+        # the inward sweep runs x_max .. x_m: reversed, and S shifted to
+        # meet the outward one, it takes over from x_m (S) and after it (S')
+        offset = s_out[m] - s_in[-1]
+        s[:m] = s_out[:m]
+        s[m:] = array("d", [v + offset for v in reversed(s_in)])
+        sp[:m + 1] = sp_out
+        sp[m + 1:] = array("d", reversed(sp_in[:-1]))
+    return False, sp_out[m], sp_in[-1]
+
+
+def soluble_profile(h: float, p: float, s, sp) -> None:
+    """The box ground state e^{-S} = sin p(1 - x) on the len(s) nodes
+    x_i = i h, into s and sp (see check_out): S = -log(sin(p(1 - x))) and
+    S' = p / tan(p(1 - x)) below the last node, and +inf on it, the
+    wall."""
+    check_out(sp, len(s), (s, check_out(s, len(s))))
+    args = [p * (1.0 - i * h) for i in range(len(s) - 1)]
+    s[:-1] = array("d", [-math.log(math.sin(arg)) for arg in args])
+    sp[:-1] = array("d", [p / math.tan(arg) for arg in args])
+    if len(s):
+        s[-1] = sp[-1] = math.inf
 
 
 def scaled_weights(s, limit: float, w: array, winv: array) -> float:

@@ -350,11 +350,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     eps_str = ", ".join(_fmt(e) for e in summary["eps_sequence"])
-    print(f"e_gd = {_fmt(summary['e_gd'])}")
-    print(f"eps sequence: {eps_str}")
-    print(f"status = {summary['status']}, e_odd = {_fmt(summary['e_odd'])}, "
-          f"e_mean = {_fmt(summary['e_mean'])}")
-    print(_estimate_line(summary))
+    try:
+        print(f"e_gd = {_fmt(summary['e_gd'])}")
+        print(f"eps sequence: {eps_str}")
+        print(f"status = {summary['status']}, "
+              f"e_odd = {_fmt(summary['e_odd'])}, "
+              f"e_mean = {_fmt(summary['e_mean'])}")
+        print(_estimate_line(summary))
+    except BrokenPipeError:     # unbuffered stdout to a closed pipe
+        return 120
     return 0
 
 
@@ -365,9 +369,9 @@ def _cli_process():
     After main returns, every artifact is closed, so the process ends
     without the interpreter's teardown: it runs the atexit callbacks and
     flushes the standard streams, as that teardown would, and exits with
-    main's code, or with 120 when stdout cannot be flushed (a closed
-    pipe).  An exception from main, argparse's SystemExit(2) among them,
-    takes the interpreter's own exit path.
+    main's code, or with 120 when stdout cannot be flushed or main
+    could not print (a closed pipe).  An exception from main, argparse's
+    SystemExit(2) among them, takes the interpreter's own exit path.
     """
     code = main()
     # the interpreter's own order: what a callback prints is flushed too

@@ -118,14 +118,10 @@ def soluble_groundstate(delta: float, grid: Grid) -> GroundState:
     if grid.x_max != 1.0:
         raise ValueError(
             f"DeltaBox support is [0, 1]; grid extends to {grid.x_max}")
-    p = pot.p
-    args = [p * (1.0 - x) for x in grid.nodes()[:-1]]
-    s = array("d", [-math.log(math.sin(arg)) for arg in args])
-    s_prime = array("d", [p / math.tan(arg) for arg in args])
-    s.append(math.inf)
-    s_prime.append(math.inf)
-    return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=0.5 * p * p,
-                       potential=pot)
+    s, s_prime = zeros(grid.n_points), zeros(grid.n_points)
+    kernels.soluble_profile(grid.h, pot.p, s, s_prime)
+    return GroundState(grid=grid, s=s, s_prime=s_prime,
+                       e_gd=0.5 * pot.p * pot.p, potential=pot)
 
 
 def default_bracket(g: float) -> tuple[float, float]:
@@ -255,7 +251,6 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
                         "potential only")
     g = potential.g
     lo, hi = default_bracket(g)
-    sweep = kernels.riccati_sweep
     h, n, x_max = grid.h, grid.n_points, grid.x_max
 
     # fixed matching node near the outer turning point of the bracket center
@@ -268,18 +263,10 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
     x_turn = math.sqrt(1.0 + math.sqrt(2.0 * abs(e_mid)) / g)
     i_match = min(max(int(round(x_turn / h)), 4), n - 5)
 
-    def sweeps(e):
-        s_out, sp_out, node_out = sweep(0.0, h, i_match, g, e, 0.0, 0.0)
-        sp0 = _wkb_start(g, e, x_max)
-        s_in, sp_in, node_in = sweep(x_max, -h, n - 1 - i_match, g, e,
-                                     0.0, sp0)
-        return s_out, sp_out, node_out, s_in, sp_in, node_in
-
     def mismatch(e):
-        _, sp_out, node_out, _, sp_in, node_in = sweeps(e)
-        if node_out >= 0 or node_in >= 0:
-            return _BLOWN
-        return sp_out[i_match] - sp_in[-1]
+        blown, sp_out, sp_in = kernels.shoot(x_max, h, n, i_match, g, e,
+                                             _wkb_start(g, e, x_max))
+        return _BLOWN if blown else sp_out - sp_in
 
     f_lo, f_hi = mismatch(lo), mismatch(hi)
     if f_lo == _BLOWN and f_hi == _BLOWN:
@@ -301,19 +288,13 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
     e_star = _brent(mismatch, lo, hi, f_lo, f_hi,
                     xtol=_E_TOL * max(1.0, e_mid), rtol=8.9e-16)
 
-    s_out, sp_out, node_out, s_in, sp_in, node_in = sweeps(e_star)
-    if node_out >= 0 or node_in >= 0:
+    s, s_prime = zeros(n), zeros(n)
+    if kernels.shoot(x_max, h, n, i_match, g, e_star,
+                     _wkb_start(g, e_star, x_max), s, s_prime)[0]:
         raise WrongParityError(
             "converged wave function develops a node inside the domain; "
             "the bracket does not isolate the even ground state")
-
-    # the inward sweep runs x_max .. x_match: reversed, and S shifted to
-    # meet the outward one, it takes over from x_match (S) and after it (S')
-    offset = s_out[i_match] - s_in[-1]
-    s = s_out[:i_match]
-    s.extend([v + offset for v in reversed(s_in)])
-    sp_out.extend(reversed(sp_in[:-1]))
-    return GroundState(grid=grid, s=s, s_prime=sp_out, e_gd=float(e_star),
+    return GroundState(grid=grid, s=s, s_prime=s_prime, e_gd=float(e_star),
                        potential=potential)
 
 

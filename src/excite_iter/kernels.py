@@ -1,21 +1,22 @@
 """Kernel backend selection.
 
 Every kernel has a compiled and a pure-Python implementation with
-bit-identical output: the Riccati sweep of the ground-state solve; the
-grid passes of an iteration, which are the weights of a ground state
-(scaled_weights), the trial samples (sample_nodes), the profile of one
-step (excite_profile, two running Simpson integrals), its scaling
-(scale) and the residual's two Simpson integrals
-(weighted_simpson); and the CSV writer of the artifacts, which writes
-every cell as Python's '%.17g' % v.  The compiled ones are the plain C
-file ``_kernels.c``, built into the user cache,
-``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/`` when unset),
-on the first import that finds no build for this source and these flags,
-and loaded from there through ctypes.  The Python kernels are used when
-there is no build and no C compiler, the cache directory cannot be
-written or the build fails; all kernels fall back together.  Their
-module, _kernels_py, is imported only then, or when get_backend('python')
-asks for it.
+bit-identical output, but for the sign of a NaN: the ground states, which
+are the Riccati sweep, the shooting solve's two sweeps and their join
+(shoot) and the box's closed form (soluble_profile); the grid passes of
+an iteration, which are the weights of a ground state (scaled_weights),
+the trial samples (sample_nodes), the profile of one step
+(excite_profile, two running Simpson integrals), its scaling (scale) and
+the residual's two Simpson integrals (weighted_simpson); and the CSV
+writer of the artifacts, which writes every cell as Python's '%.17g' % v.
+The compiled ones are the plain C file ``_kernels.c``, built into the
+user cache, ``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/``
+when unset), on the first import that finds no build for this source and
+these flags, and loaded from there through ctypes.  The Python kernels
+are used when there is no build and no C compiler, the cache directory
+cannot be written or the build fails; all kernels fall back together.
+Their module, _kernels_py, is imported only then, or when
+get_backend('python') asks for it.
 
 Grid arrays are array('d'), or rows of one: writable memoryviews of an
 array('d').  A kernel reads those in place (in_place) and converts any
@@ -209,6 +210,8 @@ def _load():
     signatures = {                  # result and argument types
         "riccati_sweep": (long, [double] * 2 + [long] + [double] * 5
                           + [ptr] * 2),
+        "shoot": (long, [double] * 2 + [long] * 2 + [double] * 4 + [ptr] * 3),
+        "soluble_profile": (None, [long, double, double, ptr, ptr]),
         "scaled_weights": (double, [long, ptr, double, ptr, ptr]),
         "sample_nodes": (None, [long, double, double, ctypes.c_int, ptr]),
         "scale": (None, [long, double, ptr]),
@@ -233,6 +236,23 @@ def _load():
                                  sp_init, BLOWUP_LIMIT,
                                  s.buffer_info()[0], sp.buffer_info()[0])
         return s, sp, node
+
+    def shoot(x_max, h, n, m, g, e, sp_end, s=None, sp=None):
+        if not 0 <= m < n:
+            raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
+        s_at = sp_at = None
+        if s is not None or sp is not None:
+            s_at = check_out(s, n)
+            sp_at = check_out(sp, n, (s, s_at))
+        ends = zeros(2)
+        blown = lib.shoot(x_max, h, n, m, g, e, sp_end, BLOWUP_LIMIT, s_at,
+                          sp_at, ends.buffer_info()[0])
+        return blown == 1, ends[0], ends[1]
+
+    def soluble_profile(h, p, s, sp):
+        s_at = check_out(s, len(s))
+        lib.soluble_profile(len(s), h, p, s_at,
+                            check_out(sp, len(s), (s, s_at)))
 
     def scaled_weights(s, limit, w, winv):
         s, s_at = in_place(s)
@@ -288,7 +308,8 @@ def _load():
                 f.write(view[:used])
 
     kernels = SimpleNamespace(
-        riccati_sweep=riccati_sweep, scaled_weights=scaled_weights,
+        riccati_sweep=riccati_sweep, shoot=shoot,
+        soluble_profile=soluble_profile, scaled_weights=scaled_weights,
         sample_nodes=sample_nodes, scale=scale,
         weighted_simpson=weighted_simpson, excite_profile=excite_profile,
         write_csv_rows=write_csv_rows)
@@ -307,6 +328,8 @@ if _compiled is None:
 else:
     _active = _compiled
 riccati_sweep = _active.riccati_sweep
+shoot = _active.shoot
+soluble_profile = _active.soluble_profile
 scaled_weights = _active.scaled_weights
 sample_nodes = _active.sample_nodes
 scale = _active.scale

@@ -726,6 +726,21 @@ class TestProcessEntry:
         assert proc.returncode == 120
         assert proc.stderr == b""
 
+    def test_unbuffered_stdout_to_a_closed_pipe_exits_120(self, tmp_path):
+        """As `excite-iter soluble ... | head -3` once head has exited:
+        with PYTHONUNBUFFERED=1 main's own print meets the closed pipe."""
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self.spawn(["-m", "excite_iter.cli", *SOLUBLE,
+                               "--out", str(tmp_path)], stdout=w,
+                              stderr=subprocess.PIPE, capture_output=False,
+                              env=self.env(PYTHONUNBUFFERED="1"))
+        finally:
+            os.close(w)
+        assert proc.returncode == 120
+        assert proc.stderr == b""
+
     def test_imports_load_no_numpy_and_set_no_environment(self):
         code = ("import os, sys\n"
                 "import excite_iter\n"

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import io
 import json
@@ -206,16 +207,16 @@ def test_brent_raises_when_it_does_not_converge():
 
 
 def _count_sweeps(monkeypatch, root_finder):
-    """Riccati sweeps of one quartic g=3 solve with the given root finder,
-    and the ground-state energy it found."""
+    """Sweep pairs (kernels.shoot calls) of one quartic g=3 solve with the
+    given root finder, and the ground-state energy it found."""
     count = [0]
-    sweep = kernels.riccati_sweep
+    shoot = kernels.shoot
 
     def counted(*args):
         count[0] += 1
-        return sweep(*args)
+        return shoot(*args)
 
-    monkeypatch.setattr(kernels, "riccati_sweep", counted)
+    monkeypatch.setattr(kernels, "shoot", counted)
     monkeypatch.setattr(groundstate, "_brent", root_finder)
     e_gd = solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 2001)).e_gd
     monkeypatch.undo()
@@ -227,7 +228,7 @@ def test_known_bracket_ends_save_two_sweep_pairs(monkeypatch):
     # finder, so neither end is integrated again
     before, e_before = _count_sweeps(monkeypatch, _scipy_brent)
     after, e_after = _count_sweeps(monkeypatch, groundstate._brent)
-    assert after == before - 4
+    assert after == before - 2
     assert e_after == e_before
 
 
@@ -348,8 +349,8 @@ def test_backends_agree_exactly(monkeypatch):
     grid = Grid(4.0, 2001)
     solved = []
     for name in ("python", "cython"):
-        monkeypatch.setattr(kernels, "riccati_sweep",
-                            kernels.get_backend(name).riccati_sweep)
+        monkeypatch.setattr(kernels, "shoot",
+                            kernels.get_backend(name).shoot)
         solved.append(solve_groundstate_numeric(Quartic(3.0), grid))
     a, b = solved
     assert a.e_gd == b.e_gd
@@ -369,6 +370,95 @@ def test_backends_agree_exactly(monkeypatch):
             assert not np.isnan(sp_c[:node_c + 1]).any()
         nodes.append(node_c)
     assert nodes == [783, 302, -1, -1, 131, -1]
+
+
+# (n, m, e, sp_end) of shoot at g=3, x_max=4: a sweep blows up, the
+# inward sweep is the shorter one, or both stay regular; a sweep of no
+# step leaves node m to the other
+_SHOTS = {"outward-blow-up": (2001, 1500, 2.7, 3.0),
+          "inward-blow-up": (16001, 4, 0.3, -50.0),
+          "inward-shorter": (2001, 1996, 2.48, 3.0),
+          "regular": (2001, 650, 2.48, 3.0),
+          "no-outward-step": (2001, 0, 2.48, 3.0),
+          "no-inward-step": (2001, 2000, 2.48, 3.0)}
+
+
+@pytest.mark.skipif(not _can_build_kernel(), reason="no C compiler")
+@pytest.mark.parametrize("case", _SHOTS)
+def test_backends_agree_on_shoot(case):
+    """Bit for bit, with and without the profile: the returned blow-up
+    flag and S' ends, and S and S', all NaN after a blow-up."""
+    n, m, e, sp_end = _SHOTS[case]
+    ends, profiles = set(), set()
+    for name in ("python", "cython"):
+        shoot = kernels.get_backend(name).shoot
+        s, sp = kernels.zeros(n), kernels.zeros(n)
+        for out in ((), (s, sp)):
+            got = shoot(4.0, 4.0 / (n - 1), n, m, 3.0, e, sp_end, *out)
+            ends.add(array("d", got).tobytes())
+        profiles.add(s.tobytes() + sp.tobytes())
+        assert np.isnan(s).all() == np.isnan(sp).all() == got[0] \
+            == case.endswith("blow-up")
+    assert len(ends) == len(profiles) == 1
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+@pytest.mark.parametrize("m", [-1, 5])
+def test_shoot_rejects_a_match_node_off_the_grid(backend, m):
+    try:
+        shoot = kernels.get_backend(backend).shoot
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    with pytest.raises(ValueError, match="need 0 <= m < n"):
+        shoot(4.0, 1.0, 5, m, 3.0, 2.5, 3.0)
+
+
+# sha256 of e_gd.hex(), then the bytes of S and of S', of the ground
+# states that the parent of the shooting kernel built: every byte is kept
+_PINNED_GROUNDSTATES = {
+    ("quartic", 0.7, 2001):
+        "a201e4e019779f22d78c78ccb074514f076e32924305203ff19d6885ce2d7434",
+    ("quartic", 0.7, 4001):
+        "d6a280ab88b9912f2f34b44e02a1db2a27f1501f3ac0a6a0edd748d4d528bdbf",
+    ("quartic", 3.0, 2001):
+        "03fcddfe1fb2da7b1f1cc49e6578d2e6a4c3da6fa7482cb4530307d2aa7c0709",
+    ("quartic", 3.0, 4001):
+        "84841c4c2adae1620f1b43e974360d2bc05b4851735949069a1cc8569b9993ab",
+    ("quartic", 8.0, 2001):
+        "0b0f72153fea95b9afe73d55d43e6e490bb99c8052a9f04a197f4cddb9bd0e4d",
+    ("quartic", 8.0, 4001):
+        "917045aecc41a1714fcfe19568a3d8c988a48d4653be2ed71210532abc72f4cd",
+    ("quartic", 12.0, 2001):
+        "e7bafd4f672108a3e632e13c77dd8237b247dfe5809473abab74f7457740f413",
+    ("quartic", 12.0, 4001):
+        "d73d3aa848eb304ea2dd28a2772d871abc434ad5630b5b7a9bdc9383cd069f66",
+    ("soluble", 0.05, 4001):
+        "5afb9cec638ac7e31647109e4318b400fd23b0dc59a9e9a3126bdce5c95c6a16",
+    ("soluble", 0.1, 4001):
+        "b810f9c09be35cdb6be1c53ec247ecc2b25bf34121148d643e6630453e71ce1c",
+    ("soluble", 1.5, 4001):
+        "6e57aa7b588b1de745ea5f4d89fa0ed90205c33028bde3bfd570ef682d13541a",
+}
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_groundstate_bytes_are_pinned(monkeypatch, backend):
+    try:
+        chosen = kernels.get_backend(backend)
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    monkeypatch.setattr(kernels, "shoot", chosen.shoot)
+    monkeypatch.setattr(kernels, "soluble_profile", chosen.soluble_profile)
+    digests = {}
+    for case, param, n in _PINNED_GROUNDSTATES:
+        gs = (soluble_groundstate(param, Grid(1.0, n)) if case == "soluble"
+              else solve_groundstate_numeric(
+                  Quartic(param), Grid(default_x_max(param), n)))
+        digest = hashlib.sha256(gs.e_gd.hex().encode())
+        digest.update(gs.s.tobytes())
+        digest.update(gs.s_prime.tobytes())
+        digests[case, param, n] = digest.hexdigest()
+    assert digests == _PINNED_GROUNDSTATES
 
 
 @pytest.mark.parametrize("backend", ["python", "cython"])
