@@ -137,47 +137,96 @@ void soluble_profile(long n, double h, double p, double *s, double *sp)
         s[n - 1] = sp[n - 1] = INFINITY;
 }
 
-/* Every array holds n doubles, n odd and >= 3.  A reverse pass writes
- * I + tail into chihat, I being the running integral of w * chi from each
- * node to the last; a forward pass overwrites it with twice the running
- * integral of winv * (I + tail) from node 0.  The forward pass keeps y0 in
- * a register and reads chihat[i + 1] and chihat[i + 2] before it writes
- * them, so each I is read before it is overwritten.  Both running
- * integrals are cumulative_simpson's: panel pairs (4 y1 + y0 + y2) * h/3
- * summed in order from the first pair (not from 0.0), and odd offsets
- * ((5 y0 + 8 y1) - y2) * h/12 plus the even offset before them. */
-void excite_profile(long n, double h, const double *w, const double *winv,
-                    const double *chi, double tail, double *chihat)
+/* The reverse pass of a step over n doubles, n odd and >= 3: writes
+ * I + tail into out, I being the running integral of w * chi from each
+ * node to the last, by cumulative_simpson's rule: panel pairs
+ * (4 y1 + y0 + y2) * h/3 summed in order from the first pair (not from
+ * 0.0), and odd offsets ((5 y0 + 8 y1) - y2) * h/12 plus the even offset
+ * before them. */
+static inline void inner_pass(long n, double h, const double *w,
+                              const double *chi, double tail, double *out)
 {
     const double h3 = h / 3.0, h12 = h / 12.0;
     double y0, y1, y2, even = 0.0;
 
     y0 = w[n - 1] * chi[n - 1];
-    chihat[n - 1] = 0.0 + tail;
+    out[n - 1] = 0.0 + tail;
     for (long i = n - 1; i > 0; i -= 2) {
         y1 = w[i - 1] * chi[i - 1];
         y2 = w[i - 2] * chi[i - 2];
         double odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even;
         double pair = (4.0 * y1 + y0 + y2) * h3;
         even = i == n - 1 ? pair : even + pair;
-        chihat[i - 1] = odd + tail;
-        chihat[i - 2] = even + tail;
+        out[i - 1] = odd + tail;
+        out[i - 2] = even + tail;
         y0 = y2;
     }
+}
 
-    even = 0.0;
+/* The node pairs i + 1, i + 2 for i = first, first + 2, ... below last
+ * of the forward pass, which overwrites the I + tail in out with twice
+ * the running integral of winv * (I + tail) from node 0, by inner_pass's
+ * rule, times factor.  *y0 holds winv * (I + tail) at node i and *even
+ * the even offset there, from one call to the next; it reads out[i + 1]
+ * and out[i + 2] before it writes them, so each I is read before it is
+ * overwritten. */
+static inline void outer_pairs(long first, long last, double h,
+                               const double *winv, double factor,
+                               double *y0, double *even, double *out)
+{
+    const double h3 = h / 3.0, h12 = h / 12.0;
+    for (long i = first; i < last; i += 2) {
+        double y1 = winv[i + 1] * out[i + 1];
+        double y2 = winv[i + 2] * out[i + 2];
+        double odd = ((5.0 * *y0 + 8.0 * y1) - y2) * h12 + *even;
+        double pair = (4.0 * y1 + *y0 + y2) * h3;
+        *even = i == 0 ? pair : *even + pair;
+        out[i + 1] = odd * 2.0 * factor;
+        out[i + 2] = *even * 2.0 * factor;
+        *y0 = y2;
+    }
+}
+
+/* Every array holds n doubles, n odd and >= 3.  The reverse pass writes
+ * I + tail into chihat, and the forward pass overwrites it with the
+ * profile: twice the running integral of winv * (I + tail) from node 0
+ * (a factor of 1.0 changes no bit). */
+void excite_profile(long n, double h, const double *w, const double *winv,
+                    const double *chi, double tail, double *chihat)
+{
+    double y0, even = 0.0;
+    inner_pass(n, h, w, chi, tail, chihat);
     y0 = winv[0] * chihat[0];
     chihat[0] = 0.0;
-    for (long i = 0; i < n - 1; i += 2) {
-        y1 = winv[i + 1] * chihat[i + 1];
-        y2 = winv[i + 2] * chihat[i + 2];
-        double odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even;
-        double pair = (4.0 * y1 + y0 + y2) * h3;
-        even = i == 0 ? pair : even + pair;
-        chihat[i + 1] = odd * 2.0;
-        chihat[i + 2] = even * 2.0;
-        y0 = y2;
-    }
+    outer_pairs(0, n - 1, h, winv, 1.0, &y0, &even, chihat);
+}
+
+/* One iteration step: excite_profile's two passes into out, split by the
+ * rule out[i0] = chi[i0], 0 <= i0 < n.  The forward pass runs unscaled
+ * up to node i0 rounded up to even, where eps = chi[i0] / chihat[i0] is
+ * known, and on from there times eps; a last pass scales the nodes up to
+ * that one, and out[i0] = chi[i0].  Each node but i0 is the profile's
+ * value times eps, as excite_profile then scale give it.  Returns the
+ * unscaled chihat[i0]: when it is 0 (of either sign), no eps exists and
+ * out holds the unscaled profile. */
+double excite_step(long n, double h, const double *w, const double *winv,
+                   const double *chi, double tail, long i0, double *out)
+{
+    double y0, even = 0.0, pinned = chi[i0], at, eps;
+    long split = i0 + i0 % 2;
+    inner_pass(n, h, w, chi, tail, out);
+    y0 = winv[0] * out[0];
+    out[0] = 0.0;
+    outer_pairs(0, split, h, winv, 1.0, &y0, &even, out);
+    at = out[i0];
+    eps = at == 0.0 ? 1.0 : pinned / at;
+    outer_pairs(split, n - 1, h, winv, eps, &y0, &even, out);
+    if (at == 0.0)
+        return at;
+    for (long i = 0; i <= split; i++)
+        out[i] *= eps;
+    out[i0] = pinned;
+    return at;
 }
 
 /* w[i] = e^{u - u_ref} with u = -2 s[i] where u is finite, else 0, and

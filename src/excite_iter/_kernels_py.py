@@ -7,9 +7,10 @@ with classic RK4 at fixed step; shoot runs a shooting solve's two sweeps
 by it, one after the other where the C loop interleaves them, and joins
 them.  soluble_profile is the box's closed-form S and S'.  scaled_weights,
 sample_nodes, scale and excite_profile are the grid passes of an
-iteration, and weighted_simpson the residual's two integrals from
-simpson_integral.  write_csv_rows writes CSV rows with Python's
-'%.17g' % v.  Each kernel is its C loop written in Python: the same
+iteration; excite_step is a step's profile and split in one call, by
+excite_profile's two passes; and weighted_simpson is the residual's two
+integrals from simpson_integral.  write_csv_rows writes CSV rows with
+Python's '%.17g' % v.  Each kernel is its C loop written in Python: the same
 floating-point operations in the same order, with the same libm exp, log,
 sin and tan, writing the same characters; the backend tests compare the
 two bit for bit.
@@ -22,7 +23,7 @@ from array import array
 from itertools import islice
 
 from .kernels import (BLOWUP_LIMIT, CSV_CHUNK_ROWS, as_doubles, check_out,
-                      in_place, odd_columns, zeros)
+                      in_place, odd_columns, step_inputs, zeros)
 
 
 def simpson_integral(values, h: float) -> float:
@@ -198,6 +199,45 @@ def weighted_simpson(h: float, w, chi) -> tuple[float, float]:
             simpson_integral(array("d", map(abs, y)), h))
 
 
+def _inner_pass(h: float, w, chi, tail: float, out) -> None:
+    """The reverse pass of _kernels.c's inner_pass: I + tail into out, I
+    being the running integral of w chi from each node to the last."""
+    n = len(chi)
+    h3, h12 = h / 3.0, h / 12.0
+    even = 0.0
+    y0 = w[n - 1] * chi[n - 1]
+    out[n - 1] = 0.0 + tail
+    for i in range(n - 1, 0, -2):
+        y1 = w[i - 1] * chi[i - 1]
+        y2 = w[i - 2] * chi[i - 2]
+        odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even
+        pair = (4.0 * y1 + y0 + y2) * h3
+        even = pair if i == n - 1 else even + pair
+        out[i - 1] = odd + tail
+        out[i - 2] = even + tail
+        y0 = y2
+
+
+def _outer_pairs(first: int, last: int, h: float, winv, factor: float,
+                 y0: float, even: float, out) -> tuple[float, float]:
+    """The pairs of nodes i + 1, i + 2 for i = first, first + 2, ...
+    below last of the forward pass (_kernels.c's outer_pairs): each
+    I + tail in out is read, then overwritten with twice the running
+    integral of winv (I + tail) from node 0, times factor.  Returns the
+    (y0, even) that the next pair starts from."""
+    h3, h12 = h / 3.0, h / 12.0
+    for i in range(first, last, 2):
+        y1 = winv[i + 1] * out[i + 1]
+        y2 = winv[i + 2] * out[i + 2]
+        odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even
+        pair = (4.0 * y1 + y0 + y2) * h3
+        even = pair if i == 0 else even + pair
+        out[i + 1] = odd * 2.0 * factor
+        out[i + 2] = even * 2.0 * factor
+        y0 = y2
+    return y0, even
+
+
 def excite_profile(h: float, w, winv, chi_prev, tail: float,
                    out: array) -> array:
     """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
@@ -218,34 +258,46 @@ def excite_profile(h: float, w, winv, chi_prev, tail: float,
     inputs = odd_columns(n, w, winv, chi_prev)
     check_out(out, n, *inputs)
     (w, _), (winv, _), (chi, _) = inputs
-    h3, h12 = h / 3.0, h / 12.0
-
-    even = 0.0
-    y0 = w[n - 1] * chi[n - 1]
-    out[n - 1] = 0.0 + tail
-    for i in range(n - 1, 0, -2):
-        y1 = w[i - 1] * chi[i - 1]
-        y2 = w[i - 2] * chi[i - 2]
-        odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even
-        pair = (4.0 * y1 + y0 + y2) * h3
-        even = pair if i == n - 1 else even + pair
-        out[i - 1] = odd + tail
-        out[i - 2] = even + tail
-        y0 = y2
-
-    even = 0.0
+    _inner_pass(h, w, chi, tail, out)
     y0 = winv[0] * out[0]
     out[0] = 0.0
-    for i in range(0, n - 1, 2):
-        y1 = winv[i + 1] * out[i + 1]
-        y2 = winv[i + 2] * out[i + 2]
-        odd = ((5.0 * y0 + 8.0 * y1) - y2) * h12 + even
-        pair = (4.0 * y1 + y0 + y2) * h3
-        even = pair if i == 0 else even + pair
-        out[i + 1] = odd * 2.0
-        out[i + 2] = even * 2.0
-        y0 = y2
+    _outer_pairs(0, n - 1, h, winv, 1.0, y0, 0.0, out)
     return out
+
+
+def excite_step(h: float, weights, chi_prev, tail: float, i0: int,
+                out) -> float:
+    """One iteration step: excite_profile(h, w, winv, chi_prev, tail,
+    out) split by the rule out[i0] = chi_prev[i0], with weights the
+    (w, address), (winv, address) pairs that in_place gives.  Returns the
+    unscaled chihat[i0]; every other node is chihat times
+    eps = chi_prev[i0] / chihat[i0], as scale gives it.  When chihat[i0]
+    is 0, no eps exists and out holds the unscaled chihat.  Raises
+    ValueError as step_inputs and check_out do.
+
+    _kernels.c's loops: the forward pass runs unscaled up to node i0
+    rounded up to even, and on from there times eps; then the nodes up
+    to that one are scaled and node i0 is pinned.
+    """
+    n = len(chi_prev)
+    inputs = step_inputs(weights, chi_prev, i0)
+    check_out(out, n, *inputs)
+    (chi, _), (w, _), (winv, _) = inputs
+    pinned = chi[i0]
+    split = i0 + i0 % 2
+    _inner_pass(h, w, chi, tail, out)
+    y0 = winv[0] * out[0]
+    out[0] = 0.0
+    y0, even = _outer_pairs(0, split, h, winv, 1.0, y0, 0.0, out)
+    at = out[i0]
+    eps = 1.0 if at == 0.0 else pinned / at
+    _outer_pairs(split, n - 1, h, winv, eps, y0, even, out)
+    if at == 0.0:
+        return at
+    for i in range(split + 1):
+        out[i] *= eps
+    out[i0] = pinned
+    return at
 
 
 def write_csv_rows(f, columns) -> None:

@@ -341,25 +341,30 @@ def main(argv=None) -> int:
     try:
         if args.command == "compare":
             text, ok = references.compare_report(args.summary, args.ref)
-            print(text)
-            return 0 if ok else 1
-        options = vars(args)
-        config = RunConfig(case=options.pop("command"), **options)
-        summary = run_case(config)
+            code = 0 if ok else 1
+        else:
+            options = vars(args)
+            config = RunConfig(case=options.pop("command"), **options)
+            text, code = _run_report(run_case(config)), 0
     except (ExciteIterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    eps_str = ", ".join(_fmt(e) for e in summary["eps_sequence"])
     try:
-        print(f"e_gd = {_fmt(summary['e_gd'])}")
-        print(f"eps sequence: {eps_str}")
-        print(f"status = {summary['status']}, "
-              f"e_odd = {_fmt(summary['e_odd'])}, "
-              f"e_mean = {_fmt(summary['e_mean'])}")
-        print(_estimate_line(summary))
+        print(text)
     except BrokenPipeError:     # unbuffered stdout to a closed pipe
         return 120
-    return 0
+    return code
+
+
+def _run_report(summary) -> str:
+    """The four lines a run prints, without the last newline."""
+    eps_str = ", ".join(_fmt(e) for e in summary["eps_sequence"])
+    return "\n".join((
+        f"e_gd = {_fmt(summary['e_gd'])}",
+        f"eps sequence: {eps_str}",
+        f"status = {summary['status']}, e_odd = {_fmt(summary['e_odd'])}, "
+        f"e_mean = {_fmt(summary['e_mean'])}",
+        _estimate_line(summary)))
 
 
 def _cli_process():

@@ -133,40 +133,33 @@ class ConvergenceReport:
         return self.e_gd + 0.5 * self.eps
 
 
-def _unnormalized_profile(gs: GroundState, chi_prev, out=None):
-    """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
-    winv * (e^{-u_ref} I), by the active kernel backend, with the weights
-    w and winv that gs.scaled_weight holds from its construction.
-
-    The tail beyond x_max is closed with the first-order Watson estimate
-    chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).  chihat goes
-    into out when given, under the contract of kernels.check_out, else
-    into a new array('d').
-    """
-    if out is None:
-        out = zeros(gs.grid.n_points)
-    w, _, winv = gs.scaled_weight
-    tail = w[-1] * chi_prev[-1] / (2.0 * gs.s_prime[-1])
-    return kernels.excite_profile(gs.grid.h, w, winv, chi_prev, tail, out)
-
-
 def iterate_once(gs: GroundState, prev: IterationState, anchor_x0: float,
                  out=None) -> IterationState:
     """One step of the map, split by the rule chi_n(x0) = chi_{n-1}(x0).
 
-    The returned chi is out when given (see _unnormalized_profile), else
-    a new array('d').  Given out, a step allocates nothing of grid size.
+    chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy, the outer integrand being
+    winv * (e^{-u_ref} I), with the weights w and winv that
+    gs.scaled_weight holds from its construction, is scaled by
+    eps = chi_{n-1}(x0) / chihat(x0) in the same kernel call.  The tail
+    beyond x_max is closed with the first-order Watson estimate
+    chi/(2S') * w: +-0 at a hard wall (w = 0, S' = +inf).
+
+    The returned chi is out when given, under the contract of
+    kernels.check_out, else a new array('d').  Given out, a step
+    allocates nothing of grid size.
     """
     i0 = gs.grid.index_of(anchor_x0)
-    pinned = prev.chi[i0]
-    chi = _unnormalized_profile(gs, prev.chi, out)
-    if chi[i0] == 0.0:
+    if out is None:
+        out = zeros(gs.grid.n_points)
+    chi_prev = prev.chi
+    tail = gs.scaled_weight[0][-1] * chi_prev[-1] / (2.0 * gs.s_prime[-1])
+    at = kernels.excite_step(gs.grid.h, gs.step_weights, chi_prev, tail, i0,
+                             out)
+    if at == 0.0:
         raise DegenerateAnchorError(
             f"unnormalized iterate vanishes at the anchor x0={anchor_x0}")
-    eps = pinned / chi[i0]
-    kernels.scale(chi, eps)
-    chi[i0] = pinned               # eq. fixed-point rule, exact by definition
-    return IterationState(chi=chi, eps=float(eps))
+    # the eps the kernel scaled by: chi_n(x0) = chi_{n-1}(x0) exactly
+    return IterationState(chi=out, eps=float(chi_prev[i0]) / at)
 
 
 def orthogonality_residual(gs: GroundState, chi) -> float:

@@ -14,7 +14,7 @@ from array import array
 
 from . import kernels
 from .errors import NoEigenvalueError, WrongParityError
-from .kernels import as_doubles, zeros
+from .kernels import as_doubles, in_place, zeros
 from .potential import DeltaBox, Potential, Quartic
 
 #: mismatch value reported when a sweep blows up (wave-function node)
@@ -81,7 +81,9 @@ class GroundState:
     is computed then too, as the read-only (w, u_ref, winv): w =
     e^{-2S - u_ref} at the nodes, with u_ref = max(-2S) over the finite
     samples so every sample is representable, zero where -2S is not
-    finite; and the outer weight winv = e^{2S + u_ref}.
+    finite; and the outer weight winv = e^{2S + u_ref}.  step_weights
+    holds w and winv with their addresses, as kernels.in_place gives
+    them, for kernels.excite_step.
 
     winv is 0 where 2S + u_ref is not finite (the hard wall) or exceeds
     OVERFLOW_EXPONENT.  Such nodes lie far in the tail, where I carries
@@ -91,7 +93,7 @@ class GroundState:
     """
 
     __slots__ = ("grid", "s", "s_prime", "e_gd", "potential",
-                 "scaled_weight")
+                 "scaled_weight", "step_weights")
 
     def __init__(self, grid: Grid, s, s_prime, e_gd: float,
                  potential: Potential):
@@ -106,6 +108,8 @@ class GroundState:
             raise ValueError("S has no finite sample")
         self.scaled_weight = (memoryview(w).toreadonly(), u_ref,
                               memoryview(winv).toreadonly())
+        self.step_weights = (in_place(self.scaled_weight[0]),
+                             in_place(self.scaled_weight[2]))
 
 
 def soluble_groundstate(delta: float, grid: Grid) -> GroundState:

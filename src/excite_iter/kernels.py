@@ -6,9 +6,11 @@ are the Riccati sweep, the shooting solve's two sweeps and their join
 (shoot) and the box's closed form (soluble_profile); the grid passes of
 an iteration, which are the weights of a ground state (scaled_weights),
 the trial samples (sample_nodes), the profile of one step
-(excite_profile, two running Simpson integrals), its scaling (scale) and
-the residual's two Simpson integrals (weighted_simpson); and the CSV
-writer of the artifacts, which writes every cell as Python's '%.17g' % v.
+(excite_profile, two running Simpson integrals), a scaling (scale), one
+whole step, the profile split by the rule chi_n(x0) = chi_{n-1}(x0)
+(excite_step), and the residual's two Simpson integrals
+(weighted_simpson); and the CSV writer of the artifacts, which writes
+every cell as Python's '%.17g' % v.
 The compiled ones are the plain C file ``_kernels.c``, built into the
 user cache, ``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/``
 when unset), on the first import that finds no build for this source and
@@ -23,9 +25,11 @@ array('d').  A kernel reads those in place (in_place) and converts any
 other 1-D sequence of reals first; it writes only into an array('d') or a
 writable view (check_out).  These array helpers are defined here, for
 both backends and their callers.  The ctypes wrappers pass the addresses
-in_place gives.  The wrapper of the compiled CSV writer formats
-CSV_CHUNK_ROWS rows at a time into one buffer, CSV_CELL_BYTES a cell, and
-writes each chunk before it formats the next.
+in_place gives; excite_step takes a ground state's weights with the
+addresses that in_place gave them once (step_inputs).  The wrapper of the
+compiled CSV writer formats CSV_CHUNK_ROWS rows at a time into one
+buffer, CSV_CELL_BYTES a cell, and writes each chunk before it formats
+the next.
 
 ``BACKEND`` names the active backend and ``BACKEND_REASON`` says why.
 """
@@ -139,6 +143,23 @@ def odd_columns(n: int, *columns) -> list:
     return columns
 
 
+def step_inputs(weights, chi_prev, i0: int) -> tuple:
+    """The (values, address) pairs of a step's inputs: chi_prev as
+    in_place gives it, then weights, the (w, address), (winv, address)
+    pairs that in_place gave once for a ground state.  Each must hold
+    n = len(chi_prev) doubles, n odd and >= 3, and i0 must lie in
+    [0, n); raises ValueError otherwise."""
+    n = len(chi_prev)
+    if n < 3 or n % 2 == 0:
+        raise ValueError("need an odd number of nodes, at least 3")
+    (w, _), (winv, _) = weights
+    if len(w) != n or len(winv) != n:
+        raise ValueError(f"arrays must hold {n} doubles each")
+    if not 0 <= i0 < n:
+        raise ValueError(f"need 0 <= i0 < n, got i0={i0}, n={n}")
+    return (in_place(chi_prev), *weights)
+
+
 def _cache_dir() -> str:
     """Directory that holds the compiled kernel builds."""
     base = (os.environ.get("XDG_CACHE_HOME")
@@ -218,6 +239,8 @@ def _load():
         "weighted_simpson": (None, [long, double, ptr, ptr, ptr]),
         "excite_profile": (None, [long, double, ptr, ptr, ptr, double,
                                   ptr]),
+        "excite_step": (double, [long, double, ptr, ptr, ptr, double, long,
+                                 ptr]),
         "format_csv_rows": (long, [long, ptr, long, long, ptr, long]),
     }
     try:
@@ -286,6 +309,16 @@ def _load():
         lib.excite_profile(n, h, w_at, winv_at, chi_at, tail, out_at)
         return out
 
+    def excite_step(h, weights, chi_prev, tail, i0, out):
+        """The weights' addresses come resolved: only chi_prev and out
+        are looked up."""
+        n = len(chi_prev)
+        inputs = step_inputs(weights, chi_prev, i0)
+        out_at = check_out(out, n, *inputs)
+        (_, chi_at), (_, w_at), (_, winv_at) = inputs
+        return lib.excite_step(n, h, w_at, winv_at, chi_at, tail, i0,
+                               out_at)
+
     def write_csv_rows(f, columns):
         """The rows of a chunk go through one buffer, reused for every
         chunk."""
@@ -312,7 +345,7 @@ def _load():
         soluble_profile=soluble_profile, scaled_weights=scaled_weights,
         sample_nodes=sample_nodes, scale=scale,
         weighted_simpson=weighted_simpson, excite_profile=excite_profile,
-        write_csv_rows=write_csv_rows)
+        excite_step=excite_step, write_csv_rows=write_csv_rows)
     return kernels, f"built from {_SOURCE_NAME}, loaded from {path}"
 
 
@@ -335,6 +368,7 @@ sample_nodes = _active.sample_nodes
 scale = _active.scale
 weighted_simpson = _active.weighted_simpson
 excite_profile = _active.excite_profile
+excite_step = _active.excite_step
 write_csv_rows = _active.write_csv_rows
 
 

@@ -741,6 +741,24 @@ class TestProcessEntry:
         assert proc.returncode == 120
         assert proc.stderr == b""
 
+    def test_compare_to_a_closed_pipe_exits_120(self, tmp_path):
+        """As `excite-iter compare ... | head -1` once head has exited:
+        the report's print meets the closed pipe, which is no error of
+        the comparison."""
+        assert run_cli(SOLUBLE + ["--out", str(tmp_path)]) == 0
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self.spawn(["-m", "excite_iter.cli", "compare",
+                               "--summary", str(tmp_path / "summary.json"),
+                               "--ref", "eq_3_17"], stdout=w,
+                              stderr=subprocess.PIPE, capture_output=False,
+                              env=self.env(PYTHONUNBUFFERED="1"))
+        finally:
+            os.close(w)
+        assert proc.returncode == 120
+        assert proc.stderr == b""
+
     def test_imports_load_no_numpy_and_set_no_environment(self):
         code = ("import os, sys\n"
                 "import excite_iter\n"

@@ -1,5 +1,6 @@
 """Tests for the excitation-energy iteration engine."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -17,7 +18,6 @@ from excite_iter.excite import (
     BLOCK_ROWS,
     IterationState,
     TrialFunction,
-    _unnormalized_profile,
     iterate_once,
     orthogonality_residual,
     run,
@@ -28,7 +28,8 @@ from excite_iter.groundstate import (OVERFLOW_EXPONENT, Grid, GroundState,
 from excite_iter._kernels_py import simpson_integral, zeros
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
-from quadrature import backends, reference_cumulative
+from quadrature import (backends, reference_cumulative, reference_step,
+                        unnormalized_profile, watson_tail)
 from wells import harmonic
 
 # 30-digit quadrature of int_x^1 sin(p(1-z))^2 * z dz at delta = 0.1,
@@ -280,13 +281,13 @@ class TestRun:
 
 
 @pytest.fixture(params=["python", "cython"])
-def profile_backend(request, monkeypatch):
-    """Makes the iteration use the named backend's profile kernel."""
+def step_backend(request, monkeypatch):
+    """Makes the iteration use the named backend's step kernel."""
     try:
-        profile = kernels.get_backend(request.param).excite_profile
+        step = kernels.get_backend(request.param).excite_step
     except ImportError as exc:
         pytest.skip(str(exc))
-    monkeypatch.setattr(kernels, "excite_profile", profile)
+    monkeypatch.setattr(kernels, "excite_step", step)
     return request.param
 
 
@@ -318,10 +319,10 @@ def test_profile_backends_agree_bit_for_bit(case):
         for backend in (kernels.get_backend("python"), compiled):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "excite_profile", backend.excite_profile)
-                chihat = _unnormalized_profile(gs, chi)
+                chihat = unnormalized_profile(gs, chi)
                 # an array filled with NaN, as a reused out may be
                 out = array("d", [math.nan]) * n
-                assert _unnormalized_profile(gs, chi, out=out) is out
+                assert unnormalized_profile(gs, chi, out=out) is out
             assert out.tobytes() == chihat.tobytes()
             results.append(chihat.tobytes())
             assert np.isfinite(chihat).all()
@@ -330,6 +331,138 @@ def test_profile_backends_agree_bit_for_bit(case):
         assert (np.asarray(gs.scaled_weight[2]) == 0.0).sum() > n // 4
     elif gs.s[-1] != np.inf:                  # no hard wall
         assert gs.scaled_weight[0][-1] != 0.0  # a nonzero Watson tail
+
+
+def _two_call_step(backend, gs, chi, tail, i0, out):
+    """A step by its two-call path on backend: excite_profile, then,
+    unless chihat[i0] is 0, scale by eps = chi[i0] / chihat[i0] and pin
+    out[i0] = chi[i0].  Returns the unscaled chihat[i0]."""
+    w, _, winv = gs.scaled_weight
+    backend.excite_profile(gs.grid.h, w, winv, chi, tail, out)
+    at = out[i0]
+    if at != 0.0:
+        backend.scale(out, chi[i0] / at)
+        out[i0] = chi[i0]
+    return at
+
+
+@pytest.mark.parametrize("case", PROFILE_CASES)
+def test_step_backends_agree_with_the_two_call_path(case):
+    # the step kernel gives the two-call path's bytes and chihat[i0] on
+    # each backend, into an out that holds NaN: anchors at even and odd
+    # nodes, at node 1, at the last node (the hard wall of the soluble
+    # cases) and at node 0, where chihat is 0 and nothing is scaled, as
+    # it is nowhere for a chi of -0.0
+    gs = PROFILE_CASES[case]()
+    n, h = gs.grid.n_points, gs.grid.h
+    rng = np.random.default_rng(11)
+    anchors = sorted({0, 1, 2, n // 2 - 1, n // 2, n - 2, n - 1})
+    assert {i0 % 2 for i0 in anchors[1:-1]} == {0, 1}
+    for chi in (TrialFunction.saturating().sample(gs.grid),
+                array("d", rng.standard_normal(n)), array("d", [-0.0]) * n):
+        tail = watson_tail(gs, chi)
+        for i0 in anchors:
+            results = set()
+            for backend in backends():
+                expected = zeros(n)
+                at = _two_call_step(backend, gs, chi, tail, i0, expected)
+                out = array("d", [math.nan]) * n
+                got = backend.excite_step(h, gs.step_weights, chi, tail, i0,
+                                          out)
+                assert out.tobytes() == expected.tobytes()
+                assert got.hex() == at.hex()
+                results.add((out.tobytes(), got.hex()))
+            assert len(results) == 1
+            if i0 == 0 or not any(chi):
+                assert at == 0.0
+            else:
+                assert out[i0] == chi[i0] and at != 0.0
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_step_rejects_arrays_it_cannot_use(backend):
+    try:
+        excite_step = kernels.get_backend(backend).excite_step
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    gs = harmonic(4.0, 5)
+    chi = array("d", [0.0, 1.0, 2.0, 3.0, 4.0])
+
+    def step(out, chi_prev=chi, i0=2):
+        return excite_step(gs.grid.h, gs.step_weights, chi_prev, 0.5, i0,
+                           out)
+
+    out = zeros(5)
+    assert step(out) != 0.0 and out[2] == 2.0
+    for i0 in (-1, 5):
+        with pytest.raises(ValueError, match="need 0 <= i0 < n"):
+            step(zeros(5), i0=i0)
+    for bad in ([0.0] * 4, [0.0] * 3, [0.0] * 7, [0.0]):
+        with pytest.raises(ValueError):
+            step(zeros(len(bad)), chi_prev=bad)
+    # out: n doubles, writable, sharing no memory with chi_prev or with
+    # the weights
+    weight_array = gs.step_weights[0][0].obj
+    for bad in (zeros(3), np.empty(5), memoryview(zeros(5)).toreadonly(),
+                chi, memoryview(weight_array)):
+        with pytest.raises(ValueError):
+            step(bad)
+
+
+# sha256 of every iterate's bytes, then of the eps_sequence as float.hex
+# joined by ',', of default runs on 4001 nodes, recorded before a step
+# was one kernel call: every byte is kept
+_PINNED_RUNS = {
+    ("soluble", 0.1, "linear", 0.5):
+        "e083a1791576029195632cb24d76b31a3c9e859557881172b34793958e994866",
+    ("soluble", 0.1, "linear", 1.0):
+        "847aba2075fb8481239b1f9748352066003ae9626e30120fc0ca5fc83caed9ab",
+    ("soluble", 0.1, "saturating", 0.5):
+        "3be332677b05bbf46b86c6cf601e461ac5e9be3eb67a66cf7d118d5100812a94",
+    ("soluble", 0.1, "saturating", 1.0):
+        "d9df4a91b807a8141490c13374961e2e98984f061bdbcfde42258016c0b57c39",
+    ("quartic", 3.0, "linear", 0.5):
+        "db0d1e026f62b95674942ea04c4c067960902b785bf81ee334072a29e179a3e3",
+    ("quartic", 3.0, "linear", 1.0):
+        "894e8c64b20864f5acc8185046267f1ab6be6eebf4cdb46dba9250a605ea79d9",
+    ("quartic", 3.0, "saturating", 0.5):
+        "739df3b2857581dae4b9079589ceb408026f670c18d6b547b6831466e43a446f",
+    ("quartic", 3.0, "saturating", 1.0):
+        "ce192f70c4e0ceade32622d5e442eeafb17b466d448e521664f0960ef446984c",
+    ("quartic", 8.0, "linear", 0.5):
+        "73ad1667486f55f7dd662e4bfa30477e25ba339d4e2d076ef747e5d78e1372be",
+    ("quartic", 8.0, "linear", 1.0):
+        "8a8a72843247fb9bbb9f8c29cbb50627f6c0e9227bf7ae514a1343b910a6f2de",
+    ("quartic", 8.0, "saturating", 0.5):
+        "59e7110aefed6325e4a168a6fb3998ccd262845b7616fa5593c5d026cca1701f",
+    ("quartic", 8.0, "saturating", 1.0):
+        "1671e472499a5f658368e8b2785cc831b38f018cda19366fbf9e541aa50ed6f8",
+}
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_run_bytes_are_pinned(monkeypatch, backend):
+    try:
+        chosen = kernels.get_backend(backend)
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    for name in ("excite_step", "weighted_simpson", "sample_nodes"):
+        monkeypatch.setattr(kernels, name, getattr(chosen, name))
+    states = {
+        ("soluble", 0.1): soluble_groundstate(0.1, Grid(1.0, 4001)),
+        **{("quartic", g): solve_groundstate_numeric(
+            Quartic(g), Grid(default_x_max(g), 4001)) for g in (3.0, 8.0)}}
+    digests = {}
+    for case, param, trial, anchor in _PINNED_RUNS:
+        report = run(states[case, param], TrialFunction(trial),
+                     anchor_x0=anchor)
+        digest = hashlib.sha256()
+        for state in report.states:
+            digest.update(bytes(state.chi))
+        digest.update(",".join(e.hex() for e in report.eps_sequence)
+                      .encode())
+        digests[case, param, trial, anchor] = digest.hexdigest()
+    assert digests == _PINNED_RUNS
 
 
 @st.composite
@@ -347,8 +480,10 @@ def profile_arguments(draw):
             draw(chi), draw(tail))
 
 
-@given(profile_arguments())
-def test_profile_backends_agree_on_random_arrays(args):
+@given(profile_arguments(), st.integers(0, 200))
+def test_profile_backends_agree_on_random_arrays(args, k):
+    # and so does a step split at node k mod n, with the bytes of the
+    # profile scaled by eps and pinned, as scale and a store give them
     try:
         compiled = kernels.get_backend("cython")
     except ImportError as exc:
@@ -358,6 +493,19 @@ def test_profile_backends_agree_on_random_arrays(args):
                       for backend in (kernels.get_backend("python"),
                                       compiled))
     assert python == cython
+    h, w, winv, chi, tail = args
+    i0 = k % n
+    weights = (kernels.in_place(w), kernels.in_place(winv))
+    expected = array("d", python)
+    at = expected[i0]
+    if at != 0.0:
+        kernels.get_backend("python").scale(expected, chi[i0] / at)
+        expected[i0] = chi[i0]
+    for backend in (kernels.get_backend("python"), compiled):
+        out = zeros(n)
+        assert backend.excite_step(h, weights, chi, tail, i0, out).hex() \
+            == at.hex()
+        assert out.tobytes() == expected.tobytes()
 
 
 # the drawn NaN is math.nan alone: where NaNs of both signs meet in a
@@ -465,9 +613,15 @@ def test_compiled_profile_reads_each_calls_weights():
         assert check(given, winv) != before
 
 
-def test_profile_rejects_arrays_it_cannot_use(profile_backend):
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_profile_rejects_arrays_it_cannot_use(backend):
+    try:
+        excite_profile = kernels.get_backend(backend).excite_profile
+    except ImportError as exc:
+        pytest.skip(str(exc))
+
     def profile(n, n_w=None):
-        return kernels.excite_profile(
+        return excite_profile(
             0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5, zeros(n))
 
     assert len(profile(5)) == 5
@@ -483,7 +637,7 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     block = memoryview(array("d", [1.0]) * (2 * n))
 
     def profile_into(out, chi_prev=chi):
-        return kernels.excite_profile(0.1, w, winv, chi_prev, 0.5, out)
+        return excite_profile(0.1, w, winv, chi_prev, 0.5, out)
 
     out = zeros(n)
     assert profile_into(out) is out
@@ -505,9 +659,10 @@ def test_profile_rejects_arrays_it_cannot_use(profile_backend):
     assert out.tobytes() == expected.tobytes()
 
 
-def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
+def test_workspace_changes_no_bit(gs_quartic, gs_soluble, step_backend):
     # a step into a reused out that holds the last step's iterate writes
-    # the bits of a step into a new array, and so does its residual
+    # the bits of a step into a new array, the NumPy step's, and so does
+    # its residual
     for gs in (gs_quartic, gs_soluble):
         out = array("d", [math.nan]) * gs.grid.n_points
         prev = IterationState(chi=TrialFunction.linear().sample(gs.grid))
@@ -517,6 +672,9 @@ def test_workspace_changes_no_bit(gs_quartic, gs_soluble, profile_backend):
             assert into.chi is out
             assert out.tobytes() == fresh.chi.tobytes()
             assert into.eps == fresh.eps
+            chi, eps = reference_step(gs, prev.chi, gs.grid.index_of(1.0))
+            assert out.tobytes() == chi.tobytes()
+            assert into.eps.hex() == eps.hex()
             assert orthogonality_residual(gs, fresh.chi) \
                 == orthogonality_residual(gs, np.asarray(out))
             prev = fresh
@@ -533,7 +691,7 @@ def _peak_bytes(step):
 
 
 def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
-                                         profile_backend):
+                                         step_backend):
     # a ground state holds its weights, so one step's only grid-sized
     # allocation is the chi it returns (8 B a node), and given out,
     # nothing of grid size on either backend: both passes of the profile
@@ -551,6 +709,8 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
         assert into.chi is out
         assert into.chi.tobytes() == state.chi.tobytes()
         assert into.eps == state.eps
+        chi, _ = reference_step(gs, prev.chi, gs.grid.index_of(1.0))
+        assert into.chi.tobytes() == chi.tobytes()
 
 
 def test_warm_run_allocates_only_its_block(gs_quartic, monkeypatch):
@@ -563,8 +723,7 @@ def test_warm_run_allocates_only_its_block(gs_quartic, monkeypatch):
         compiled = kernels.get_backend("cython")
     except ImportError as exc:
         pytest.skip(str(exc))
-    for name in ("excite_profile", "weighted_simpson", "scale",
-                 "sample_nodes"):
+    for name in ("excite_step", "weighted_simpson", "sample_nodes"):
         monkeypatch.setattr(kernels, name, getattr(compiled, name))
     n = gs_quartic.grid.n_points
     peaks = {}
@@ -610,8 +769,10 @@ def _block_rows(report, n):
     return [len(b) // n for b in blocks.values()]
 
 
-def test_run_past_one_block_changes_no_bit(profile_backend):
-    # delta = 1.5 on 201 nodes neither converges nor stalls in 20 steps
+def test_run_past_one_block_changes_no_bit(step_backend):
+    # delta = 1.5 on 201 nodes neither converges nor stalls in 20 steps;
+    # its eps are those of steps that allocate, and its iterates and eps
+    # those of the NumPy steps
     gs = soluble_groundstate(1.5, Grid(1.0, 201))
     trial = TrialFunction.saturating()
     report = run(gs, trial, max_iters=20, tol=0.0)
@@ -619,6 +780,11 @@ def test_run_past_one_block_changes_no_bit(profile_backend):
     assert _block_rows(report, 201) == [BLOCK_ROWS, BLOCK_ROWS, 3]
     assert [e.hex() for e in report.eps_sequence] \
         == [e.hex() for e in _allocating_eps(gs, trial, 20)]
+    chi = trial.sample(gs.grid)
+    for state in report.states[1:]:
+        chi, eps = reference_step(gs, chi, 200)
+        assert bytes(state.chi) == chi.tobytes()
+        assert state.eps.hex() == eps.hex()
 
 
 def test_run_reserves_rows_as_it_goes():

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from excite_iter import kernels
-from excite_iter.excite import _unnormalized_profile
 from excite_iter.groundstate import Grid, soluble_groundstate
 from excite_iter._kernels_py import simpson_integral, zeros
-from quadrature import backends, reference_profile
+from quadrature import backends, reference_profile, unnormalized_profile
 
 # independent 30-digit quadrature of int_0^1 z sin^2(p(1-z)) dz, delta=0.1
 INNER_ORACLE_D01 = 0.2497306668710968321
@@ -175,7 +174,7 @@ def test_tail_closure_hard_wall_is_exactly_zero():
     gs = soluble_groundstate(0.1, Grid(1.0, 101))
     w, _, winv = gs.scaled_weight
     chi = np.ones(101)
-    chihat = _unnormalized_profile(gs, chi)
+    chihat = unnormalized_profile(gs, chi)
     no_tail = kernels.excite_profile(gs.grid.h, w, winv, chi, 0.0,
                                      zeros(101))
     assert chihat.tobytes() == no_tail.tobytes()

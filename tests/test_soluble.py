@@ -9,7 +9,6 @@ import pytest
 from excite_iter.excite import (
     IterationState,
     TrialFunction,
-    _unnormalized_profile,
     iterate_once,
     run,
 )
@@ -22,6 +21,7 @@ from excite_iter.soluble import (
     exact_chi,
     exact_epsilon,
 )
+from quadrature import unnormalized_profile
 
 DECIMAL_PI = decimal.Decimal(
     "3.14159265358979323846264338327950288419716939937510582097494459")
@@ -146,7 +146,7 @@ class TestClosedFormFirstIterate:
         p = DeltaBox(delta).p
         gs = soluble_groundstate(delta, Grid(1.0, 16001))
         x = gs.grid.nodes()
-        chihat = _unnormalized_profile(gs, x[:])
+        chihat = unnormalized_profile(gs, x[:])
         with np.errstate(under="ignore"):
             lhs = np.exp(-np.asarray(gs.s)) * chihat
         rhs = np.array([chi1_closed_form(delta, xi) for xi in x])
