@@ -1,13 +1,24 @@
-"""Print the best-of wall times of the excitation iteration with the
-active kernel backend: one iterate_once step into a reused out, and a
-default excite.run (8 steps at most), from the linear trial at anchor
-x0 = 1, for the iterate-lib cases of the benchmark (soluble delta = 0.1,
-quartic g = 3 and g = 8, each on its default domain edge) at 4001, 16001
-and 64001 nodes.  A step is timed over BATCH calls at a time.
+"""Print the wall times of the excitation iteration with the active
+kernel backend, in two tables.
+
+The first holds best-of times of one iterate_once step into a reused out
+and of a default excite.run (8 steps at most), from the linear trial at
+anchor x0 = 1, for the iterate-lib cases of the benchmark (soluble
+delta = 0.1, quartic g = 3 and g = 8, each on its default domain edge) at
+4001, 16001 and 64001 nodes.  A step is timed over BATCH calls at a time.
+Each cell repeats one input, so its memory stays warm in the caches.
+
+The second runs all 36 iterate-lib inputs (those cases and node counts,
+each with the linear and the saturating trial at anchors 0.5 and 1) in
+ROUNDS rounds, each in a new shuffled order, as the benchmark interleaves
+them.  It prints, per node count, the median over its 12 inputs of each
+input's median run time.
 
     PYTHONPATH=src python scripts/iteration_timings.py
 """
 
+import random
+import statistics
 import time
 
 from excite_iter import kernels
@@ -21,6 +32,9 @@ from excite_iter.potential import Quartic
 POINTS = (4001, 16001, 64001)
 REPEATS = 15
 BATCH = 20
+ROUNDS = 30
+TRIALS = ("linear", "saturating")
+ANCHORS = (0.5, 1.0)
 CASES = (
     ("soluble δ = 0.1", lambda n: soluble_groundstate(0.1, Grid(1.0, n))),
     ("quartic g = 3", lambda n: solve_groundstate_numeric(
@@ -51,16 +65,48 @@ def timings(gs):
     return step, best_us(lambda: run(gs, trial, anchor_x0=1.0), 1)
 
 
+def shuffled_medians(states):
+    """{nodes: the median over the inputs on that many nodes of each
+    input's median run time, in µs} over ROUNDS shuffled rounds of every
+    (ground state, trial, anchor) input; states maps a node count to its
+    ground states."""
+    inputs = [(n, gs, TrialFunction(kind), anchor)
+              for n, grounds in states.items() for gs in grounds
+              for kind in TRIALS for anchor in ANCHORS]
+    times = [[] for _ in inputs]
+    order = list(range(len(inputs)))
+    rng = random.Random(0)
+    for _ in range(ROUNDS):
+        rng.shuffle(order)
+        for k in order:
+            _, gs, trial, anchor = inputs[k]
+            t = time.perf_counter()
+            run(gs, trial, anchor_x0=anchor)
+            times[k].append(time.perf_counter() - t)
+    return {n: 1e6 * statistics.median(
+        statistics.median(t) for (m, *_), t in zip(inputs, times) if m == n)
+        for n in states}
+
+
 def main():
+    states = {n: [build(n) for _, build in CASES] for n in POINTS}
     print(f"backend: {kernels.BACKEND}; best of {REPEATS}, µs")
     print("| function | case | " + " | ".join(f"{n} nodes" for n in POINTS)
           + " |")
     print("| --- " * (2 + len(POINTS)) + "|")
-    for case, build in CASES:
-        cells = [timings(build(n)) for n in POINTS]
+    for c, (case, _) in enumerate(CASES):
+        cells = [timings(states[n][c]) for n in POINTS]
         for k, function in enumerate(("iterate_once", "run")):
-            row = " | ".join(f"{c[k]:.3g}" for c in cells)
+            row = " | ".join(f"{cell[k]:.3g}" for cell in cells)
             print(f"| `{function}` | {case} | {row} |")
+    print()
+    inputs = len(CASES) * len(TRIALS) * len(ANCHORS)
+    print(f"`run` over the {inputs * len(POINTS)} inputs, {ROUNDS} shuffled "
+          f"rounds: median of {inputs} input medians, µs")
+    medians = shuffled_medians(states)
+    print("| " + " | ".join(f"{n} nodes" for n in POINTS) + " |")
+    print("| --- " * len(POINTS) + "|")
+    print("| " + " | ".join(f"{medians[n]:.3g}" for n in POINTS) + " |")
 
 
 if __name__ == "__main__":

@@ -88,8 +88,8 @@ class IterationState:
     """chi_n on x >= 0 plus the extracted eps_n.
 
     In the states of a run, chi is a row of a block that holds the run's
-    other iterates too: a writable memoryview of an array('d'), so keeping
-    one chi keeps that block alive.
+    other iterates too: a writable memoryview of the block that
+    kernels.empty gave, so keeping one chi keeps that block alive.
     """
 
     __slots__ = ("chi", "eps")
@@ -191,7 +191,9 @@ def run(gs: GroundState, trial: TrialFunction,
     (stalled), or at max_iters.  The iterates are written into the rows
     of blocks of min(max_iters + 1, BLOCK_ROWS) rows, one block for a
     default run: a further block is allocated only when the iteration
-    goes past one.
+    goes past one.  No block is filled first: every row a report keeps
+    was written whole, and the rows it does not keep hold unspecified
+    values.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -242,11 +244,12 @@ BLOCK_ROWS = DEFAULT_MAX_ITERS + 1
 
 def _rows(n_points: int, count: int):
     """Yields count rows of n_points doubles, in order, as writable views
-    of blocks of at most BLOCK_ROWS rows; each block, one array('d'), is
-    allocated when the one before it is used up."""
+    of blocks of at most BLOCK_ROWS rows; each block, from kernels.empty,
+    is allocated when the one before it is used up.  A row holds
+    unspecified values until its kernel writes every node of it."""
     while count > 0:
         rows = min(count, BLOCK_ROWS)
-        block = memoryview(zeros(rows * n_points))
+        block = kernels.empty(rows * n_points)
         count -= rows
         for k in range(rows):
             yield block[k * n_points:(k + 1) * n_points]

@@ -20,11 +20,15 @@ cannot be written or the build fails; all kernels fall back together.
 Their module, _kernels_py, is imported only then, or when
 get_backend('python') asks for it.
 
-Grid arrays are array('d'), or rows of one: writable memoryviews of an
-array('d').  A kernel reads those in place (in_place) and converts any
-other 1-D sequence of reals first; it writes only into an array('d') or a
-writable view (check_out).  These array helpers are defined here, for
-both backends and their callers.  The ctypes wrappers pass the addresses
+Grid arrays are array('d'), or rows of a block: writable memoryviews of
+the doubles that empty(n) gives, whose values are unspecified until
+written.  The compiled empty takes them from malloc, found through the
+loaded library, as a ctypes array (one array type per size, made once)
+that frees them when its last view dies; the Python one gives zeros.  A
+kernel reads those in place (in_place) and converts any other 1-D
+sequence of reals first; it writes only into an array('d') or a writable
+view (check_out).  These array helpers are defined here, for both
+backends and their callers.  The ctypes wrappers pass the addresses
 in_place gives; excite_step takes a ground state's weights with the
 addresses that in_place gave them once (step_inputs).  The wrapper of the
 compiled CSV writer formats CSV_CHUNK_ROWS rows at a time into one
@@ -38,6 +42,8 @@ from __future__ import annotations
 
 import ctypes
 import os
+import sys
+import weakref
 import zlib
 from array import array
 from types import SimpleNamespace
@@ -242,6 +248,8 @@ def _load():
         "excite_step": (double, [long, double, ptr, ptr, ptr, double, long,
                                  ptr]),
         "format_csv_rows": (long, [long, ptr, long, long, ptr, long]),
+        "malloc": (ptr, [ctypes.c_size_t]),
+        "free": (None, [ptr]),
     }
     try:
         lib = ctypes.CDLL(path)
@@ -250,6 +258,19 @@ def _load():
             getattr(lib, name).argtypes = argtypes
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot load {path}: {exc}") from exc
+
+    def empty(n):
+        """The memory comes from malloc, found through the library, and
+        goes back to free when the last view of it dies; not at exit,
+        where a later exit handler may still read a view."""
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
+        at = lib.malloc(8 * max(n, 1)) if n <= sys.maxsize // 8 else None
+        if not at:
+            raise MemoryError(f"cannot allocate {n} doubles")
+        doubles = (ctypes.c_double * n).from_address(at)
+        weakref.finalize(doubles, lib.free, at).atexit = False
+        return memoryview(doubles).cast("B").cast("d")
 
     def riccati_sweep(x_start, h, n_steps, g, e, s_init, sp_init):
         if n_steps < 0:
@@ -341,7 +362,7 @@ def _load():
                 f.write(view[:used])
 
     kernels = SimpleNamespace(
-        riccati_sweep=riccati_sweep, shoot=shoot,
+        empty=empty, riccati_sweep=riccati_sweep, shoot=shoot,
         soluble_profile=soluble_profile, scaled_weights=scaled_weights,
         sample_nodes=sample_nodes, scale=scale,
         weighted_simpson=weighted_simpson, excite_profile=excite_profile,
@@ -360,6 +381,7 @@ if _compiled is None:
     from . import _kernels_py as _active
 else:
     _active = _compiled
+empty = _active.empty
 riccati_sweep = _active.riccati_sweep
 shoot = _active.shoot
 soluble_profile = _active.soluble_profile

@@ -2,10 +2,12 @@
 
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -839,6 +841,45 @@ class TestSameBytesFromEveryBackendAndCheckout:
             del summary["kernel_backend_reason"]
             runs[backend] = stdout, files, summary
         assert runs["python"] == runs["cython"]
+
+    @pytest.mark.parametrize("args", [["soluble", "--delta", "0.3"],
+                                      ["quartic", "--g", "3"]],
+                             ids=["soluble", "quartic"])
+    def test_poisoned_blocks_write_the_same_bytes(self, tmp_path, capsys,
+                                                  monkeypatch, args):
+        # a run in this process whose blocks of iterates hold NaN until
+        # written, on each backend, writes what a CLI process writes
+        args = args + ["--points", "401"]
+        src = os.path.dirname(os.path.dirname(excite_iter.__file__))
+        stdout = self.spawn(src, args, tmp_path / "spawned")
+        files = {p.name: read(p) for p in (tmp_path / "spawned").iterdir()}
+        summary = json.loads(files.pop("summary.json"))
+        del summary["kernel_backend"], summary["kernel_backend_reason"]
+        for backend in ("python", "cython"):
+            try:
+                chosen = kernels.get_backend(backend)
+            except ImportError:
+                continue
+            for name in ("excite_step", "weighted_simpson", "sample_nodes"):
+                monkeypatch.setattr(kernels, name, getattr(chosen, name))
+            sizes = []
+
+            def poisoned_empty(n, empty=chosen.empty):
+                block = empty(n)
+                block[:] = array("d", [math.nan]) * n
+                sizes.append(n)
+                return block
+
+            monkeypatch.setattr(kernels, "empty", poisoned_empty)
+            out = tmp_path / backend
+            assert main(args + ["--out", str(out)]) == 0
+            assert sizes
+            assert capsys.readouterr().out.encode() == stdout
+            poisoned = {p.name: read(p) for p in out.iterdir()}
+            poisoned_summary = json.loads(poisoned.pop("summary.json"))
+            del poisoned_summary["kernel_backend"]
+            del poisoned_summary["kernel_backend_reason"]
+            assert (poisoned, poisoned_summary) == (files, summary)
 
     def test_summary_does_not_depend_on_the_checkout(self, tmp_path):
         # two copies share one kernel cache: the first builds the kernel

@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+import weakref
 from array import array
 
 import numpy as np
@@ -715,23 +716,35 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
 
 def test_warm_run_allocates_only_its_block(gs_quartic, monkeypatch):
     # a ground state holds its weights, so a run's one grid-sized
-    # allocation is its block of iterates; the compiled kernels allocate
-    # nothing.  8 KB covers the small Python objects (the report, its
-    # states and their rows: 3.8-6 KB), and one more grid array at this
-    # size is 128 KB
+    # allocation is its block of iterates: one kernels.empty call, whose
+    # malloc tracemalloc does not see.  The compiled kernels allocate
+    # nothing, so everything else is the small Python objects (the
+    # report, its states and their rows: 3.8-6 KB), in 8 KB; one more
+    # grid array at this size is 128 KB
     try:
         compiled = kernels.get_backend("cython")
     except ImportError as exc:
         pytest.skip(str(exc))
     for name in ("excite_step", "weighted_simpson", "sample_nodes"):
         monkeypatch.setattr(kernels, name, getattr(compiled, name))
+    sizes = []
+
+    def counting_empty(n):
+        sizes.append(n)
+        return compiled.empty(n)
+
+    monkeypatch.setattr(kernels, "empty", counting_empty)
     n = gs_quartic.grid.n_points
+    # the first block of a size also makes the ctypes array type that
+    # wraps it, once: about 3.4 KB
+    run(gs_quartic, TrialFunction.linear())
     peaks = {}
     for trial in (TrialFunction.linear(), TrialFunction.saturating()):
-        report, peaks[trial.kind] = _peak_bytes(
+        sizes.clear()
+        _, peaks[trial.kind] = _peak_bytes(
             lambda: run(gs_quartic, trial))
-        assert len(report.states[0].chi.obj) == BLOCK_ROWS * n
-        assert peaks[trial.kind] <= 8 * n * BLOCK_ROWS + 8192
+        assert sizes == [BLOCK_ROWS * n]
+        assert peaks[trial.kind] <= 8192
     # chi_0 is written straight into its row, so the saturating trial
     # costs no grid array more than the linear one (it cost two when it
     # was built apart and copied in); the small Python objects of two
@@ -743,14 +756,101 @@ def test_run_writes_its_iterates_into_one_block(gs_quartic):
     report = run(gs_quartic, TrialFunction.saturating(), tol=0.0)
     chis = [s.chi for s in report.states]
     assert len(chis) == BLOCK_ROWS == 9
-    # each a writable view of n doubles in one array('d')
-    assert type(chis[0].obj) is array and chis[0].obj.typecode == "d"
-    assert all(chi.obj is chis[0].obj and not chi.readonly
-               and len(chi) == gs_quartic.grid.n_points for chi in chis)
+    # each a writable view of n doubles, the rows of one block in order
+    n = gs_quartic.grid.n_points
+    block = chis[0].obj
+    assert memoryview(block).nbytes == 8 * BLOCK_ROWS * n
+    assert all(chi.obj is block and not chi.readonly and chi.format == "d"
+               and len(chi) == n for chi in chis)
+    start = np.asarray(chis[0]).ctypes.data
+    assert [np.asarray(chi).ctypes.data - start for chi in chis] \
+        == [8 * n * k for k in range(BLOCK_ROWS)]
     # no iterate kept by the report is a view of another
     for i, a in enumerate(chis):
         for b in chis[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def _empty_of(backend):
+    """The backend's kernels.empty, or a skip when it cannot be had."""
+    try:
+        return kernels.get_backend(backend).empty
+    except ImportError as exc:
+        pytest.skip(str(exc))
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_empty_gives_writable_doubles_or_a_memory_error(backend):
+    empty = _empty_of(backend)
+    view = empty(5)
+    assert (view.format, view.shape, view.c_contiguous, view.readonly) \
+        == ("d", (5,), True, False)
+    view[:] = array("d", [0.5, -1.0, 2.0, 3.0, 4.0])
+    assert view.tolist() == [0.5, -1.0, 2.0, 3.0, 4.0]
+    assert len(empty(0)) == 0
+    # 8 n overflows a buffer's size; malloc refuses 2**62 bytes at once
+    for n in (2 ** 60, 2 ** 59):
+        with pytest.raises(MemoryError):
+            empty(n)
+    with pytest.raises(ValueError):
+        empty(-1)
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_a_block_lives_as_long_as_a_row_of_it(gs_quartic, monkeypatch,
+                                              backend):
+    monkeypatch.setattr(kernels, "empty", _empty_of(backend))
+    report = run(gs_quartic, TrialFunction.saturating())
+    block = weakref.ref(report.states[0].chi.obj)
+    kept = report.states[3].chi
+    expected = bytes(kept)
+    del report
+    assert block() is not None
+    assert bytes(kept) == expected
+    del kept
+    assert block() is None
+    report = run(gs_quartic, TrialFunction.linear())
+    block = weakref.ref(report.states[0].chi.obj)
+    del report
+    assert block() is None
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_a_failed_run_frees_its_block(gs_quartic, monkeypatch, backend):
+    empty = _empty_of(backend)
+    blocks = []
+
+    def recording_empty(n):
+        block = empty(n)
+        blocks.append(weakref.ref(block.obj))
+        return block
+
+    monkeypatch.setattr(kernels, "empty", recording_empty)
+    trial = TrialFunction.tabulated(zeros(gs_quartic.grid.n_points))
+    with pytest.raises(DegenerateAnchorError) as caught:
+        run(gs_quartic, trial)
+    # the traceback holds the run's frame, and so its block
+    assert len(blocks) == 1 and blocks[0]() is not None
+    del caught
+    assert blocks[0]() is None
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_no_row_is_read_before_it_is_written(monkeypatch, backend):
+    # blocks of iterates that hold NaN until a kernel writes them give
+    # the pinned bytes: every node a run keeps or reads was written first
+    empty = _empty_of(backend)
+    sizes = []
+
+    def poisoned_empty(n):
+        block = empty(n)
+        block[:] = array("d", [math.nan]) * n
+        sizes.append(n)
+        return block
+
+    monkeypatch.setattr(kernels, "empty", poisoned_empty)
+    test_run_bytes_are_pinned(monkeypatch, backend)
+    assert sizes == [BLOCK_ROWS * 4001] * len(_PINNED_RUNS)
 
 
 def _allocating_eps(gs, trial, steps):
