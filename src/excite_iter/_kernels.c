@@ -1,12 +1,14 @@
 /* Compiled kernels, loaded by excite_iter.kernels through ctypes: the
  * Riccati sweeps of the quartic double well and the box's closed-form
- * profile, the grid passes of an iteration (which know nothing of the
- * potential or of a wall) and the CSV rows of the artifacts.  Each has
- * the same contract as its counterpart in excite_iter._kernels_py.  The
- * numeric kernels perform the same floating-point operations in the same
- * order, with the same libm exp, log, sin and tan; build with
- * -ffp-contract=off so no a*b+c is fused and the output stays
- * bit-identical.  The CSV rows hold the same characters as Python's. */
+ * profile, the grid passes of an iteration (a ground state's weights, the
+ * trial samples, one whole step and the residual's two integrals, which
+ * know nothing of the potential or of a wall) and the CSV rows of the
+ * artifacts.  Each has the same contract as its counterpart in
+ * excite_iter._kernels_py.  The numeric kernels perform the same
+ * floating-point operations in the same order, with the same libm exp,
+ * log, sin and tan; build with -ffp-contract=off so no a*b+c is fused
+ * and the output stays bit-identical.  The CSV rows hold the same
+ * characters as Python's. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -187,28 +189,17 @@ static inline void outer_pairs(long first, long last, double h,
     }
 }
 
-/* Every array holds n doubles, n odd and >= 3.  The reverse pass writes
- * I + tail into chihat, and the forward pass overwrites it with the
- * profile: twice the running integral of winv * (I + tail) from node 0
- * (a factor of 1.0 changes no bit). */
-void excite_profile(long n, double h, const double *w, const double *winv,
-                    const double *chi, double tail, double *chihat)
-{
-    double y0, even = 0.0;
-    inner_pass(n, h, w, chi, tail, chihat);
-    y0 = winv[0] * chihat[0];
-    chihat[0] = 0.0;
-    outer_pairs(0, n - 1, h, winv, 1.0, &y0, &even, chihat);
-}
-
-/* One iteration step: excite_profile's two passes into out, split by the
- * rule out[i0] = chi[i0], 0 <= i0 < n.  The forward pass runs unscaled
- * up to node i0 rounded up to even, where eps = chi[i0] / chihat[i0] is
- * known, and on from there times eps; a last pass scales the nodes up to
- * that one, and out[i0] = chi[i0].  Each node but i0 is the profile's
- * value times eps, as excite_profile then scale give it.  Returns the
- * unscaled chihat[i0]: when it is 0 (of either sign), no eps exists and
- * out holds the unscaled profile. */
+/* One iteration step over arrays of n doubles, n odd and >= 3, split by
+ * the rule out[i0] = chi[i0], 0 <= i0 < n.  The reverse pass writes
+ * I + tail into out, and the forward pass overwrites it with the profile
+ * chihat, twice the running integral of winv * (I + tail) from node 0:
+ * unscaled up to node i0 rounded up to even, where
+ * eps = chi[i0] / chihat[i0] is known, and on from there times eps; a
+ * last pass scales the nodes up to that one, and out[i0] = chi[i0].
+ * Each node but i0 is the profile's value times eps, one rounding each.
+ * Returns the unscaled chihat[i0]: when it is 0 (of either sign), no eps
+ * exists and out holds the unscaled profile, as it does at i0 = 0, where
+ * chihat is 0 (a factor of 1.0 changes no bit). */
 double excite_step(long n, double h, const double *w, const double *winv,
                    const double *chi, double tail, long i0, double *out)
 {
@@ -262,13 +253,6 @@ void sample_nodes(long n, double h, double x_max, int saturating,
         double y = x < 1.0 ? x : 1.0;
         out[i] = saturating ? (2.0 - y) * y : x;
     }
-}
-
-/* x[i] *= factor for each of the n doubles of x. */
-void scale(long n, double factor, double *x)
-{
-    for (long i = 0; i < n; i++)
-        x[i] *= factor;
 }
 
 /* The composite Simpson integrals of y = w chi and of |y| over n nodes,

@@ -6,10 +6,10 @@ riccati_sweep integrates S'' = S'^2 - 2(V - E) for the quartic double well
 with classic RK4 at fixed step; shoot runs a shooting solve's two sweeps
 by it, one after the other where the C loop interleaves them, and joins
 them.  soluble_profile is the box's closed-form S and S'.  scaled_weights,
-sample_nodes, scale and excite_profile are the grid passes of an
-iteration; excite_step is a step's profile and split in one call, by
-excite_profile's two passes; and weighted_simpson is the residual's two
-integrals from simpson_integral.  write_csv_rows writes CSV rows with
+sample_nodes, excite_step and weighted_simpson are the grid passes of an
+iteration: a ground state's weights, the trial samples, a step's profile
+and split in one call, and the residual's two integrals from
+simpson_integral.  write_csv_rows writes CSV rows with
 Python's '%.17g' % v.  empty gives a block of zeros, where the compiled
 one leaves its memory unwritten.  Each kernel is its C loop written in
 Python: the same floating-point operations in the same order, with the
@@ -191,14 +191,6 @@ def sample_nodes(n: int, h: float, x_max: float, saturating: bool,
     return out
 
 
-def scale(x: array, factor: float) -> array:
-    """x[i] *= factor for every i, in place; returns x."""
-    check_out(x, len(x))
-    for i, v in enumerate(x):
-        x[i] = v * factor
-    return x
-
-
 def weighted_simpson(h: float, w, chi) -> tuple[float, float]:
     """(Simpson integral of y = w chi, that of |y|) over an odd number of
     nodes, at least 3, by simpson_integral."""
@@ -247,14 +239,24 @@ def _outer_pairs(first: int, last: int, h: float, winv, factor: float,
     return y0, even
 
 
-def excite_profile(h: float, w, winv, chi_prev, tail: float,
-                   out: array) -> array:
-    """chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
-    I(y) = int_y^{x_end} w chi_prev, into out (see check_out); returns out.
+def excite_step(h: float, weights, chi_prev, tail: float, i0: int,
+                out) -> float:
+    """One iteration step: the profile
+    chihat = 2 int_0^x winv(y) (I(y) + tail) dy with
+    I(y) = int_y^{x_end} w chi_prev, into out (see check_out), split by
+    the rule out[i0] = chi_prev[i0], with weights the (w, address),
+    (winv, address) pairs that in_place gives.  Returns the unscaled
+    chihat[i0]; every other node is chihat times
+    eps = chi_prev[i0] / chihat[i0], one rounding each.  When chihat[i0]
+    is 0, no eps exists and out holds the unscaled chihat: at i0 = 0,
+    where chihat is 0, the step is the profile alone.  Raises ValueError
+    as step_inputs and check_out do.
 
     The loops of _kernels.c: a reverse pass writes I + tail into out, and
     a forward pass reads each I + tail from out and overwrites it with
-    chihat.  Both running integrals sum Simpson panel pairs
+    chihat, unscaled up to node i0 rounded up to even and on from there
+    times eps; then the nodes up to that one are scaled and node i0 is
+    pinned.  Both running integrals sum Simpson panel pairs
     (4 y1 + y0 + y2) * (h/3) in order from the first pair (not from 0.0)
     for even offsets, and add the half-panel rule ((5 y0 + 8 y1) - y2) *
     (h/12) to the even offset before an odd one (SciPy's
@@ -262,31 +264,6 @@ def excite_profile(h: float, w, winv, chi_prev, tail: float,
     caller's tail w * chi/(2S') at the last node is 0 at a hard wall,
     since w is 0 there; winv is 0 there too, so the outer integrand
     vanishes.
-    """
-    n = len(chi_prev)
-    inputs = odd_columns(n, w, winv, chi_prev)
-    check_out(out, n, *inputs)
-    (w, _), (winv, _), (chi, _) = inputs
-    _inner_pass(h, w, chi, tail, out)
-    y0 = winv[0] * out[0]
-    out[0] = 0.0
-    _outer_pairs(0, n - 1, h, winv, 1.0, y0, 0.0, out)
-    return out
-
-
-def excite_step(h: float, weights, chi_prev, tail: float, i0: int,
-                out) -> float:
-    """One iteration step: excite_profile(h, w, winv, chi_prev, tail,
-    out) split by the rule out[i0] = chi_prev[i0], with weights the
-    (w, address), (winv, address) pairs that in_place gives.  Returns the
-    unscaled chihat[i0]; every other node is chihat times
-    eps = chi_prev[i0] / chihat[i0], as scale gives it.  When chihat[i0]
-    is 0, no eps exists and out holds the unscaled chihat.  Raises
-    ValueError as step_inputs and check_out do.
-
-    _kernels.c's loops: the forward pass runs unscaled up to node i0
-    rounded up to even, and on from there times eps; then the nodes up
-    to that one are scaled and node i0 is pinned.
     """
     n = len(chi_prev)
     inputs = step_inputs(weights, chi_prev, i0)

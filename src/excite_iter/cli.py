@@ -267,9 +267,9 @@ def run_case(config: RunConfig) -> dict:
         chi_ex = soluble.exact_chi(config.delta, x)
         i0 = gs.grid.index_of(config.anchor_x0)
         chi0 = report.states[0].chi
-        kernels.scale(chi_ex, chi0[i0] / chi_ex[i0])
+        factor = chi0[i0] / chi_ex[i0]
         header.append("chi_exact")
-        columns.append(chi_ex)
+        columns.append(array("d", [v * factor for v in chi_ex]))
 
     # ground and excited wave functions
     psi_gd = array("d", [math.exp(-s) for s in gs.s])

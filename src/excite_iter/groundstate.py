@@ -248,14 +248,19 @@ def solve_groundstate_numeric(potential: Potential, grid: Grid) -> GroundState:
     equation), so s_prime is the analytically propagated log-derivative,
     not a finite difference of s.  Energy is refined by root finding on the
     S' mismatch at the outer turning point, in default_bracket(g), until
-    the bracket has shrunk to _E_TOL * max(1, E).
+    the bracket has shrunk to _E_TOL * max(1, E).  Raises ValueError on a
+    grid of fewer than 5 nodes.
     """
     if not isinstance(potential, Quartic):
         raise TypeError("numeric ground-state solver supports the quartic "
                         "potential only")
+    h, n, x_max = grid.h, grid.n_points, grid.x_max
+    if n < 5:
+        # the matching node i_match below is at most n - 5
+        raise ValueError(f"the shooting solve needs at least 5 nodes, got "
+                         f"{n}")
     g = potential.g
     lo, hi = default_bracket(g)
-    h, n, x_max = grid.h, grid.n_points, grid.x_max
 
     # fixed matching node near the outer turning point of the bracket center
     e_mid = 0.5 * (lo + hi)

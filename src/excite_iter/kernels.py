@@ -5,12 +5,12 @@ bit-identical output, but for the sign of a NaN: the ground states, which
 are the Riccati sweep, the shooting solve's two sweeps and their join
 (shoot) and the box's closed form (soluble_profile); the grid passes of
 an iteration, which are the weights of a ground state (scaled_weights),
-the trial samples (sample_nodes), the profile of one step
-(excite_profile, two running Simpson integrals), a scaling (scale), one
-whole step, the profile split by the rule chi_n(x0) = chi_{n-1}(x0)
-(excite_step), and the residual's two Simpson integrals
-(weighted_simpson); and the CSV writer of the artifacts, which writes
-every cell as Python's '%.17g' % v.
+the trial samples (sample_nodes), one whole step (excite_step: the
+profile, two running Simpson integrals, split by the rule
+chi_n(x0) = chi_{n-1}(x0); with the anchor at node 0, the profile
+alone) and the residual's two Simpson integrals (weighted_simpson); and
+the CSV writer of the artifacts, which writes every cell as Python's
+'%.17g' % v.
 The compiled ones are the plain C file ``_kernels.c``, built into the
 user cache, ``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/``
 when unset), on the first import that finds no build for this source and
@@ -69,6 +69,27 @@ CSV_CHUNK_ROWS = 1024
 CSV_CELL_BYTES = 25
 
 _ZERO = array("d", [0.0])
+
+_LONG, _DOUBLE, _PTR = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+
+#: the result and argument types of every function that _load resolves in
+#: the library: each non-static function of _kernels.c, and the C
+#: library's malloc and free, which the compiled empty calls
+_SIGNATURES = {
+    "riccati_sweep": (_LONG, [_DOUBLE] * 2 + [_LONG] + [_DOUBLE] * 5
+                      + [_PTR] * 2),
+    "shoot": (_LONG, [_DOUBLE] * 2 + [_LONG] * 2 + [_DOUBLE] * 4
+              + [_PTR] * 3),
+    "soluble_profile": (None, [_LONG, _DOUBLE, _DOUBLE, _PTR, _PTR]),
+    "scaled_weights": (_DOUBLE, [_LONG, _PTR, _DOUBLE, _PTR, _PTR]),
+    "sample_nodes": (None, [_LONG, _DOUBLE, _DOUBLE, ctypes.c_int, _PTR]),
+    "weighted_simpson": (None, [_LONG, _DOUBLE, _PTR, _PTR, _PTR]),
+    "excite_step": (_DOUBLE, [_LONG, _DOUBLE, _PTR, _PTR, _PTR, _DOUBLE,
+                              _LONG, _PTR]),
+    "format_csv_rows": (_LONG, [_LONG, _PTR, _LONG, _LONG, _PTR, _LONG]),
+    "malloc": (_PTR, [ctypes.c_size_t]),
+    "free": (None, [_PTR]),
+}
 
 
 def zeros(n: int) -> array:
@@ -233,27 +254,9 @@ def _load():
     signatures and contracts of their _kernels_py counterparts, and where
     they were loaded from."""
     path = _build()
-    long, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-    signatures = {                  # result and argument types
-        "riccati_sweep": (long, [double] * 2 + [long] + [double] * 5
-                          + [ptr] * 2),
-        "shoot": (long, [double] * 2 + [long] * 2 + [double] * 4 + [ptr] * 3),
-        "soluble_profile": (None, [long, double, double, ptr, ptr]),
-        "scaled_weights": (double, [long, ptr, double, ptr, ptr]),
-        "sample_nodes": (None, [long, double, double, ctypes.c_int, ptr]),
-        "scale": (None, [long, double, ptr]),
-        "weighted_simpson": (None, [long, double, ptr, ptr, ptr]),
-        "excite_profile": (None, [long, double, ptr, ptr, ptr, double,
-                                  ptr]),
-        "excite_step": (double, [long, double, ptr, ptr, ptr, double, long,
-                                 ptr]),
-        "format_csv_rows": (long, [long, ptr, long, long, ptr, long]),
-        "malloc": (ptr, [ctypes.c_size_t]),
-        "free": (None, [ptr]),
-    }
     try:
         lib = ctypes.CDLL(path)
-        for name, (restype, argtypes) in signatures.items():
+        for name, (restype, argtypes) in _SIGNATURES.items():
             getattr(lib, name).restype = restype
             getattr(lib, name).argtypes = argtypes
     except (OSError, AttributeError) as exc:
@@ -308,10 +311,6 @@ def _load():
         lib.sample_nodes(n, h, x_max, bool(saturating), check_out(out, n))
         return out
 
-    def scale(x, factor):
-        lib.scale(len(x), factor, check_out(x, len(x)))
-        return x
-
     def weighted_simpson(h, w, chi):
         # the list holds converted inputs while the kernel reads them
         inputs = odd_columns(len(chi), w, chi)
@@ -321,18 +320,10 @@ def _load():
                              sums.buffer_info()[0])
         return sums[0], sums[1]
 
-    def excite_profile(h, w, winv, chi_prev, tail, out):
-        """The integrands stay in registers: no temporary array."""
-        n = len(chi_prev)
-        inputs = odd_columns(n, w, winv, chi_prev)
-        out_at = check_out(out, n, *inputs)
-        (_, w_at), (_, winv_at), (_, chi_at) = inputs
-        lib.excite_profile(n, h, w_at, winv_at, chi_at, tail, out_at)
-        return out
-
     def excite_step(h, weights, chi_prev, tail, i0, out):
         """The weights' addresses come resolved: only chi_prev and out
-        are looked up."""
+        are looked up.  The integrands stay in registers: no temporary
+        array."""
         n = len(chi_prev)
         inputs = step_inputs(weights, chi_prev, i0)
         out_at = check_out(out, n, *inputs)
@@ -351,7 +342,7 @@ def _load():
         buf = bytearray(min(n, chunk) * len(columns) * CSV_CELL_BYTES)
         buf_at = ctypes.addressof(ctypes.c_char.from_buffer(buf)) \
             if buf else None
-        addresses = (ptr * len(columns))(*(at for _, at in columns))
+        addresses = (_PTR * len(columns))(*(at for _, at in columns))
         with memoryview(buf) as view:
             for first in range(0, n, chunk):
                 used = lib.format_csv_rows(len(columns), addresses, first,
@@ -364,8 +355,7 @@ def _load():
     kernels = SimpleNamespace(
         empty=empty, riccati_sweep=riccati_sweep, shoot=shoot,
         soluble_profile=soluble_profile, scaled_weights=scaled_weights,
-        sample_nodes=sample_nodes, scale=scale,
-        weighted_simpson=weighted_simpson, excite_profile=excite_profile,
+        sample_nodes=sample_nodes, weighted_simpson=weighted_simpson,
         excite_step=excite_step, write_csv_rows=write_csv_rows)
     return kernels, f"built from {_SOURCE_NAME}, loaded from {path}"
 
@@ -387,9 +377,7 @@ shoot = _active.shoot
 soluble_profile = _active.soluble_profile
 scaled_weights = _active.scaled_weights
 sample_nodes = _active.sample_nodes
-scale = _active.scale
 weighted_simpson = _active.weighted_simpson
-excite_profile = _active.excite_profile
 excite_step = _active.excite_step
 write_csv_rows = _active.write_csv_rows
 

@@ -1,8 +1,10 @@
 """The running Simpson integrals of an iteration step in NumPy, written
-from the formula: the tests' reference for kernels.excite_profile, on
-every backend that backends() gives, and of a whole step of the
-iteration; and a ground state's unnormalized profile by the kernel, the
-first half of a step's two-call path (excite_profile, then scale)."""
+from the formula: the tests' reference for the profile and the whole
+step that kernels.excite_step gives, on every backend that backends()
+gives.  The kernels' profile alone is their step anchored at node 0
+(profile), where the profile is 0 and nothing is scaled; a ground
+state's unnormalized profile is that step with its weights and Watson
+tail."""
 
 import numpy as np
 
@@ -49,27 +51,43 @@ def watson_tail(gs, chi_prev):
     return gs.scaled_weight[0][-1] * chi_prev[-1] / (2.0 * gs.s_prime[-1])
 
 
+def profile(backend, h, w, winv, chi, tail, out=None):
+    """The kernels' reference_profile(h, w, winv, chi, tail): backend's
+    excite_step anchored at node 0, which must return chihat[0] = 0.0, into
+    out when given, else into a new array('d'); returns out."""
+    if out is None:
+        out = zeros(len(chi))
+    weights = (kernels.in_place(w), kernels.in_place(winv))
+    assert backend.excite_step(h, weights, chi, tail, 0, out) == 0.0
+    return out
+
+
 def unnormalized_profile(gs, chi_prev, out=None):
     """chihat(x) = 2 int_0^x e^{2S(y)} I(y) dy with the weights and the
-    Watson tail of gs, by kernels.excite_profile as it is bound when
-    called, into out when given, else into a new array('d'): an
-    iteration step before its split."""
-    if out is None:
-        out = zeros(gs.grid.n_points)
+    Watson tail of gs, by profile on kernels.excite_step as it is bound
+    when called: an iteration step before its split."""
     w, _, winv = gs.scaled_weight
-    return kernels.excite_profile(gs.grid.h, w, winv, chi_prev,
-                                  watson_tail(gs, chi_prev), out)
+    return profile(kernels, gs.grid.h, w, winv, chi_prev,
+                   watson_tail(gs, chi_prev), out)
+
+
+def reference_split(chihat, chi_prev, i0):
+    """A step's split in NumPy: chihat times
+    eps = chi_prev[i0] / chihat[i0], and chi_prev[i0] at node i0.
+    Returns (chi, eps)."""
+    chi_prev = np.asarray(chi_prev, dtype=np.float64)
+    with np.errstate(all="ignore"):     # IEEE results, as the kernels'
+        eps = chi_prev[i0] / chihat[i0]
+        chi = chihat * eps
+    chi[i0] = chi_prev[i0]
+    return chi, float(eps)
 
 
 def reference_step(gs, chi_prev, i0):
     """An iteration step in NumPy: reference_profile with the weights and
-    the Watson tail of gs, times eps = chi_prev[i0] / chihat[i0], and
-    chi_prev[i0] at node i0.  Returns (chi, eps)."""
-    chi_prev = np.asarray(chi_prev, dtype=np.float64)
+    the Watson tail of gs, split by reference_split.  Returns
+    (chi, eps)."""
     w, _, winv = gs.scaled_weight
     chihat = reference_profile(gs.grid.h, w, winv, chi_prev,
                                watson_tail(gs, chi_prev))
-    eps = chi_prev[i0] / chihat[i0]
-    chi = chihat * eps
-    chi[i0] = chi_prev[i0]
-    return chi, float(eps)
+    return reference_split(chihat, chi_prev, i0)

@@ -1,5 +1,6 @@
 """End-to-end tests of the excite-iter command line."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -407,6 +408,32 @@ class TestErrors:
         assert f"error: --iters must be at least 1, got {iters}" \
             in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+
+# sha256 of chi_curves.csv of default soluble --delta 0.1 runs, recorded
+# while the chi_exact column was rescaled by a compiled kernel: the rescale
+# in Python keeps every byte
+_PINNED_CHI_CURVES = {
+    ("linear", "0.5"):
+        "5bb9f71c482f371dde80d5a40198c0d7d5ce8ce752ba8bb8d59bac19774c95f6",
+    ("linear", "1"):
+        "697efa74b208e269e12fd4b066a3500b1837fb8573bde8f1004af86e74d87f1c",
+    ("saturating", "0.5"):
+        "87062880bbb1bdd3a63d387df10e75ec3166854c4782fbd7c3c8baa9b8d50ef4",
+    ("saturating", "1"):
+        "44896576ac4490efcb0ff1315135a47529634a056032bffde510c965249c425c",
+}
+
+
+def test_chi_curves_bytes_are_pinned(tmp_path):
+    digests = {}
+    for trial, anchor in _PINNED_CHI_CURVES:
+        out = tmp_path / f"{trial}-{anchor}"
+        assert run_cli(["soluble", "--delta", "0.1", "--trial", trial,
+                        "--anchor", anchor, "--out", str(out)]) == 0
+        digests[trial, anchor] = hashlib.sha256(
+            read(out / "chi_curves.csv")).hexdigest()
+    assert digests == _PINNED_CHI_CURVES
 
 
 QUARTIC = ["quartic", "--g", "3", "--points", "2001", "--xmax", "4.0"]

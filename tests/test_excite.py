@@ -29,7 +29,8 @@ from excite_iter.groundstate import (OVERFLOW_EXPONENT, Grid, GroundState,
 from excite_iter._kernels_py import simpson_integral, zeros
 from excite_iter.potential import Quartic
 from excite_iter.soluble import epsilon1_closed_form, exact_epsilon
-from quadrature import (backends, reference_cumulative, reference_step,
+from quadrature import (backends, profile, reference_cumulative,
+                        reference_profile, reference_split, reference_step,
                         unnormalized_profile, watson_tail)
 from wells import harmonic
 
@@ -319,7 +320,7 @@ def test_profile_backends_agree_bit_for_bit(case):
         results = []
         for backend in (kernels.get_backend("python"), compiled):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "excite_profile", backend.excite_profile)
+                mp.setattr(kernels, "excite_step", backend.excite_step)
                 chihat = unnormalized_profile(gs, chi)
                 # an array filled with NaN, as a reused out may be
                 out = array("d", [math.nan]) * n
@@ -334,46 +335,35 @@ def test_profile_backends_agree_bit_for_bit(case):
         assert gs.scaled_weight[0][-1] != 0.0  # a nonzero Watson tail
 
 
-def _two_call_step(backend, gs, chi, tail, i0, out):
-    """A step by its two-call path on backend: excite_profile, then,
-    unless chihat[i0] is 0, scale by eps = chi[i0] / chihat[i0] and pin
-    out[i0] = chi[i0].  Returns the unscaled chihat[i0]."""
-    w, _, winv = gs.scaled_weight
-    backend.excite_profile(gs.grid.h, w, winv, chi, tail, out)
-    at = out[i0]
-    if at != 0.0:
-        backend.scale(out, chi[i0] / at)
-        out[i0] = chi[i0]
-    return at
-
-
 @pytest.mark.parametrize("case", PROFILE_CASES)
 def test_step_backends_agree_with_the_two_call_path(case):
-    # the step kernel gives the two-call path's bytes and chihat[i0] on
-    # each backend, into an out that holds NaN: anchors at even and odd
-    # nodes, at node 1, at the last node (the hard wall of the soluble
-    # cases) and at node 0, where chihat is 0 and nothing is scaled, as
-    # it is nowhere for a chi of -0.0
+    # the step kernel gives the bytes of the two-call path, the profile
+    # and then a scale by eps, as NumPy's reference_split forms them, and
+    # the unscaled chihat[i0], on each backend, into an out that holds
+    # NaN: anchors at even and odd nodes, at node 1, at the last node (the
+    # hard wall of the soluble cases) and at node 0, where chihat is 0 and
+    # the step gives the unscaled reference_profile, as it does at every
+    # anchor for a chi of -0.0
     gs = PROFILE_CASES[case]()
     n, h = gs.grid.n_points, gs.grid.h
+    w, _, winv = gs.scaled_weight
     rng = np.random.default_rng(11)
     anchors = sorted({0, 1, 2, n // 2 - 1, n // 2, n - 2, n - 1})
     assert {i0 % 2 for i0 in anchors[1:-1]} == {0, 1}
     for chi in (TrialFunction.saturating().sample(gs.grid),
                 array("d", rng.standard_normal(n)), array("d", [-0.0]) * n):
         tail = watson_tail(gs, chi)
+        chihat = reference_profile(h, w, winv, chi, tail)
         for i0 in anchors:
-            results = set()
+            at = float(chihat[i0])
+            expected = chihat if at == 0.0 else reference_split(chihat,
+                                                                chi, i0)[0]
             for backend in backends():
-                expected = zeros(n)
-                at = _two_call_step(backend, gs, chi, tail, i0, expected)
                 out = array("d", [math.nan]) * n
                 got = backend.excite_step(h, gs.step_weights, chi, tail, i0,
                                           out)
                 assert out.tobytes() == expected.tobytes()
                 assert got.hex() == at.hex()
-                results.add((out.tobytes(), got.hex()))
-            assert len(results) == 1
             if i0 == 0 or not any(chi):
                 assert at == 0.0
             else:
@@ -401,13 +391,78 @@ def test_step_rejects_arrays_it_cannot_use(backend):
     for bad in ([0.0] * 4, [0.0] * 3, [0.0] * 7, [0.0]):
         with pytest.raises(ValueError):
             step(zeros(len(bad)), chi_prev=bad)
-    # out: n doubles, writable, sharing no memory with chi_prev or with
-    # the weights
-    weight_array = gs.step_weights[0][0].obj
-    for bad in (zeros(3), np.empty(5), memoryview(zeros(5)).toreadonly(),
-                chi, memoryview(weight_array)):
+
+    # out: an array('d') or a writable view of n doubles, sharing no
+    # memory with chi_prev or with the weights
+    w_array, winv_array = (values.obj for values, _ in gs.step_weights)
+    block = memoryview(array("d", [1.0]) * 10)
+    for bad in (zeros(3), zeros(7), np.empty(5), np.empty((1, 5)),
+                array("f", [0.0]) * 5, array("q", [0]) * 5, block[::2],
+                [0.0] * 5, memoryview(zeros(5)).toreadonly(), chi,
+                memoryview(w_array), memoryview(winv_array)):
         with pytest.raises(ValueError):
             step(bad)
+    row = block[5:]
+    ones = array("d", [1.0]) * 5
+    assert step(row, chi_prev=block[:5]) == step(out, chi_prev=ones)
+    assert row.tobytes() == out.tobytes()
+    with pytest.raises(ValueError):     # overlaps chi_prev by one element
+        step(block[4:9], chi_prev=block[:5])
+    # a NumPy view of out is copied before out is written, so it gives
+    # the step from out's values before the call
+    expected = zeros(5)
+    step(expected, chi_prev=out[:])
+    step(out, chi_prev=np.asarray(out))
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_profile_rejects_arrays_it_cannot_use(backend):
+    # the profile is excite_step anchored at node 0: it scales nothing and
+    # returns 0.0, and it takes the arrays a step takes
+    try:
+        backend_ns = kernels.get_backend(backend)
+    except ImportError as exc:
+        pytest.skip(str(exc))
+
+    def profile_on(n, n_w=None):
+        return profile(backend_ns, 0.1, np.ones(n_w or n), np.ones(n),
+                       np.ones(n), 0.5)
+
+    # odd lengths of at least 3, of one length with the weights
+    assert len(profile_on(5)) == 5
+    assert len(profile_on(3)) == 3
+    for bad in (dict(n=4), dict(n=1), dict(n=5, n_w=7)):
+        with pytest.raises(ValueError):
+            profile_on(**bad)
+
+    # out: an array('d') or a writable view of n doubles, sharing no memory
+    # with the arrays of the call that the kernel reads in place
+    n = 5
+    w, winv, chi = (array("d", [1.0]) * n for _ in range(3))
+    block = memoryview(array("d", [1.0]) * (2 * n))
+
+    def profile_into(out, chi_prev=chi):
+        return profile(backend_ns, 0.1, w, winv, chi_prev, 0.5, out)
+
+    out = profile_into(zeros(n))
+    row = profile_into(block[n:], chi_prev=block[:n])
+    assert out.tobytes() == profile_on(n).tobytes() == row.tobytes()
+    assert out.tobytes() == reference_profile(0.1, w, winv, chi,
+                                              0.5).tobytes()
+    for bad in (zeros(n - 2), zeros(n + 2), np.empty(n), np.empty((1, n)),
+                array("f", [0.0]) * n, array("q", [0]) * n,
+                block[::2], [0.0] * n, memoryview(zeros(n)).toreadonly(),
+                w, winv, chi):
+        with pytest.raises(ValueError):
+            profile_into(bad)
+    with pytest.raises(ValueError):     # overlaps chi_prev by one element
+        profile_into(block[n - 1:2 * n - 1], chi_prev=block[:n])
+    # a NumPy view of out is copied before out is written, so it gives
+    # the profile of out's values before the call
+    expected = profile_into(zeros(n), chi_prev=out[:])
+    assert profile_into(out, chi_prev=np.asarray(out)) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 # sha256 of every iterate's bytes, then of the eps_sequence as float.hex
@@ -483,27 +538,18 @@ def profile_arguments(draw):
 
 @given(profile_arguments(), st.integers(0, 200))
 def test_profile_backends_agree_on_random_arrays(args, k):
-    # and so does a step split at node k mod n, with the bytes of the
-    # profile scaled by eps and pinned, as scale and a store give them
-    try:
-        compiled = kernels.get_backend("cython")
-    except ImportError as exc:
-        pytest.skip(str(exc))
-    n = len(args[3])
-    python, cython = (backend.excite_profile(*args, zeros(n)).tobytes()
-                      for backend in (kernels.get_backend("python"),
-                                      compiled))
-    assert python == cython
+    # each backend's step split at node k mod n gives the bytes of NumPy's
+    # profile split by eps and pinned (reference_split), or where
+    # chihat[i0] is 0 the unscaled profile, into an out that holds NaN
     h, w, winv, chi, tail = args
+    n = len(chi)
     i0 = k % n
     weights = (kernels.in_place(w), kernels.in_place(winv))
-    expected = array("d", python)
-    at = expected[i0]
-    if at != 0.0:
-        kernels.get_backend("python").scale(expected, chi[i0] / at)
-        expected[i0] = chi[i0]
-    for backend in (kernels.get_backend("python"), compiled):
-        out = zeros(n)
+    chihat = reference_profile(h, w, winv, chi, tail)
+    at = float(chihat[i0])
+    expected = chihat if at == 0.0 else reference_split(chihat, chi, i0)[0]
+    for backend in backends():
+        out = array("d", [math.nan]) * n
         assert backend.excite_step(h, weights, chi, tail, i0, out).hex() \
             == at.hex()
         assert out.tobytes() == expected.tobytes()
@@ -539,8 +585,7 @@ def test_profile_backends_agree_on_extreme_arrays(args):
         compiled = kernels.get_backend("cython")
     except ImportError as exc:
         pytest.skip(str(exc))
-    n = len(args[3])
-    python, cython = (backend.excite_profile(*args, zeros(n)).tobytes()
+    python, cython = (profile(backend, *args).tobytes()
                       for backend in (kernels.get_backend("python"),
                                       compiled))
     assert python == cython
@@ -560,25 +605,9 @@ def test_node_backends_agree_bit_for_bit(n, x_max, saturating):
     assert samples == {expected.tobytes()}
 
 
-@given(arrays(np.float64, st.integers(0, 50), elements=st.one_of(
-           st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
-           st.floats())),
-       st.one_of(st.sampled_from([0.0, -0.0, np.inf, np.nan]), st.floats()))
-def test_scale_backends_agree_bit_for_bit(values, factor):
-    # the products NumPy forms, to the bit but for a NaN's payload
-    with np.errstate(all="ignore"):
-        expected = values * factor
-    nan = np.isnan(expected)
-    for backend in backends():
-        x = array("d", values)
-        assert backend.scale(x, factor) is x
-        assert np.array_equal(np.isnan(x), nan)
-        assert x.tobytes() == np.where(nan, x, expected).tobytes()
-
-
 def test_compiled_profile_reads_each_calls_weights():
-    # the compiled wrapper looks up the address of each array on every
-    # call; it must give the Python kernel's bytes when ground states
+    # weights built on every call (profile calls in_place on each): the
+    # compiled step must give the Python kernel's bytes when ground states
     # alternate, when w must be copied to be contiguous, and when w is
     # edited in place between calls
     try:
@@ -591,8 +620,7 @@ def test_compiled_profile_reads_each_calls_weights():
 
     def check(w, winv):
         python_bytes, compiled_bytes = (
-            backend.excite_profile(0.005, w, winv, chi, 0.25,
-                                   zeros(len(chi))).tobytes()
+            profile(backend, 0.005, w, winv, chi, 0.25).tobytes()
             for backend in (python, compiled))
         assert python_bytes == compiled_bytes
         return compiled_bytes
@@ -612,52 +640,6 @@ def test_compiled_profile_reads_each_calls_weights():
         assert check(given, winv) == before
         np.asarray(given)[:] *= 0.5           # the same array, new values
         assert check(given, winv) != before
-
-
-@pytest.mark.parametrize("backend", ["python", "cython"])
-def test_profile_rejects_arrays_it_cannot_use(backend):
-    try:
-        excite_profile = kernels.get_backend(backend).excite_profile
-    except ImportError as exc:
-        pytest.skip(str(exc))
-
-    def profile(n, n_w=None):
-        return excite_profile(
-            0.1, np.ones(n_w or n), np.ones(n), np.ones(n), 0.5, zeros(n))
-
-    assert len(profile(5)) == 5
-    assert len(profile(3)) == 3
-    for bad in (dict(n=4), dict(n=1), dict(n=5, n_w=7)):
-        with pytest.raises(ValueError):
-            profile(**bad)
-
-    # out: an array('d') or a writable view of n doubles, sharing no memory
-    # with the arrays of the call that the kernel reads in place
-    n = 5
-    w, winv, chi = (array("d", [1.0]) * n for _ in range(3))
-    block = memoryview(array("d", [1.0]) * (2 * n))
-
-    def profile_into(out, chi_prev=chi):
-        return excite_profile(0.1, w, winv, chi_prev, 0.5, out)
-
-    out = zeros(n)
-    assert profile_into(out) is out
-    row = block[n:]
-    assert profile_into(row, chi_prev=block[:n]) is row
-    assert out.tobytes() == profile(n).tobytes() == row.tobytes()
-    for bad in (zeros(n - 2), zeros(n + 2), np.empty(n), np.empty((1, n)),
-                array("f", [0.0]) * n, array("q", [0]) * n,
-                block[::2], [0.0] * n, memoryview(zeros(n)).toreadonly(),
-                w, winv, chi):
-        with pytest.raises(ValueError):
-            profile_into(bad)
-    with pytest.raises(ValueError):     # overlaps chi_prev by one element
-        profile_into(block[n - 1:2 * n - 1], chi_prev=block[:n])
-    # a NumPy view of out is copied before out is written, so it gives
-    # the profile of out's values before the call
-    expected = profile_into(zeros(n), chi_prev=out[:])
-    assert profile_into(out, chi_prev=np.asarray(out)) is out
-    assert out.tobytes() == expected.tobytes()
 
 
 def test_workspace_changes_no_bit(gs_quartic, gs_soluble, step_backend):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -156,6 +157,20 @@ def test_solver_detects_wrong_parity(monkeypatch):
 def test_solver_rejects_delta_box():
     with pytest.raises(TypeError):
         solve_groundstate_numeric(DeltaBox(0.1), Grid(1.0, 2001))
+
+
+def test_solver_rejects_fewer_than_5_nodes_before_it_shoots(monkeypatch):
+    # a 3-node grid is named as such, not as a match node off the grid
+    def shoot(*args, **kwargs):
+        raise AssertionError("the bracket was searched")
+
+    monkeypatch.setattr(kernels, "shoot", shoot)
+    with pytest.raises(ValueError,
+                       match="needs at least 5 nodes, got 3$"):
+        solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 3))
+    monkeypatch.undo()
+    with pytest.raises(NoEigenvalueError, match="on 5 nodes"):
+        solve_groundstate_numeric(Quartic(3.0), Grid(4.0, 5))
 
 
 # ------------------------------------------------------- root finder
@@ -471,9 +486,43 @@ def test_negative_step_count_is_rejected(backend):
         sweep(0.0, 0.01, -1, 3.0, 2.5, 0.0, 0.0)
 
 
+def test_backends_and_the_c_source_name_the_same_kernels():
+    # so that deleting a kernel leaves no twin, binding or dead C function
+    # behind: the Python kernels are the public functions of _kernels_py
+    # but simpson_integral, weighted_simpson's helper
+    python = {name for name, f in vars(_kernels_py).items()
+              if callable(f) and not name.startswith("_")
+              and getattr(f, "__module__", None) == _kernels_py.__name__}
+    python.remove("simpson_integral")
+    try:
+        assert set(vars(kernels.get_backend("cython"))) == python
+    except ImportError:
+        pass
+    # every kernel that kernels binds, a Python twin or a compiled
+    # wrapper, is one of the active backend's
+    active = kernels.get_backend(kernels.BACKEND)
+    bound = {name for name, f in vars(kernels).items() if callable(f)
+             and (getattr(f, "__module__", None) == _kernels_py.__name__
+                  or "<locals>" in getattr(f, "__qualname__", ""))}
+    assert bound == python
+    assert all(getattr(kernels, name) is getattr(active, name)
+               for name in python)
+    # _load gives every non-static function of _kernels.c a signature of
+    # as many arguments, and the C library's malloc and free, nothing more
+    with open(kernels._SOURCE) as f:
+        source = re.sub(r"/\*.*?\*/", "", f.read(), flags=re.S)
+    defined = dict(re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\(([^)]*)\)"
+                              r"\s*\{", source, flags=re.M))
+    assert "excite_step" in defined and "format_csv_rows" in defined
+    assert set(kernels._SIGNATURES) == set(defined) | {"malloc", "free"}
+    for name, parameters in defined.items():
+        assert len(kernels._SIGNATURES[name][1]) \
+            == len(parameters.split(",")), name
+
+
 def _backend_in_subprocess(env):
     """(BACKEND, BACKEND_REASON, get_backend('cython') error or '', and
-    whether kernels.riccati_sweep, kernels.excite_profile and
+    whether kernels.riccati_sweep, kernels.excite_step and
     kernels.write_csv_rows are the Python kernels, as 'True True True'
     etc.) of a fresh import of excite_iter.kernels."""
     code = ("from excite_iter import _kernels_py, kernels\n"
@@ -485,7 +534,7 @@ def _backend_in_subprocess(env):
             "except ImportError as exc:\n"
             "    print(exc)\n"
             "print(kernels.riccati_sweep is _kernels_py.riccati_sweep,\n"
-            "      kernels.excite_profile is _kernels_py.excite_profile,\n"
+            "      kernels.excite_step is _kernels_py.excite_step,\n"
             "      kernels.write_csv_rows is _kernels_py.write_csv_rows)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)

@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from excite_iter import kernels
 from excite_iter.groundstate import Grid, soluble_groundstate
-from excite_iter._kernels_py import simpson_integral, zeros
-from quadrature import backends, reference_profile, unnormalized_profile
+from excite_iter._kernels_py import simpson_integral
+from quadrature import backends, profile, reference_profile, watson_tail
 
 # independent 30-digit quadrature of int_0^1 z sin^2(p(1-z)) dz, delta=0.1
 INNER_ORACLE_D01 = 0.2497306668710968321
@@ -61,17 +60,18 @@ def test_simpson_rejects_bad_ranges():
             simpson_integral(np.ones(n), 0.1)
 
 
-# The running integrals of a step are the two passes of excite_profile.
-# With w = 0 and tail 1, I is 0 and a profile is twice the forward running
-# integral of winv, exactly.
+# The running integrals of a step are the two passes of excite_step, which
+# at node 0 gives the profile alone (profile).  With w = 0 and tail 1, I
+# is 0 and a profile is twice the forward running integral of winv,
+# exactly.
 
 
 def test_cumulative_matches_full_integral():
     x = np.linspace(0, 1, 1001)
     y = np.exp(-x) * np.sin(3 * x)
     for backend in backends():
-        chihat = backend.excite_profile(x[1], np.zeros(1001), y,
-                                        np.ones(1001), 1.0, zeros(1001))
+        chihat = profile(backend, x[1], np.zeros(1001), y, np.ones(1001),
+                         1.0)
         assert chihat[0] == 0.0
         assert chihat[-1] == pytest.approx(2.0 * simpson_integral(y, x[1]),
                                            rel=1e-12)
@@ -85,11 +85,10 @@ def test_cumulative_odd_offsets_are_consistent():
     x = np.linspace(0, 1, 201)
     n, h, ones = len(x), x[1], np.ones(201)
     for backend in backends():
-        forward = backend.excite_profile(h, np.zeros(n), x ** 2, ones, 1.0,
-                                         zeros(n))
+        forward = profile(backend, h, np.zeros(n), x ** 2, ones, 1.0)
         assert np.max(np.abs(np.asarray(forward) - 2.0 * x ** 3 / 3)) \
             < 1e-15
-        both = backend.excite_profile(h, ones, ones, x, 0.0, zeros(n))
+        both = profile(backend, h, ones, ones, x, 0.0)
         assert np.max(np.abs(np.asarray(both) - (x - x ** 3 / 3))) < 1e-15
 
 
@@ -107,8 +106,8 @@ def test_cumulative_is_fourth_order_at_odd_offsets():
 
     def err(backend, n, offsets):
         x = np.linspace(0, 1, n)
-        chihat = backend.excite_profile(x[1], np.exp(-x), np.exp(x),
-                                        np.cos(3 * x), 0.0, zeros(n))
+        chihat = profile(backend, x[1], np.exp(-x), np.exp(x),
+                         np.cos(3 * x), 0.0)
         error = np.abs(np.asarray(chihat) - 2.0 * (g(x) - g(0.0)))
         return np.max(error[offsets])
 
@@ -125,14 +124,12 @@ def test_reverse_cumulative_mirrors_forward():
     y = np.cos(2 * x)
     n, h, ones = len(x), x[1], np.ones(101)
     for backend in backends():
-        forward = backend.excite_profile(h, np.zeros(n), y[::-1], ones, 1.0,
-                                         zeros(n))
+        forward = profile(backend, h, np.zeros(n), y[::-1], ones, 1.0)
         rev = np.asarray(forward)[::-1] * 0.5
         assert rev[-1] == 0.0
-        profile = backend.excite_profile(h, ones, ones, y, 0.0, zeros(n))
-        via_forward = backend.excite_profile(h, np.zeros(n), rev, ones, 1.0,
-                                             zeros(n))
-        assert profile.tobytes() == via_forward.tobytes()
+        both = profile(backend, h, ones, ones, y, 0.0)
+        via_forward = profile(backend, h, np.zeros(n), rev, ones, 1.0)
+        assert both.tobytes() == via_forward.tobytes()
 
 
 def _samples(n):
@@ -163,8 +160,7 @@ def test_cumulative_matches_reference_formula(args, reversed_in):
         w, winv, chi = w[::-1], winv[::-1], chi[::-1]
     reference = reference_profile(h, w, winv, chi, tail)
     for backend in backends():
-        result = backend.excite_profile(h, w, winv, chi, tail,
-                                        zeros(len(chi)))
+        result = profile(backend, h, w, winv, chi, tail)
         assert np.array_equal(_bits(result), _bits(reference))
 
 
@@ -174,7 +170,9 @@ def test_tail_closure_hard_wall_is_exactly_zero():
     gs = soluble_groundstate(0.1, Grid(1.0, 101))
     w, _, winv = gs.scaled_weight
     chi = np.ones(101)
-    chihat = unnormalized_profile(gs, chi)
-    no_tail = kernels.excite_profile(gs.grid.h, w, winv, chi, 0.0,
-                                     zeros(101))
-    assert chihat.tobytes() == no_tail.tobytes()
+    tail = watson_tail(gs, chi)
+    assert tail == 0.0
+    for backend in backends():
+        chihat = profile(backend, gs.grid.h, w, winv, chi, tail)
+        no_tail = profile(backend, gs.grid.h, w, winv, chi, 0.0)
+        assert chihat.tobytes() == no_tail.tobytes()
