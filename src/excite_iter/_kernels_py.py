@@ -10,11 +10,11 @@ sample_nodes, excite_step and weighted_simpson are the grid passes of an
 iteration: a ground state's weights, the trial samples, a step's profile
 and split in one call, and the residual's two integrals from
 simpson_integral.  write_csv_rows writes CSV rows with
-Python's '%.17g' % v.  empty gives a block of zeros, where the compiled
-one leaves its memory unwritten.  Each kernel is its C loop written in
-Python: the same floating-point operations in the same order, with the
-same libm exp, log, sin and tan, writing the same characters; the
-backend tests compare the two bit for bit.
+Python's '%.17g' % v.  There is no allocator here: the blocks of a run
+come from kernels.empty on both backends.  Each kernel is its C loop
+written in Python: the same floating-point operations in the same order,
+with the same libm exp, log, sin and tan, writing the same characters;
+the backend tests compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ def simpson_integral(values, h: float) -> float:
     for i in range(2, len(y) - 1, 2):
         even += y[i]
     return h / 3.0 * (y[0] + y[-1] + 4.0 * odd + 2.0 * even)
-
-
-def empty(n: int) -> memoryview:
-    """A writable view of n doubles: zeros here, where a step costs far
-    more than the fill, though callers may assume no value."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return memoryview(zeros(n))
 
 
 def riccati_sweep(x_start: float, h: float, n_steps: int, g: float,

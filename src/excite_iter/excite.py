@@ -88,8 +88,8 @@ class IterationState:
     """chi_n on x >= 0 plus the extracted eps_n.
 
     In the states of a run, chi is a row of a block that holds the run's
-    other iterates too: a writable memoryview of the block that
-    kernels.empty gave, so keeping one chi keeps that block alive.
+    other iterates too: a writable memoryview of the bytearray chi.obj
+    from kernels.empty, so keeping one chi keeps that block alive.
     """
 
     __slots__ = ("chi", "eps")
@@ -244,9 +244,9 @@ BLOCK_ROWS = DEFAULT_MAX_ITERS + 1
 
 def _rows(n_points: int, count: int):
     """Yields count rows of n_points doubles, in order, as writable views
-    of blocks of at most BLOCK_ROWS rows; each block, from kernels.empty,
-    is allocated when the one before it is used up.  A row holds
-    unspecified values until its kernel writes every node of it."""
+    of blocks of at most BLOCK_ROWS rows; each block, a bytearray from
+    kernels.empty, is allocated when the one before it is used up.  A row
+    holds unspecified values until its kernel writes every node of it."""
     while count > 0:
         rows = min(count, BLOCK_ROWS)
         block = kernels.empty(rows * n_points)

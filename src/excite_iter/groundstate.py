@@ -161,7 +161,8 @@ def default_x_max(g: float) -> float:
 def _wkb_start(g: float, e: float, x_max: float) -> float:
     """S' at x_max for the decaying WKB tail: k + k'/(2k).  Raises
     ValueError, naming --xmax and --g, when x_max lies inside the
-    classically allowed region at energy e."""
+    classically allowed region at energy e, and naming --xmax when the
+    start is not finite (V overflows there)."""
     v = 0.5 * g * g * (x_max * x_max - 1.0) ** 2
     if v <= e:
         raise ValueError(
@@ -171,7 +172,12 @@ def _wkb_start(g: float, e: float, x_max: float) -> float:
             f"validated range {_VALIDATED}")
     k = math.sqrt(2.0 * (v - e))
     v_prime = 2.0 * g * g * x_max * (x_max * x_max - 1.0)
-    return k + v_prime / (2.0 * k * k)
+    start = k + v_prime / (2.0 * k * k)
+    if not math.isfinite(start):
+        raise ValueError(
+            f"--xmax {x_max} gives the WKB tail no finite start "
+            f"(V(x_max)={v:.6g}, S'={start:.6g}); lower --xmax")
+    return start
 
 
 _BRENT_ITERATIONS = 100   # as in SciPy's brentq.c

@@ -22,12 +22,11 @@ get_backend('python') asks for it.
 
 Grid arrays are array('d'), or rows of a block: writable memoryviews of
 the doubles that empty(n) gives, whose values are unspecified until
-written.  The compiled empty takes them from malloc, found through the
-loaded library, as a ctypes array (one array type per size, made once)
-that frees them when its last view dies; the Python one gives zeros.  A
-kernel reads those in place (in_place) and converts any other 1-D
-sequence of reals first; it writes only into an array('d') or a writable
-view (check_out).  These array helpers are defined here, for both
+written.  One empty serves both backends: a block is a bytearray that
+CPython leaves unfilled, freed when its last view dies.  A kernel reads
+those in place (in_place) and converts any other 1-D sequence of reals
+first; it writes only into an array('d') or a writable view
+(check_out).  empty and these array helpers are defined here, for both
 backends and their callers.  The ctypes wrappers pass the addresses
 in_place gives; excite_step takes a ground state's weights with the
 addresses that in_place gave them once (step_inputs).  The wrapper of the
@@ -43,7 +42,6 @@ from __future__ import annotations
 import ctypes
 import os
 import sys
-import weakref
 import zlib
 from array import array
 from types import SimpleNamespace
@@ -73,8 +71,7 @@ _ZERO = array("d", [0.0])
 _LONG, _DOUBLE, _PTR = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
 
 #: the result and argument types of every function that _load resolves in
-#: the library: each non-static function of _kernels.c, and the C
-#: library's malloc and free, which the compiled empty calls
+#: the library: each non-static function of _kernels.c
 _SIGNATURES = {
     "riccati_sweep": (_LONG, [_DOUBLE] * 2 + [_LONG] + [_DOUBLE] * 5
                       + [_PTR] * 2),
@@ -87,9 +84,25 @@ _SIGNATURES = {
     "excite_step": (_DOUBLE, [_LONG, _DOUBLE, _PTR, _PTR, _PTR, _DOUBLE,
                               _LONG, _PTR]),
     "format_csv_rows": (_LONG, [_LONG, _PTR, _LONG, _LONG, _PTR, _LONG]),
-    "malloc": (_PTR, [ctypes.c_size_t]),
-    "free": (None, [_PTR]),
 }
+
+
+# a new bytearray into which a NULL source copies nothing; looked up by
+# item, a function object of its own, whose types no other code sets
+_unfilled_bytearray = ctypes.pythonapi["PyByteArray_FromStringAndSize"]
+_unfilled_bytearray.restype = ctypes.py_object
+_unfilled_bytearray.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t)
+
+
+def empty(n: int) -> memoryview:
+    """A writable view of n doubles, unspecified until written: a new
+    bytearray that nothing fills, freed when its last view dies.  Raises
+    ValueError for n < 0, MemoryError when 8 n bytes cannot be had."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if n > sys.maxsize // 8:        # 8 n would overflow a buffer's size
+        raise MemoryError(f"cannot allocate {n} doubles")
+    return memoryview(_unfilled_bytearray(None, 8 * n)).cast("d")
 
 
 def zeros(n: int) -> array:
@@ -262,19 +275,6 @@ def _load():
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot load {path}: {exc}") from exc
 
-    def empty(n):
-        """The memory comes from malloc, found through the library, and
-        goes back to free when the last view of it dies; not at exit,
-        where a later exit handler may still read a view."""
-        if n < 0:
-            raise ValueError(f"need n >= 0, got {n}")
-        at = lib.malloc(8 * max(n, 1)) if n <= sys.maxsize // 8 else None
-        if not at:
-            raise MemoryError(f"cannot allocate {n} doubles")
-        doubles = (ctypes.c_double * n).from_address(at)
-        weakref.finalize(doubles, lib.free, at).atexit = False
-        return memoryview(doubles).cast("B").cast("d")
-
     def riccati_sweep(x_start, h, n_steps, g, e, s_init, sp_init):
         if n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -353,7 +353,7 @@ def _load():
                 f.write(view[:used])
 
     kernels = SimpleNamespace(
-        empty=empty, riccati_sweep=riccati_sweep, shoot=shoot,
+        riccati_sweep=riccati_sweep, shoot=shoot,
         soluble_profile=soluble_profile, scaled_weights=scaled_weights,
         sample_nodes=sample_nodes, weighted_simpson=weighted_simpson,
         excite_step=excite_step, write_csv_rows=write_csv_rows)
@@ -371,7 +371,6 @@ if _compiled is None:
     from . import _kernels_py as _active
 else:
     _active = _compiled
-empty = _active.empty
 riccati_sweep = _active.riccati_sweep
 shoot = _active.shoot
 soluble_profile = _active.soluble_profile

@@ -319,6 +319,21 @@ class TestErrors:
                 == capsys.readouterr().err)
         assert files_in(out) == []
 
+    @pytest.mark.parametrize("x_max", ["1e200", "1e77"])
+    def test_overflowing_xmax_exits_1_naming_xmax(self, tmp_path, capsys,
+                                                  x_max):
+        # V(x_max) overflows to inf, and the WKB start with it (NaN at
+        # 1e200, inf at 1e77): the message names --xmax, not --g
+        out = tmp_path / "out"
+        code = run_cli(["quartic", "--g", "3", "--xmax", x_max,
+                        "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --xmax {float(x_max)} gives the WKB "
+                              "tail no finite start (V(x_max)=inf")
+        assert err.endswith("lower --xmax\n") and "--g" not in err
+        assert files_in(out) == []
+
     def test_grid_too_coarse_for_the_well_exits_1(self, tmp_path, capsys):
         code = run_cli(["quartic", "--g", "3", "--points", "7",
                         "--anchor", "2", "--out", str(tmp_path)])
@@ -875,13 +890,15 @@ class TestSameBytesFromEveryBackendAndCheckout:
     def test_poisoned_blocks_write_the_same_bytes(self, tmp_path, capsys,
                                                   monkeypatch, args):
         # a run in this process whose blocks of iterates hold NaN until
-        # written, on each backend, writes what a CLI process writes
+        # written, on each backend's kernels, writes what a CLI process
+        # writes
         args = args + ["--points", "401"]
         src = os.path.dirname(os.path.dirname(excite_iter.__file__))
         stdout = self.spawn(src, args, tmp_path / "spawned")
         files = {p.name: read(p) for p in (tmp_path / "spawned").iterdir()}
         summary = json.loads(files.pop("summary.json"))
         del summary["kernel_backend"], summary["kernel_backend_reason"]
+        empty = kernels.empty
         for backend in ("python", "cython"):
             try:
                 chosen = kernels.get_backend(backend)
@@ -891,7 +908,7 @@ class TestSameBytesFromEveryBackendAndCheckout:
                 monkeypatch.setattr(kernels, name, getattr(chosen, name))
             sizes = []
 
-            def poisoned_empty(n, empty=chosen.empty):
+            def poisoned_empty(n):
                 block = empty(n)
                 block[:] = array("d", [math.nan]) * n
                 sizes.append(n)

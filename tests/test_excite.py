@@ -1,10 +1,10 @@
 """Tests for the excitation-energy iteration engine."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
 import warnings
-import weakref
 from array import array
 
 import numpy as np
@@ -376,21 +376,43 @@ def test_step_rejects_arrays_it_cannot_use(backend):
         excite_step = kernels.get_backend(backend).excite_step
     except ImportError as exc:
         pytest.skip(str(exc))
+    for i0 in (0, 2):
+        _check_step_contract(excite_step, i0)
+
+
+def _check_step_contract(excite_step, i0):
+    """The contract of a step's arrays at anchor i0 of a 5-node grid: at
+    node 0 the step is the profile alone, which scales nothing and
+    returns 0.0."""
     gs = harmonic(4.0, 5)
     chi = array("d", [0.0, 1.0, 2.0, 3.0, 4.0])
 
-    def step(out, chi_prev=chi, i0=2):
-        return excite_step(gs.grid.h, gs.step_weights, chi_prev, 0.5, i0,
-                           out)
+    def step(out, chi_prev=chi, weights=gs.step_weights, i0=i0):
+        return excite_step(gs.grid.h, weights, chi_prev, 0.5, i0, out)
 
     out = zeros(5)
-    assert step(out) != 0.0 and out[2] == 2.0
-    for i0 in (-1, 5):
+    if i0 == 0:
+        assert step(out) == 0.0
+        w, _, winv = gs.scaled_weight
+        assert out.tobytes() == reference_profile(gs.grid.h, w, winv, chi,
+                                                  0.5).tobytes()
+    else:
+        assert step(out) != 0.0 and out[i0] == chi[i0]
+    for bad in (-1, 5):
         with pytest.raises(ValueError, match="need 0 <= i0 < n"):
-            step(zeros(5), i0=i0)
-    for bad in ([0.0] * 4, [0.0] * 3, [0.0] * 7, [0.0]):
+            step(zeros(5), i0=bad)
+
+    # odd lengths of at least 3, of one length with the weights; NumPy
+    # weights and a list chi_prev are converted first
+    def weights_of(n):
+        return kernels.in_place(np.ones(n)), kernels.in_place(np.ones(n))
+
+    small = zeros(3)
+    step(small, chi_prev=[1.0] * 3, weights=weights_of(3))
+    assert small[i0] == (0.0 if i0 == 0 else 1.0)
+    for n, n_w in ((4, 4), (1, 1), (5, 7), (4, 5), (3, 5), (7, 5), (1, 5)):
         with pytest.raises(ValueError):
-            step(zeros(len(bad)), chi_prev=bad)
+            step(zeros(n), chi_prev=[1.0] * n, weights=weights_of(n_w))
 
     # out: an array('d') or a writable view of n doubles, sharing no
     # memory with chi_prev or with the weights
@@ -399,7 +421,8 @@ def test_step_rejects_arrays_it_cannot_use(backend):
     for bad in (zeros(3), zeros(7), np.empty(5), np.empty((1, 5)),
                 array("f", [0.0]) * 5, array("q", [0]) * 5, block[::2],
                 [0.0] * 5, memoryview(zeros(5)).toreadonly(), chi,
-                memoryview(w_array), memoryview(winv_array)):
+                w_array, winv_array, memoryview(w_array),
+                memoryview(winv_array)):
         with pytest.raises(ValueError):
             step(bad)
     row = block[5:]
@@ -413,55 +436,6 @@ def test_step_rejects_arrays_it_cannot_use(backend):
     expected = zeros(5)
     step(expected, chi_prev=out[:])
     step(out, chi_prev=np.asarray(out))
-    assert out.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("backend", ["python", "cython"])
-def test_profile_rejects_arrays_it_cannot_use(backend):
-    # the profile is excite_step anchored at node 0: it scales nothing and
-    # returns 0.0, and it takes the arrays a step takes
-    try:
-        backend_ns = kernels.get_backend(backend)
-    except ImportError as exc:
-        pytest.skip(str(exc))
-
-    def profile_on(n, n_w=None):
-        return profile(backend_ns, 0.1, np.ones(n_w or n), np.ones(n),
-                       np.ones(n), 0.5)
-
-    # odd lengths of at least 3, of one length with the weights
-    assert len(profile_on(5)) == 5
-    assert len(profile_on(3)) == 3
-    for bad in (dict(n=4), dict(n=1), dict(n=5, n_w=7)):
-        with pytest.raises(ValueError):
-            profile_on(**bad)
-
-    # out: an array('d') or a writable view of n doubles, sharing no memory
-    # with the arrays of the call that the kernel reads in place
-    n = 5
-    w, winv, chi = (array("d", [1.0]) * n for _ in range(3))
-    block = memoryview(array("d", [1.0]) * (2 * n))
-
-    def profile_into(out, chi_prev=chi):
-        return profile(backend_ns, 0.1, w, winv, chi_prev, 0.5, out)
-
-    out = profile_into(zeros(n))
-    row = profile_into(block[n:], chi_prev=block[:n])
-    assert out.tobytes() == profile_on(n).tobytes() == row.tobytes()
-    assert out.tobytes() == reference_profile(0.1, w, winv, chi,
-                                              0.5).tobytes()
-    for bad in (zeros(n - 2), zeros(n + 2), np.empty(n), np.empty((1, n)),
-                array("f", [0.0]) * n, array("q", [0]) * n,
-                block[::2], [0.0] * n, memoryview(zeros(n)).toreadonly(),
-                w, winv, chi):
-        with pytest.raises(ValueError):
-            profile_into(bad)
-    with pytest.raises(ValueError):     # overlaps chi_prev by one element
-        profile_into(block[n - 1:2 * n - 1], chi_prev=block[:n])
-    # a NumPy view of out is copied before out is written, so it gives
-    # the profile of out's values before the call
-    expected = profile_into(zeros(n), chi_prev=out[:])
-    assert profile_into(out, chi_prev=np.asarray(out)) is out
     assert out.tobytes() == expected.tobytes()
 
 
@@ -698,35 +672,27 @@ def test_step_allocates_only_the_iterate(gs_quartic, gs_soluble,
 
 def test_warm_run_allocates_only_its_block(gs_quartic, monkeypatch):
     # a ground state holds its weights, so a run's one grid-sized
-    # allocation is its block of iterates: one kernels.empty call, whose
-    # malloc tracemalloc does not see.  The compiled kernels allocate
-    # nothing, so everything else is the small Python objects (the
-    # report, its states and their rows: 3.8-6 KB), in 8 KB; one more
-    # grid array at this size is 128 KB
-    try:
-        compiled = kernels.get_backend("cython")
-    except ImportError as exc:
-        pytest.skip(str(exc))
-    for name in ("excite_step", "weighted_simpson", "sample_nodes"):
-        monkeypatch.setattr(kernels, name, getattr(compiled, name))
-    sizes = []
+    # allocation is its block of iterates: one kernels.empty call, a
+    # bytearray of 8 BLOCK_ROWS n bytes that tracemalloc sees.  The
+    # compiled kernels allocate nothing, so everything else is the small
+    # Python objects (the report, its states and their rows: 3.8-6 KB),
+    # in 8 KB; one more grid array at this size is 128 KB
+    _run_on(monkeypatch, "cython")
+    empty, sizes = kernels.empty, []
 
     def counting_empty(n):
         sizes.append(n)
-        return compiled.empty(n)
+        return empty(n)
 
     monkeypatch.setattr(kernels, "empty", counting_empty)
     n = gs_quartic.grid.n_points
-    # the first block of a size also makes the ctypes array type that
-    # wraps it, once: about 3.4 KB
-    run(gs_quartic, TrialFunction.linear())
     peaks = {}
     for trial in (TrialFunction.linear(), TrialFunction.saturating()):
         sizes.clear()
         _, peaks[trial.kind] = _peak_bytes(
             lambda: run(gs_quartic, trial))
         assert sizes == [BLOCK_ROWS * n]
-        assert peaks[trial.kind] <= 8192
+        assert peaks[trial.kind] <= 8 * BLOCK_ROWS * n + 8192
     # chi_0 is written straight into its row, so the saturating trial
     # costs no grid array more than the linear one (it cost two when it
     # was built apart and copied in); the small Python objects of two
@@ -753,76 +719,112 @@ def test_run_writes_its_iterates_into_one_block(gs_quartic):
             assert not np.shares_memory(a, b)
 
 
-def _empty_of(backend):
-    """The backend's kernels.empty, or a skip when it cannot be had."""
-    try:
-        return kernels.get_backend(backend).empty
-    except ImportError as exc:
-        pytest.skip(str(exc))
-
-
-@pytest.mark.parametrize("backend", ["python", "cython"])
-def test_empty_gives_writable_doubles_or_a_memory_error(backend):
-    empty = _empty_of(backend)
-    view = empty(5)
+def test_empty_gives_writable_doubles_or_a_memory_error():
+    view = kernels.empty(5)
     assert (view.format, view.shape, view.c_contiguous, view.readonly) \
         == ("d", (5,), True, False)
     view[:] = array("d", [0.5, -1.0, 2.0, 3.0, 4.0])
     assert view.tolist() == [0.5, -1.0, 2.0, 3.0, 4.0]
-    assert len(empty(0)) == 0
-    # 8 n overflows a buffer's size; malloc refuses 2**62 bytes at once
+    assert len(kernels.empty(0)) == 0
+    # 8 n overflows a buffer's size; 2**62 bytes at once cannot be had
     for n in (2 ** 60, 2 ** 59):
         with pytest.raises(MemoryError):
-            empty(n)
+            kernels.empty(n)
     with pytest.raises(ValueError):
-        empty(-1)
+        kernels.empty(-1)
+
+
+def test_blocks_leave_no_cyclic_garbage():
+    # a block is freed by reference counting alone: blocks of 40 sizes
+    # leave nothing for the cycle collector to find, where a ctypes array
+    # type made for each size would leave 7 cyclic objects apiece
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for n in range(1000, 1040):
+            kernels.empty(n)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _traced() -> int:
+    """Bytes that tracemalloc traces now."""
+    return tracemalloc.get_traced_memory()[0]
+
+
+def _run_on(monkeypatch, backend):
+    """Makes a run use the named backend's kernels, or skips."""
+    try:
+        chosen = kernels.get_backend(backend)
+    except ImportError as exc:
+        pytest.skip(str(exc))
+    for name in ("excite_step", "weighted_simpson", "sample_nodes"):
+        monkeypatch.setattr(kernels, name, getattr(chosen, name))
 
 
 @pytest.mark.parametrize("backend", ["python", "cython"])
 def test_a_block_lives_as_long_as_a_row_of_it(gs_quartic, monkeypatch,
                                               backend):
-    monkeypatch.setattr(kernels, "empty", _empty_of(backend))
-    report = run(gs_quartic, TrialFunction.saturating())
-    block = weakref.ref(report.states[0].chi.obj)
-    kept = report.states[3].chi
-    expected = bytes(kept)
-    del report
-    assert block() is not None
-    assert bytes(kept) == expected
-    del kept
-    assert block() is None
-    report = run(gs_quartic, TrialFunction.linear())
-    block = weakref.ref(report.states[0].chi.obj)
-    del report
-    assert block() is None
+    # traced memory falls by the whole block when the last row of it
+    # dies, and by less than one row while a row is kept
+    _run_on(monkeypatch, backend)
+    block = 8 * BLOCK_ROWS * gs_quartic.grid.n_points
+    tracemalloc.start()
+    try:
+        report = run(gs_quartic, TrialFunction.saturating())
+        kept = report.states[3].chi
+        expected = bytes(kept)
+        before = _traced()
+        del report
+        assert before - _traced() < 8 * gs_quartic.grid.n_points
+        assert bytes(kept) == expected
+        before = _traced()
+        del kept
+        assert block <= before - _traced() <= block + 1024
+        report = run(gs_quartic, TrialFunction.linear())
+        before = _traced()
+        del report
+        assert block <= before - _traced() <= block + 8192
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("backend", ["python", "cython"])
 def test_a_failed_run_frees_its_block(gs_quartic, monkeypatch, backend):
-    empty = _empty_of(backend)
-    blocks = []
+    # a trial that vanishes at the anchor fails the run once sample_nodes
+    # has written chi_0 into the block
+    _run_on(monkeypatch, backend)
+    empty, sizes = kernels.empty, []
 
     def recording_empty(n):
-        block = empty(n)
-        blocks.append(weakref.ref(block.obj))
-        return block
+        sizes.append(n)
+        return empty(n)
 
     monkeypatch.setattr(kernels, "empty", recording_empty)
-    trial = TrialFunction.tabulated(zeros(gs_quartic.grid.n_points))
-    with pytest.raises(DegenerateAnchorError) as caught:
-        run(gs_quartic, trial)
-    # the traceback holds the run's frame, and so its block
-    assert len(blocks) == 1 and blocks[0]() is not None
-    del caught
-    assert blocks[0]() is None
+    n = gs_quartic.grid.n_points
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegenerateAnchorError) as caught:
+            run(gs_quartic, TrialFunction.linear(), anchor_x0=0.0)
+        assert sizes == [BLOCK_ROWS * n]
+        # the traceback holds the run's frame, and so its block
+        before = _traced()
+        del caught
+        freed = before - _traced()
+    finally:
+        tracemalloc.stop()
+    assert 8 * BLOCK_ROWS * n <= freed <= 8 * BLOCK_ROWS * n + 8192
 
 
 @pytest.mark.parametrize("backend", ["python", "cython"])
 def test_no_row_is_read_before_it_is_written(monkeypatch, backend):
     # blocks of iterates that hold NaN until a kernel writes them give
-    # the pinned bytes: every node a run keeps or reads was written first
-    empty = _empty_of(backend)
-    sizes = []
+    # the pinned bytes on each backend's kernels: every node a run keeps
+    # or reads was written first
+    empty, sizes = kernels.empty, []
 
     def poisoned_empty(n):
         block = empty(n)
@@ -848,7 +850,7 @@ def _allocating_eps(gs, trial, steps):
 def _block_rows(report, n):
     """Rows of each block that holds the report's iterates, in order."""
     blocks = {id(s.chi.obj): s.chi.obj for s in report.states}
-    return [len(b) // n for b in blocks.values()]
+    return [memoryview(b).nbytes // (8 * n) for b in blocks.values()]
 
 
 def test_run_past_one_block_changes_no_bit(step_backend):
