@@ -370,14 +370,22 @@ def test_step_backends_agree_with_the_two_call_path(case):
                 assert out[i0] == chi[i0] and at != 0.0
 
 
-@pytest.mark.parametrize("backend", ["python", "cython"])
-def test_step_rejects_arrays_it_cannot_use(backend):
+def _step_of(backend):
+    """The named backend's step kernel, or a skip."""
     try:
-        excite_step = kernels.get_backend(backend).excite_step
+        return kernels.get_backend(backend).excite_step
     except ImportError as exc:
         pytest.skip(str(exc))
-    for i0 in (0, 2):
-        _check_step_contract(excite_step, i0)
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_profile_rejects_arrays_it_cannot_use(backend):
+    _check_step_contract(_step_of(backend), 0)
+
+
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_step_rejects_arrays_it_cannot_use(backend):
+    _check_step_contract(_step_of(backend), 2)
 
 
 def _check_step_contract(excite_step, i0):
@@ -719,12 +727,22 @@ def test_run_writes_its_iterates_into_one_block(gs_quartic):
             assert not np.shares_memory(a, b)
 
 
-def test_empty_gives_writable_doubles_or_a_memory_error():
+@pytest.mark.parametrize("backend", ["python", "cython"])
+def test_empty_gives_writable_doubles_or_a_memory_error(backend):
+    # one allocator serves both backends: its view is an out the named
+    # backend's step kernel writes as it writes an array('d')
+    excite_step = _step_of(backend)
     view = kernels.empty(5)
     assert (view.format, view.shape, view.c_contiguous, view.readonly) \
         == ("d", (5,), True, False)
     view[:] = array("d", [0.5, -1.0, 2.0, 3.0, 4.0])
     assert view.tolist() == [0.5, -1.0, 2.0, 3.0, 4.0]
+    gs = harmonic(4.0, 5)
+    chi = array("d", [0.0, 1.0, 2.0, 3.0, 4.0])
+    out = zeros(5)
+    assert excite_step(gs.grid.h, gs.step_weights, chi, 0.5, 2, view) \
+        == excite_step(gs.grid.h, gs.step_weights, chi, 0.5, 2, out)
+    assert view.tobytes() == out.tobytes()
     assert len(kernels.empty(0)) == 0
     # 8 n overflows a buffer's size; 2**62 bytes at once cannot be had
     for n in (2 ** 60, 2 ** 59):
