@@ -1,5 +1,5 @@
 """Print the wall times of the excitation iteration with the active
-kernel backend, in two tables.
+kernel backend, in three tables.
 
 The first holds best-of times of one iterate_once step into a reused out
 and of a default excite.run (8 steps at most), from the linear trial at
@@ -8,7 +8,14 @@ delta = 0.1, quartic g = 3 and g = 8, each on its default domain edge) at
 4001, 16001 and 64001 nodes.  A step is timed over BATCH calls at a time.
 Each cell repeats one input, so its memory stays warm in the caches.
 
-The second runs all 36 iterate-lib inputs (those cases and node counts,
+The second holds best-of times of the bare kernel calls of a step and of
+its residual, kernels.excite_step and kernels.weighted_simpson, on the
+soluble delta = 0.1 ground state and the linear trial, at 3 nodes, where
+a call does no work and its time is the cost of calling a kernel, and at
+the node counts of the first.  A 3-node call is timed over CALL_BATCH
+calls at a time.
+
+The third runs all 36 iterate-lib inputs (those cases and node counts,
 each with the linear and the saturating trial at anchors 0.5 and 1) in
 ROUNDS rounds, each in a new shuffled order, as the benchmark interleaves
 them.  It prints, per node count, the median over its 12 inputs of each
@@ -32,6 +39,7 @@ from excite_iter.potential import Quartic
 POINTS = (4001, 16001, 64001)
 REPEATS = 15
 BATCH = 20
+CALL_BATCH = 2000
 ROUNDS = 30
 TRIALS = ("linear", "saturating")
 ANCHORS = (0.5, 1.0)
@@ -63,6 +71,19 @@ def timings(gs):
     out = zeros(gs.grid.n_points)
     step = best_us(lambda: iterate_once(gs, prev, 1.0, out=out), BATCH)
     return step, best_us(lambda: run(gs, trial, anchor_x0=1.0), 1)
+
+
+def kernel_timings(gs):
+    """(µs of one excite_step, µs of one weighted_simpson) on the ground
+    state gs and the linear trial, the step into a reused out at anchor
+    node 1."""
+    chi = TrialFunction.linear().sample(gs.grid)
+    out = zeros(gs.grid.n_points)
+    h, weights, w = gs.grid.h, gs.step_weights, gs.scaled_weight[0]
+    batch = CALL_BATCH if gs.grid.n_points == 3 else BATCH
+    return (best_us(lambda: kernels.excite_step(h, weights, chi, 0.0, 1,
+                                                out), batch),
+            best_us(lambda: kernels.weighted_simpson(h, w, chi), batch))
 
 
 def shuffled_medians(states):
@@ -99,6 +120,16 @@ def main():
         for k, function in enumerate(("iterate_once", "run")):
             row = " | ".join(f"{cell[k]:.3g}" for cell in cells)
             print(f"| `{function}` | {case} | {row} |")
+    print()
+    print(f"bare kernel calls, {CASES[0][0]}: best of {REPEATS}, µs")
+    points = (3,) + POINTS
+    print("| function | " + " | ".join(f"{n} nodes" for n in points)
+          + " |")
+    print("| --- " * (1 + len(points)) + "|")
+    cells = [kernel_timings(CASES[0][1](n)) for n in points]
+    for k, function in enumerate(("excite_step", "weighted_simpson")):
+        row = " | ".join(f"{cell[k]:.3g}" for cell in cells)
+        print(f"| `kernels.{function}` | {row} |")
     print()
     inputs = len(CASES) * len(TRIALS) * len(ANCHORS)
     print(f"`run` over the {inputs * len(POINTS)} inputs, {ROUNDS} shuffled "

@@ -1,14 +1,17 @@
-/* Compiled kernels, loaded by excite_iter.kernels through ctypes: the
- * Riccati sweeps of the quartic double well and the box's closed-form
- * profile, the grid passes of an iteration (a ground state's weights, the
- * trial samples, one whole step and the residual's two integrals, which
- * know nothing of the potential or of a wall) and the CSV rows of the
- * artifacts.  Each has the same contract as its counterpart in
- * excite_iter._kernels_py.  The numeric kernels perform the same
+/* Compiled kernels, the CPython extension module excite_iter._kernels
+ * that excite_iter.kernels builds and loads: the Riccati sweeps of the
+ * quartic double well and the box's closed-form profile, the grid passes
+ * of an iteration (a ground state's weights, the trial samples, one whole
+ * step and the residual's two integrals, which know nothing of the
+ * potential or of a wall) and the CSV rows of the artifacts.  Each
+ * module function has the signature and the contract of its counterpart
+ * in excite_iter._kernels_py.  The numeric kernels perform the same
  * floating-point operations in the same order, with the same libm exp,
  * log, sin and tan; build with -ffp-contract=off so no a*b+c is fused
  * and the output stays bit-identical.  The CSV rows hold the same
  * characters as Python's. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -425,4 +428,544 @@ long format_csv_rows(long n_cols, const double *const *cols, long first,
         p[-1] = '\n';
     }
     return p - buf;
+}
+
+/* ------------------------------------------------------------------ */
+/* The module functions: each parses its arguments, checks its arrays
+ * under the contract of kernels.in_place and kernels.check_out, with
+ * their messages, and calls its kernel above. */
+
+static PyTypeObject *array_type;    /* array.array */
+static PyObject *as_doubles;        /* kernels.as_doubles */
+static PyObject *zeros;             /* kernels.zeros */
+static double blowup_limit;         /* kernels.BLOWUP_LIMIT */
+static Py_ssize_t csv_chunk_rows;   /* kernels.CSV_CHUNK_ROWS */
+
+#define COUNT(view) ((view)->len / (Py_ssize_t)sizeof(double))
+#define DOUBLES(view) ((double *)(view)->buf)
+
+/* Stores args, nargs of them, through the pointers that follow kinds,
+ * one a character of kinds: 'd' a double, 'l' a long, 'p' a truth value
+ * as an int, 'O' the object itself; the first required are required and
+ * the pointers of absent ones are left alone.  Returns 0, or -1 with an
+ * exception set. */
+static int parse(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                 Py_ssize_t required, const char *kinds, ...)
+{
+    Py_ssize_t most = (Py_ssize_t)strlen(kinds);
+    int failed = 0;
+    va_list ap;
+    if (nargs < required || nargs > most) {
+        if (required == most)
+            PyErr_Format(PyExc_TypeError, "%s() takes %zd positional "
+                         "arguments (%zd given)", name, most, nargs);
+        else
+            PyErr_Format(PyExc_TypeError, "%s() takes from %zd to %zd "
+                         "positional arguments (%zd given)", name,
+                         required, most, nargs);
+        return -1;
+    }
+    va_start(ap, kinds);
+    for (Py_ssize_t i = 0; i < nargs && !failed; i++) {
+        switch (kinds[i]) {
+        case 'd': {
+            double *d = va_arg(ap, double *);
+            *d = PyFloat_AsDouble(args[i]);
+            failed = *d == -1.0 && PyErr_Occurred();
+            break;
+        }
+        case 'l': {
+            long *l = va_arg(ap, long *);
+            *l = PyLong_AsLong(args[i]);
+            failed = *l == -1 && PyErr_Occurred();
+            break;
+        }
+        case 'p': {
+            int *p = va_arg(ap, int *);
+            *p = PyObject_IsTrue(args[i]);
+            failed = *p < 0;
+            break;
+        }
+        default:
+            *va_arg(ap, PyObject **) = args[i];
+        }
+    }
+    va_end(ap);
+    return failed ? -1 : 0;
+}
+
+/* 1 with obj's doubles in view when a kernel reads obj in place, as
+ * kernels._address decides: an array('d'), a writable C-contiguous 1-D
+ * view of one or more doubles, or such a view, read-only, of a whole
+ * array('d'); 0 when it does not, -1 with an exception set. */
+static int in_place(PyObject *obj, Py_buffer *view)
+{
+    int is_array = PyObject_TypeCheck(obj, array_type), found;
+    if (!is_array && !PyMemoryView_Check(obj))
+        return 0;
+    if (PyObject_GetBuffer(obj, view, PyBUF_FULL_RO) < 0)
+        return -1;
+    found = strcmp(view->format, "d") == 0
+            && (is_array || (view->ndim == 1 && view->len > 0
+                             && PyBuffer_IsContiguous(view, 'C')));
+    if (found && !is_array && view->readonly) {
+        PyObject *base = PyMemoryView_GET_BUFFER(obj)->obj;
+        Py_buffer whole;
+        found = base != NULL && PyObject_TypeCheck(base, array_type);
+        if (found) {
+            if (PyObject_GetBuffer(base, &whole, PyBUF_FORMAT) < 0) {
+                PyBuffer_Release(view);
+                return -1;
+            }
+            found = strcmp(whole.format, "d") == 0
+                    && whole.len == view->len;
+            PyBuffer_Release(&whole);
+        }
+    }
+    if (!found)
+        PyBuffer_Release(view);
+    return found;
+}
+
+/* obj's doubles in view as kernels.in_place gives them: in place, else
+ * converted by kernels.as_doubles, which raises for what it cannot
+ * convert.  Returns 0, or -1 with an exception set. */
+static int input(PyObject *obj, Py_buffer *view)
+{
+    PyObject *values;
+    int found = in_place(obj, view);
+    if (found)
+        return found < 0 ? -1 : 0;
+    values = PyObject_CallOneArg(as_doubles, obj);
+    if (values == NULL)
+        return -1;
+    found = PyObject_GetBuffer(values, view, PyBUF_FULL_RO);
+    Py_DECREF(values);          /* the view holds it until released */
+    return found;
+}
+
+/* out's doubles in view under kernels.check_out's contract: an
+ * array('d') or a writable C-contiguous view of n doubles that shares no
+ * memory with the first k views of views.  Returns 0, or -1 with an
+ * exception set. */
+static int output(PyObject *out, Py_ssize_t n, Py_buffer *view,
+                  const Py_buffer *views, int k)
+{
+    int found = in_place(out, view);
+    if (found < 0)
+        return -1;
+    if (!found || view->readonly || COUNT(view) != n) {
+        if (found)
+            PyBuffer_Release(view);
+        PyErr_Format(PyExc_ValueError, "out must be an array('d') or a "
+                     "writable view of %zd doubles", n);
+        return -1;
+    }
+    uintptr_t at = (uintptr_t)view->buf;
+    for (int j = 0; j < k; j++) {
+        uintptr_t from = (uintptr_t)views[j].buf;
+        if (from < at + (uintptr_t)view->len
+                && at < from + (uintptr_t)views[j].len) {
+            PyBuffer_Release(view);
+            PyErr_SetString(PyExc_ValueError, "out must not share memory "
+                            "with the kernel's other arrays");
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Releases the first k views of views. */
+static void release(Py_buffer *views, int k)
+{
+    while (k > 0)
+        PyBuffer_Release(&views[--k]);
+}
+
+static PyObject *odd_nodes_error(void)
+{
+    PyErr_SetString(PyExc_ValueError,
+                    "need an odd number of nodes, at least 3");
+    return NULL;
+}
+
+static PyObject *lengths_error(Py_ssize_t n)
+{
+    PyErr_Format(PyExc_ValueError, "arrays must hold %zd doubles each", n);
+    return NULL;
+}
+
+/* The first of the two items of obj, as (first, _) = obj takes it, in
+ * *first; *pair holds it until released.  Returns 0, or -1 with an
+ * exception set. */
+static int first_of_two(PyObject *obj, PyObject **pair, PyObject **first)
+{
+    Py_ssize_t size;
+    *pair = PySequence_Fast(obj, "cannot unpack a non-iterable object");
+    if (*pair == NULL)
+        return -1;
+    size = PySequence_Fast_GET_SIZE(*pair);
+    if (size != 2) {
+        if (size > 2)
+            PyErr_SetString(PyExc_ValueError,
+                            "too many values to unpack (expected 2)");
+        else
+            PyErr_Format(PyExc_ValueError, "not enough values to unpack "
+                         "(expected 2, got %zd)", size);
+        Py_CLEAR(*pair);
+        return -1;
+    }
+    *first = PySequence_Fast_GET_ITEM(*pair, 0);
+    return 0;
+}
+
+static PyObject *py_riccati_sweep(PyObject *module, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    double x0, h, g, e, s0, sp0;
+    long n, node;
+    PyObject *s = NULL, *sp = NULL, *result = NULL;
+    Py_buffer v[2];
+    int k = 0;
+    if (parse("riccati_sweep", args, nargs, 7, "ddldddd", &x0, &h, &n, &g,
+              &e, &s0, &sp0) < 0)
+        return NULL;
+    if (n < 0)
+        return PyErr_Format(PyExc_ValueError,
+                            "n_steps must be >= 0, got %ld", n);
+    s = PyObject_CallFunction(zeros, "l", n + 1);
+    sp = s ? PyObject_CallFunction(zeros, "l", n + 1) : NULL;
+    if (sp == NULL || PyObject_GetBuffer(s, &v[0], PyBUF_WRITABLE) < 0)
+        goto done;
+    k = 1;
+    if (PyObject_GetBuffer(sp, &v[1], PyBUF_WRITABLE) < 0)
+        goto done;
+    k = 2;
+    node = riccati_sweep(x0, h, n, g, e, s0, sp0, blowup_limit,
+                         DOUBLES(&v[0]), DOUBLES(&v[1]));
+    result = Py_BuildValue("(OOl)", s, sp, node);
+done:
+    release(v, k);
+    Py_XDECREF(s);
+    Py_XDECREF(sp);
+    return result;
+}
+
+static PyObject *py_shoot(PyObject *module, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    double x_max, h, g, e, sp_end, ends[2];
+    long n, m, blown;
+    PyObject *s = Py_None, *sp = Py_None;
+    Py_buffer v[2];
+    int k = 0;
+    if (parse("shoot", args, nargs, 7, "ddlldddOO", &x_max, &h, &n, &m,
+              &g, &e, &sp_end, &s, &sp) < 0)
+        return NULL;
+    if (m < 0 || m >= n)
+        return PyErr_Format(PyExc_ValueError,
+                            "need 0 <= m < n, got m=%ld, n=%ld", m, n);
+    if (s != Py_None || sp != Py_None) {
+        if (output(s, n, &v[0], v, 0) < 0)
+            return NULL;
+        k = 1;
+        if (output(sp, n, &v[1], v, 1) < 0) {
+            release(v, k);
+            return NULL;
+        }
+        k = 2;
+    }
+    blown = shoot(x_max, h, n, m, g, e, sp_end, blowup_limit,
+                  k ? DOUBLES(&v[0]) : NULL, k ? DOUBLES(&v[1]) : NULL,
+                  ends);
+    release(v, k);
+    return Py_BuildValue("(Ndd)", PyBool_FromLong(blown == 1), ends[0],
+                         ends[1]);
+}
+
+static PyObject *py_soluble_profile(PyObject *module, PyObject *const *args,
+                                    Py_ssize_t nargs)
+{
+    double h, p;
+    PyObject *s, *sp;
+    Py_ssize_t n;
+    Py_buffer v[2];
+    if (parse("soluble_profile", args, nargs, 4, "ddOO", &h, &p, &s, &sp) < 0
+            || (n = PyObject_Length(s)) < 0 || output(s, n, &v[0], v, 0) < 0)
+        return NULL;
+    if (output(sp, n, &v[1], v, 1) < 0) {
+        release(v, 1);
+        return NULL;
+    }
+    soluble_profile(n, h, p, DOUBLES(&v[0]), DOUBLES(&v[1]));
+    release(v, 2);
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_scaled_weights(PyObject *module, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    double limit, u_ref;
+    PyObject *s, *w, *winv;
+    Py_buffer v[3];
+    int k = 0;
+    if (parse("scaled_weights", args, nargs, 4, "OdOO", &s, &limit, &w,
+              &winv) < 0 || input(s, &v[0]) < 0)
+        return NULL;
+    k = 1;
+    if (output(w, COUNT(&v[0]), &v[1], v, 1) < 0)
+        goto fail;
+    k = 2;
+    if (output(winv, COUNT(&v[0]), &v[2], v, 2) < 0)
+        goto fail;
+    u_ref = scaled_weights(COUNT(&v[0]), DOUBLES(&v[0]), limit,
+                           DOUBLES(&v[1]), DOUBLES(&v[2]));
+    release(v, 3);
+    return PyFloat_FromDouble(u_ref);
+fail:
+    release(v, k);
+    return NULL;
+}
+
+static PyObject *py_sample_nodes(PyObject *module, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    double h, x_max;
+    long n;
+    int saturating;
+    PyObject *out;
+    Py_buffer v;
+    if (parse("sample_nodes", args, nargs, 5, "lddpO", &n, &h, &x_max,
+              &saturating, &out) < 0 || output(out, n, &v, NULL, 0) < 0)
+        return NULL;
+    sample_nodes(n, h, x_max, saturating, DOUBLES(&v));
+    PyBuffer_Release(&v);
+    return Py_NewRef(out);
+}
+
+static PyObject *py_weighted_simpson(PyObject *module, PyObject *const *args,
+                                     Py_ssize_t nargs)
+{
+    double h, sums[2];
+    PyObject *w, *chi;
+    Py_ssize_t n;
+    Py_buffer v[2];
+    if (parse("weighted_simpson", args, nargs, 3, "dOO", &h, &w, &chi) < 0
+            || (n = PyObject_Length(chi)) < 0)
+        return NULL;
+    if (n < 3 || n % 2 == 0)
+        return odd_nodes_error();
+    if (input(w, &v[0]) < 0)
+        return NULL;
+    if (input(chi, &v[1]) < 0) {
+        release(v, 1);
+        return NULL;
+    }
+    if (COUNT(&v[0]) != n || COUNT(&v[1]) != n) {
+        release(v, 2);
+        return lengths_error(n);
+    }
+    weighted_simpson(n, h, DOUBLES(&v[0]), DOUBLES(&v[1]), sums);
+    release(v, 2);
+    return Py_BuildValue("(dd)", sums[0], sums[1]);
+}
+
+/* The weights are the (w, address), (winv, address) pairs that
+ * kernels.in_place gives; the addresses are not read. */
+static PyObject *py_excite_step(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    double h, tail, at = 0.0;
+    long i0;
+    PyObject *weights, *chi, *out, *pairs = NULL, *w_pair = NULL,
+             *winv_pair = NULL, *pair, *w, *winv;
+    Py_ssize_t n, n_w, n_winv;
+    Py_buffer v[4];     /* chi_prev, w, winv, out */
+    int k = 0;
+    if (parse("excite_step", args, nargs, 6, "dOOdlO", &h, &weights, &chi,
+              &tail, &i0, &out) < 0 || (n = PyObject_Length(chi)) < 0)
+        return NULL;
+    if (n < 3 || n % 2 == 0)
+        return odd_nodes_error();
+    if (first_of_two(weights, &pairs, &pair) < 0
+            || first_of_two(pair, &w_pair, &w) < 0
+            || first_of_two(PySequence_Fast_GET_ITEM(pairs, 1), &winv_pair,
+                            &winv) < 0
+            || (n_w = PyObject_Length(w)) < 0
+            || (n_winv = PyObject_Length(winv)) < 0)
+        goto done;
+    if (n_w != n || n_winv != n) {
+        lengths_error(n);
+        goto done;
+    }
+    if (i0 < 0 || i0 >= n) {
+        PyErr_Format(PyExc_ValueError, "need 0 <= i0 < n, got i0=%ld, "
+                     "n=%zd", i0, n);
+        goto done;
+    }
+    if (input(chi, &v[0]) < 0)
+        goto done;
+    k = 1;
+    if (input(w, &v[1]) < 0)
+        goto done;
+    k = 2;
+    if (input(winv, &v[2]) < 0)
+        goto done;
+    k = 3;
+    if (output(out, n, &v[3], v, 3) < 0)
+        goto done;
+    k = 4;
+    at = excite_step(n, h, DOUBLES(&v[1]), DOUBLES(&v[2]), DOUBLES(&v[0]),
+                     tail, i0, DOUBLES(&v[3]));
+done:
+    release(v, k);
+    Py_XDECREF(pairs);
+    Py_XDECREF(w_pair);
+    Py_XDECREF(winv_pair);
+    return k == 4 ? PyFloat_FromDouble(at) : NULL;
+}
+
+/* The rows go through one buffer of CSV_CHUNK_ROWS rows, formatted and
+ * written a chunk at a time. */
+static PyObject *py_write_csv_rows(PyObject *module, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    PyObject *f, *columns, *buf = NULL, *view = NULL, *chunk, *result = NULL;
+    Py_buffer *v = NULL;
+    const double **cols = NULL;
+    Py_ssize_t n_cols, n, rows, cap, k = 0;
+    if (parse("write_csv_rows", args, nargs, 2, "OO", &f, &columns) < 0
+            || (columns = PySequence_List(columns)) == NULL)
+        return NULL;
+    n_cols = PyList_GET_SIZE(columns);
+    v = PyMem_New(Py_buffer, n_cols);
+    cols = PyMem_New(const double *, n_cols);
+    if (v == NULL || cols == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (; k < n_cols; k++) {
+        if (input(PyList_GET_ITEM(columns, k), &v[k]) < 0)
+            goto done;
+        cols[k] = DOUBLES(&v[k]);
+    }
+    n = n_cols ? COUNT(&v[0]) : 0;
+    for (Py_ssize_t j = 1; j < n_cols; j++)
+        if (COUNT(&v[j]) != n) {
+            PyErr_SetString(PyExc_ValueError,
+                            "CSV columns must be 1-D and of one length");
+            goto done;
+        }
+    rows = n < csv_chunk_rows ? n : csv_chunk_rows;
+    cap = rows * n_cols * (CSV_CELL_BYTES + 1);
+    buf = PyByteArray_FromStringAndSize(NULL, cap);
+    view = buf ? PyMemoryView_FromObject(buf) : NULL;
+    if (view == NULL)
+        goto done;
+    for (Py_ssize_t first = 0; first < n; first += csv_chunk_rows) {
+        Py_ssize_t last = n - first < csv_chunk_rows ? n
+                          : first + csv_chunk_rows;
+        long used = format_csv_rows(n_cols, cols, first, last,
+                                    PyByteArray_AS_STRING(buf), cap);
+        if (used < 0) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "CSV buffer too small for a chunk");
+            goto done;
+        }
+        chunk = PySequence_GetSlice(view, 0, used);
+        if (chunk == NULL)
+            goto done;
+        result = PyObject_CallMethod(f, "write", "O", chunk);
+        Py_DECREF(chunk);
+        if (result == NULL)
+            goto done;
+        Py_CLEAR(result);
+    }
+    result = Py_NewRef(Py_None);
+done:
+    while (k > 0)
+        PyBuffer_Release(&v[--k]);
+    PyMem_Free(v);
+    PyMem_Free(cols);
+    Py_XDECREF(view);
+    Py_XDECREF(buf);
+    Py_DECREF(columns);
+    return result;
+}
+
+#define KERNEL(name, signature, doc)                                    \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL,     \
+     #name signature "\n--\n\n" doc}
+
+static PyMethodDef kernel_functions[] = {
+    KERNEL(riccati_sweep, "(x_start, h, n_steps, g, e, s_init, sp_init)",
+           "(s, sp, node): the sweep of S and S' over n_steps of h."),
+    KERNEL(shoot, "(x_max, h, n, m, g, e, sp_end, s=None, sp=None)",
+           "(blown, S' of the outward sweep at node m, of the inward one)."),
+    KERNEL(soluble_profile, "(h, p, s, sp)",
+           "The box's S and S' into s and sp."),
+    KERNEL(scaled_weights, "(s, limit, w, winv)",
+           "u_ref, with the weights of S into w and winv."),
+    KERNEL(sample_nodes, "(n, h, x_max, saturating, out)",
+           "out, holding the nodes or the saturating trial at them."),
+    KERNEL(weighted_simpson, "(h, w, chi)",
+           "(Simpson integral of w chi, that of |w chi|)."),
+    KERNEL(excite_step, "(h, weights, chi_prev, tail, i0, out)",
+           "The unscaled chihat[i0], with one step's iterate into out."),
+    KERNEL(write_csv_rows, "(f, columns)",
+           "Writes the rows of columns to the binary file f as CSV."),
+    {NULL, NULL, 0, NULL}
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT, "_kernels",
+    "The compiled kernels of excite_iter.kernels; see excite_iter._kernels_py"
+    " for each one's contract.", -1, kernel_functions,
+    NULL, NULL, NULL, NULL
+};
+
+/* The module, with the helpers and constants that it takes from the
+ * kernels module beside it, as _kernels_py imports them, and array.array:
+ * excite_iter._kernels takes them from excite_iter.kernels. */
+PyMODINIT_FUNC PyInit__kernels(void)
+{
+    PyObject *module = PyModule_Create(&kernel_module), *kernels = NULL,
+             *arrays = NULL, *limit = NULL, *chunk = NULL;
+    const char *name, *dot;
+    char kernels_name[256];
+    if (module == NULL || (name = PyModule_GetName(module)) == NULL)
+        goto fail;
+    dot = strrchr(name, '.');
+    snprintf(kernels_name, sizeof kernels_name, "%.*skernels",
+             dot ? (int)(dot - name + 1) : 0, name);
+    kernels = PyImport_ImportModule(kernels_name);
+    arrays = kernels ? PyImport_ImportModule("array") : NULL;
+    if (arrays == NULL)
+        goto fail;
+    array_type = (PyTypeObject *)PyObject_GetAttrString(arrays, "array");
+    as_doubles = PyObject_GetAttrString(kernels, "as_doubles");
+    zeros = PyObject_GetAttrString(kernels, "zeros");
+    limit = PyObject_GetAttrString(kernels, "BLOWUP_LIMIT");
+    chunk = PyObject_GetAttrString(kernels, "CSV_CHUNK_ROWS");
+    if (!array_type || !as_doubles || !zeros || !limit || !chunk)
+        goto fail;
+    blowup_limit = PyFloat_AsDouble(limit);
+    csv_chunk_rows = PyLong_AsSsize_t(chunk);
+    if (PyErr_Occurred())
+        goto fail;
+    Py_DECREF(kernels);
+    Py_DECREF(arrays);
+    Py_DECREF(limit);
+    Py_DECREF(chunk);
+    return module;
+fail:
+    Py_CLEAR(array_type);
+    Py_CLEAR(as_doubles);
+    Py_CLEAR(zeros);
+    Py_XDECREF(kernels);
+    Py_XDECREF(arrays);
+    Py_XDECREF(limit);
+    Py_XDECREF(chunk);
+    Py_XDECREF(module);
+    return NULL;
 }

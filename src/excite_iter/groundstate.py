@@ -33,9 +33,10 @@ _IN_RANGE = f"default_bracket is validated for g in {_VALIDATED}"
 
 class Grid:
     """Uniform nodes x_i = i*h on [0, x_max] with an odd node count, so the
-    composite Simpson rule applies without a remainder panel."""
+    composite Simpson rule applies without a remainder panel; h is the
+    node spacing x_max / (n_points - 1)."""
 
-    __slots__ = ("x_max", "n_points")
+    __slots__ = ("x_max", "n_points", "h")
 
     def __init__(self, x_max: float, n_points: int):
         if not x_max > 0:
@@ -46,10 +47,7 @@ class Grid:
             raise ValueError(f"n_points must be odd and >= 3, got {n_points}")
         self.x_max = x_max
         self.n_points = n_points
-
-    @property
-    def h(self) -> float:
-        return self.x_max / (self.n_points - 1)
+        self.h = x_max / (n_points - 1)
 
     def nodes(self) -> array:
         """x_i = i * h, the last set to x_max, as a new array('d'): the

@@ -11,28 +11,30 @@ chi_n(x0) = chi_{n-1}(x0); with the anchor at node 0, the profile
 alone) and the residual's two Simpson integrals (weighted_simpson); and
 the CSV writer of the artifacts, which writes every cell as Python's
 '%.17g' % v.
-The compiled ones are the plain C file ``_kernels.c``, built into the
-user cache, ``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/``
-when unset), on the first import that finds no build for this source and
-these flags, and loaded from there through ctypes.  The Python kernels
-are used when there is no build and no C compiler, the cache directory
-cannot be written or the build fails; all kernels fall back together.
-Their module, _kernels_py, is imported only then, or when
-get_backend('python') asks for it.
+The compiled ones are the CPython extension module excite_iter._kernels,
+built from the C file ``_kernels.c`` into the user cache,
+``$XDG_CACHE_HOME/excite-iter/`` (``~/.cache/excite-iter/`` when unset),
+on the first import that finds no build for this source, these flags and
+this interpreter's extension suffix, and loaded from there.  A build
+needs a C compiler and the interpreter's headers (Python.h).  The Python
+kernels are used when there is no build and no C compiler, the cache
+directory cannot be written or the build fails, as it does without
+Python.h; all kernels fall back together.  Their module, _kernels_py, is
+imported only then, or when get_backend('python') asks for it.
 
 Grid arrays are array('d'), or rows of a block: writable memoryviews of
 the doubles that empty(n) gives, whose values are unspecified until
 written.  One empty serves both backends: a block is a bytearray that
 CPython leaves unfilled, freed when its last view dies.  A kernel reads
 those in place (in_place) and converts any other 1-D sequence of reals
-first; it writes only into an array('d') or a writable view
+first (as_doubles); it writes only into an array('d') or a writable view
 (check_out).  empty and these array helpers are defined here, for both
-backends and their callers.  The ctypes wrappers pass the addresses
-in_place gives; excite_step takes a ground state's weights with the
-addresses that in_place gave them once (step_inputs).  The wrapper of the
-compiled CSV writer formats CSV_CHUNK_ROWS rows at a time into one
-buffer, CSV_CELL_BYTES a cell, and writes each chunk before it formats
-the next.
+backends and their callers.  A compiled kernel makes the same checks in
+C, through the buffer protocol, with the same messages, and calls
+as_doubles for what it converts; excite_step takes a ground state's
+weights as the (values, address) pairs that in_place gave once
+(step_inputs).  The compiled CSV writer formats CSV_CHUNK_ROWS rows at a
+time into one buffer, and writes each chunk before it formats the next.
 
 ``BACKEND`` names the active backend and ``BACKEND_REASON`` says why.
 """
@@ -44,11 +46,13 @@ import os
 import sys
 import zlib
 from array import array
-from types import SimpleNamespace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 
 # -ffp-contract=off keeps the compiler from fusing a*b+c into one rounding,
 # which would break bit-identity with the Python kernels; -lm, after the
-# source, links the exp that Python's math module calls
+# source, links the exp that Python's math module calls.  A build adds
+# -I the interpreter's include directory, for Python.h
 _FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 _LIBS = ["-lm"]
 _SOURCE_NAME = "_kernels.c"
@@ -62,30 +66,7 @@ BLOWUP_LIMIT = 1e12
 #: rows that write_csv_rows formats and writes at a time, on both backends
 CSV_CHUNK_ROWS = 1024
 
-#: the longest '%.17g' of a float64, -4.9406564584124654e-324, and its
-#: separator: format_csv_rows needs this much buffer a cell
-CSV_CELL_BYTES = 25
-
 _ZERO = array("d", [0.0])
-
-_LONG, _DOUBLE, _PTR = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-
-#: the result and argument types of every function that _load resolves in
-#: the library: each non-static function of _kernels.c
-_SIGNATURES = {
-    "riccati_sweep": (_LONG, [_DOUBLE] * 2 + [_LONG] + [_DOUBLE] * 5
-                      + [_PTR] * 2),
-    "shoot": (_LONG, [_DOUBLE] * 2 + [_LONG] * 2 + [_DOUBLE] * 4
-              + [_PTR] * 3),
-    "soluble_profile": (None, [_LONG, _DOUBLE, _DOUBLE, _PTR, _PTR]),
-    "scaled_weights": (_DOUBLE, [_LONG, _PTR, _DOUBLE, _PTR, _PTR]),
-    "sample_nodes": (None, [_LONG, _DOUBLE, _DOUBLE, ctypes.c_int, _PTR]),
-    "weighted_simpson": (None, [_LONG, _DOUBLE, _PTR, _PTR, _PTR]),
-    "excite_step": (_DOUBLE, [_LONG, _DOUBLE, _PTR, _PTR, _PTR, _DOUBLE,
-                              _LONG, _PTR]),
-    "format_csv_rows": (_LONG, [_LONG, _PTR, _LONG, _LONG, _PTR, _LONG]),
-}
-
 
 # a new bytearray into which a NULL source copies nothing; looked up by
 # item, a function object of its own, whose types no other code sets
@@ -219,7 +200,8 @@ def _build() -> str:
     key = zlib.crc32("\0".join(_FLAGS + _LIBS).encode(),
                      zlib.crc32(source))
     directory = _cache_dir()
-    path = os.path.join(directory, f"_kernels-{key:08x}.so")
+    path = os.path.join(directory,
+                        f"_kernels-{key:08x}{EXTENSION_SUFFIXES[0]}")
     if os.path.isfile(path):
         return path
     import shlex        # only a build needs these
@@ -241,8 +223,9 @@ def _build() -> str:
     try:
         # compiled from its own directory, so that the compiler's
         # messages name the source as the reasons do: by its file name
-        done = subprocess.run(cc + _FLAGS + [_SOURCE_NAME, "-o", tmp]
-                              + _LIBS,
+        include = sysconfig.get_paths()["include"]
+        done = subprocess.run(cc + _FLAGS + ["-I", include, _SOURCE_NAME,
+                                             "-o", tmp] + _LIBS,
                               cwd=os.path.dirname(_SOURCE),
                               capture_output=True, text=True)
         if done.returncode != 0:
@@ -263,101 +246,19 @@ def _build() -> str:
 
 
 def _load():
-    """Build (once) and load the C kernels; returns them wrapped with the
-    signatures and contracts of their _kernels_py counterparts, and where
-    they were loaded from."""
+    """Build (once) and load the compiled kernels: the extension module
+    excite_iter._kernels, and where it was loaded from."""
     path = _build()
+    name = f"{__package__}._kernels"
     try:
-        lib = ctypes.CDLL(path)
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            getattr(lib, name).restype = restype
-            getattr(lib, name).argtypes = argtypes
-    except (OSError, AttributeError) as exc:
+        spec = spec_from_file_location(name, path,
+                                       loader=ExtensionFileLoader(name, path))
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
         raise ImportError(f"cannot load {path}: {exc}") from exc
-
-    def riccati_sweep(x_start, h, n_steps, g, e, s_init, sp_init):
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-        s, sp = zeros(n_steps + 1), zeros(n_steps + 1)
-        node = lib.riccati_sweep(x_start, h, n_steps, g, e, s_init,
-                                 sp_init, BLOWUP_LIMIT,
-                                 s.buffer_info()[0], sp.buffer_info()[0])
-        return s, sp, node
-
-    def shoot(x_max, h, n, m, g, e, sp_end, s=None, sp=None):
-        if not 0 <= m < n:
-            raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
-        s_at = sp_at = None
-        if s is not None or sp is not None:
-            s_at = check_out(s, n)
-            sp_at = check_out(sp, n, (s, s_at))
-        ends = zeros(2)
-        blown = lib.shoot(x_max, h, n, m, g, e, sp_end, BLOWUP_LIMIT, s_at,
-                          sp_at, ends.buffer_info()[0])
-        return blown == 1, ends[0], ends[1]
-
-    def soluble_profile(h, p, s, sp):
-        s_at = check_out(s, len(s))
-        lib.soluble_profile(len(s), h, p, s_at,
-                            check_out(sp, len(s), (s, s_at)))
-
-    def scaled_weights(s, limit, w, winv):
-        s, s_at = in_place(s)
-        w_at = check_out(w, len(s), (s, s_at))
-        winv_at = check_out(winv, len(s), (s, s_at), (w, w_at))
-        return lib.scaled_weights(len(s), s_at, limit, w_at, winv_at)
-
-    def sample_nodes(n, h, x_max, saturating, out):
-        lib.sample_nodes(n, h, x_max, bool(saturating), check_out(out, n))
-        return out
-
-    def weighted_simpson(h, w, chi):
-        # the list holds converted inputs while the kernel reads them
-        inputs = odd_columns(len(chi), w, chi)
-        (_, w_at), (_, chi_at) = inputs
-        sums = zeros(2)
-        lib.weighted_simpson(len(chi), h, w_at, chi_at,
-                             sums.buffer_info()[0])
-        return sums[0], sums[1]
-
-    def excite_step(h, weights, chi_prev, tail, i0, out):
-        """The weights' addresses come resolved: only chi_prev and out
-        are looked up.  The integrands stay in registers: no temporary
-        array."""
-        n = len(chi_prev)
-        inputs = step_inputs(weights, chi_prev, i0)
-        out_at = check_out(out, n, *inputs)
-        (_, chi_at), (_, w_at), (_, winv_at) = inputs
-        return lib.excite_step(n, h, w_at, winv_at, chi_at, tail, i0,
-                               out_at)
-
-    def write_csv_rows(f, columns):
-        """The rows of a chunk go through one buffer, reused for every
-        chunk."""
-        columns = [in_place(c) for c in columns]
-        n = len(columns[0][0]) if columns else 0
-        if any(len(c) != n for c, _ in columns):
-            raise ValueError("CSV columns must be 1-D and of one length")
-        chunk = CSV_CHUNK_ROWS
-        buf = bytearray(min(n, chunk) * len(columns) * CSV_CELL_BYTES)
-        buf_at = ctypes.addressof(ctypes.c_char.from_buffer(buf)) \
-            if buf else None
-        addresses = (_PTR * len(columns))(*(at for _, at in columns))
-        with memoryview(buf) as view:
-            for first in range(0, n, chunk):
-                used = lib.format_csv_rows(len(columns), addresses, first,
-                                           min(n, first + chunk), buf_at,
-                                           len(buf))
-                if used < 0:
-                    raise RuntimeError("CSV buffer too small for a chunk")
-                f.write(view[:used])
-
-    kernels = SimpleNamespace(
-        riccati_sweep=riccati_sweep, shoot=shoot,
-        soluble_profile=soluble_profile, scaled_weights=scaled_weights,
-        sample_nodes=sample_nodes, weighted_simpson=weighted_simpson,
-        excite_step=excite_step, write_csv_rows=write_csv_rows)
-    return kernels, f"built from {_SOURCE_NAME}, loaded from {path}"
+    sys.modules[name] = module
+    return module, f"built from {_SOURCE_NAME}, loaded from {path}"
 
 
 try:

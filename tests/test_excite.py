@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 from array import array
@@ -725,6 +726,44 @@ def test_run_writes_its_iterates_into_one_block(gs_quartic):
     for i, a in enumerate(chis):
         for b in chis[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def _python_calls(f, *args, **kwargs):
+    """The Python functions that f(*args, **kwargs) calls, f first, in
+    the order of their calls, each as 'module.name'."""
+    names = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            names.append(f"{frame.f_globals['__name__']}."
+                         f"{frame.f_code.co_name}")
+
+    sys.setprofile(record)
+    try:
+        f(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_a_compiled_step_runs_no_python_in_the_kernel_layer():
+    # the compiled kernels check and pass their arguments in C: a step
+    # into a row of a block, and a residual, call no Python function
+    # between the excite layer and the kernel
+    if kernels.BACKEND != "cython":
+        pytest.skip(f"compiled backend not active: {kernels.BACKEND_REASON}")
+    gs = solve_groundstate_numeric(Quartic(3.0), Grid(default_x_max(3.0),
+                                                      401))
+    block = kernels.empty(2 * 401)
+    prev = IterationState(chi=TrialFunction.linear().sample(
+        gs.grid, out=block[:401]))
+    row = block[401:]
+    assert _python_calls(iterate_once, gs, prev, 1.0, out=row) \
+        == ["excite_iter.excite.iterate_once",
+            "excite_iter.groundstate.index_of",
+            "excite_iter.excite.__init__"]      # IterationState's
+    assert _python_calls(orthogonality_residual, gs, row) \
+        == ["excite_iter.excite.orthogonality_residual"]
 
 
 @pytest.mark.parametrize("backend", ["python", "cython"])

@@ -11,7 +11,9 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import types
 from array import array
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -343,10 +345,12 @@ def test_package_binds_the_public_names_of_its_submodules():
 
 
 def _can_build_kernel():
-    """A C compiler: all that building the compiled kernel on first import
-    needs."""
+    """A C compiler and the interpreter's Python.h: all that building the
+    compiled kernel on first import needs."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    return bool(cc) and shutil.which(cc[0]) is not None
+    include = sysconfig.get_paths()["include"]
+    return bool(cc) and shutil.which(cc[0]) is not None \
+        and os.path.isfile(os.path.join(include, "Python.h"))
 
 
 # (x_start, h, n_steps, g, e, s_init, sp_init): outward and inward sweeps
@@ -494,33 +498,41 @@ def test_backends_and_the_c_source_name_the_same_kernels():
               if callable(f) and not name.startswith("_")
               and getattr(f, "__module__", None) == _kernels_py.__name__}
     python.remove("simpson_integral")
+    # the compiled kernels are the functions of the extension module, all
+    # builtins: no Python frame lies between a kernel's caller and C
     try:
-        assert set(vars(kernels.get_backend("cython"))) == python
+        compiled = kernels.get_backend("cython")
     except ImportError:
-        pass
+        compiled = None
+    if compiled is not None:
+        functions = {name for name, f in vars(compiled).items()
+                     if callable(f)}
+        assert functions == python
+        assert all(isinstance(getattr(compiled, name),
+                              types.BuiltinFunctionType) for name in python)
     # every kernel that kernels binds, a Python twin or a compiled
-    # wrapper, is one of the active backend's
+    # function, is one of the active backend's
     active = kernels.get_backend(kernels.BACKEND)
     bound = {name for name, f in vars(kernels).items() if callable(f)
-             and (getattr(f, "__module__", None) == _kernels_py.__name__
-                  or "<locals>" in getattr(f, "__qualname__", ""))}
+             and getattr(f, "__module__", None)
+             in (_kernels_py.__name__, f"{excite_iter.__name__}._kernels")}
     assert bound == python
     assert all(getattr(kernels, name) is getattr(active, name)
                for name in python)
     # one allocator, kernels.empty, serves both backends: neither has its
-    # own (the compiled namespace holds the Python kernels' names alone)
-    assert "empty" not in python and callable(kernels.empty)
-    # _load gives every non-static function of _kernels.c a signature of
-    # as many arguments, and nothing else: no function of the C library
+    # own
+    assert callable(kernels.empty)
+    assert not hasattr(_kernels_py, "empty")
+    assert compiled is None or not hasattr(compiled, "empty")
+    # the non-static functions of _kernels.c are the C kernels of the
+    # compiled ones, format_csv_rows that of write_csv_rows, and the
+    # module's init function: no dead C function
     with open(kernels._SOURCE) as f:
         source = re.sub(r"/\*.*?\*/", "", f.read(), flags=re.S)
-    defined = dict(re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\(([^)]*)\)"
-                              r"\s*\{", source, flags=re.M))
-    assert "excite_step" in defined and "format_csv_rows" in defined
-    assert set(kernels._SIGNATURES) == set(defined)
-    for name, parameters in defined.items():
-        assert len(kernels._SIGNATURES[name][1]) \
-            == len(parameters.split(",")), name
+    defined = set(re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\([^)]*\)"
+                             r"\s*\{", source, flags=re.M))
+    assert defined == python - {"write_csv_rows"} \
+        | {"format_csv_rows", "PyInit__kernels"}
 
 
 def _backend_in_subprocess(env):
@@ -574,6 +586,41 @@ def test_failed_build_falls_back_to_python(tmp_path):
     assert python_kernels == "True True True"
     # the failed build leaves no temporary file behind
     assert os.listdir(tmp_path / "cache" / "excite-iter") == []
+
+
+@pytest.mark.skipif(not _can_build_kernel(),
+                    reason="no C compiler: no build is tried")
+def test_build_without_python_h_falls_back_to_python(tmp_path):
+    # the interpreter's include directory, as a build reads it, is empty:
+    # the build fails, and the reason names the missing header
+    empty = tmp_path / "include"
+    empty.mkdir()
+    code = ("import sysconfig\n"
+            "paths = sysconfig.get_paths\n"
+            "sysconfig.get_paths = lambda *args, **kwargs: "
+            f"{{**paths(*args, **kwargs), 'include': {str(empty)!r}}}\n"
+            "from excite_iter import kernels\n"
+            "print(kernels.BACKEND)\n"
+            "print(kernels.BACKEND_REASON)\n")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    backend, reason = done.stdout.splitlines()
+    assert backend == "python"
+    assert "build of _kernels.c failed" in reason and "Python.h" in reason
+    assert os.listdir(tmp_path / "cache" / "excite-iter") == []
+
+
+@pytest.mark.skipif(not _can_build_kernel(),
+                    reason="no C compiler: no build to cache")
+def test_cached_build_is_named_for_this_interpreter(tmp_path):
+    # two interpreters that share a cache never load each other's build
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    assert _backend_in_subprocess(env)[0] == "cython"
+    [build] = os.listdir(tmp_path / "excite-iter")
+    assert build.startswith("_kernels-")
+    assert build.endswith(EXTENSION_SUFFIXES[0])
 
 
 @pytest.mark.skipif(not _can_build_kernel(),
